@@ -12,14 +12,14 @@ from .curvefun import (EtaFamily, PhiDecomposition, PhiTower,
                        build_eta_family, build_phi_tower, euler_field,
                        phi_prime_decompose, phi_prime_decompose_pair,
                        plus_part)
-from .cutjoin import (CutJoinReport, CutJoinVerifier, cutjoin_lhs, cutjoin_T1,
-                      cutjoin_T2_T3, cutjoin_T4, psi_oracle, verify_cutjoin)
+from .cutjoin import (CutJoinReport, CutJoinVerifier, psi_oracle,
+                      verify_cutjoin)
 from .engine import (BracketTable, assemble_H, budget_cells, recursion_step,
                      run_to_budget, seed_initial_data, support_bound)
 from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
                       kernel_II, kernel_II_symmetrized)
 from .ratfunc import FPolynomial, FRational, Rational
-from .tpoly import TPolynomial, exact_divide_difference
+from .tpoly import TPolynomial
 from .vseries import (VSeries, compose_polynomial, exp_of, log_unit, revert,
                       sqrt_unit)
 
@@ -30,9 +30,8 @@ __all__ = [
     "EtaFamily", "FPolynomial", "FRational", "KernelWorkspace",
     "PhiDecomposition", "PhiTower", "Rational", "TPolynomial", "VSeries",
     "assemble_H", "budget_cells", "build_curve_series", "build_eta_family",
-    "build_phi_tower", "compose_polynomial", "cutjoin_T1", "cutjoin_T2_T3",
-    "cutjoin_T4", "cutjoin_lhs", "euler_field", "exact_divide_difference",
-    "exp_of", "kernel_I", "kernel_I_via_involution", "kernel_II",
+    "build_phi_tower", "compose_polynomial", "euler_field", "exp_of",
+    "kernel_I", "kernel_I_via_involution", "kernel_II",
     "kernel_II_symmetrized", "log_unit", "phi_prime_decompose",
     "phi_prime_decompose_pair", "plus_part", "psi_oracle", "revert",
     "recursion_step", "run_to_budget", "seed_initial_data", "sqrt_unit",

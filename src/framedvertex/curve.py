@@ -11,17 +11,17 @@ so v = z F(z) for the unique square root F with F(0) = 1.  Reverting
 gives z = v G(v), the deck transformation is v -> -v, and t = 1/(v G(v))
 is the chart every downstream computation works in.
 
+The odd series eta_{-1} = -(1/2)(log(1 + 1/(f t)) - log(1 + 1/(f s(t))))
+lives here too, so the eta family and both kernel forms share one copy.
+
 Everything is built once per truncation order and cached process-wide;
-the cached object is immutable apart from an internal lock-guarded cache
-of powers of t(v).
+the cached object is immutable apart from its cache of powers of t(v).
 """
 
 from __future__ import annotations
 
-import threading
-
 from .ratfunc import FR_ONE, FRational
-from .vseries import VSeries, revert, sqrt_unit
+from .vseries import VSeries, log_unit, revert, sqrt_unit
 
 
 def square_ratio_coefficient(k):
@@ -41,8 +41,8 @@ def square_ratio_coefficient(k):
 class CurveSeries:
     """Series tower for one truncation order, shared read-only."""
 
-    __slots__ = ("trunc", "F_of_z", "z_of_v", "G_of_v", "t_of_v", "s_t_of_v",
-                 "zbar_of_v", "dt_dv", "ds_dv", "sprime", "_t_pows", "_lock")
+    __slots__ = ("trunc", "F_of_z", "z_of_v", "t_of_v", "s_t_of_v",
+                 "zbar_of_v", "dt_dv", "sprime", "eta_minus_one", "_t_pows")
 
     def __init__(self, trunc):
         if trunc < 4:
@@ -53,38 +53,38 @@ class CurveSeries:
         self.F_of_z = sqrt_unit(ratio)
         v_of_z = self.F_of_z.shift(1)           # v = z F(z)
         self.z_of_v = revert(v_of_z)            # z = v G(v)
-        self.G_of_v = self.z_of_v.shift(-1)
         self.t_of_v = self.z_of_v.reciprocal()  # t = 1/(v G(v)), lead -1
         self.s_t_of_v = self.t_of_v.negate_variable()
         self.zbar_of_v = self.z_of_v.negate_variable()
         self.dt_dv = self.t_of_v.derivative()
-        self.ds_dv = self.s_t_of_v.derivative()
-        self.sprime = self.ds_dv / self.dt_dv
+        self.sprime = self.s_t_of_v.derivative() / self.dt_dv
+        one = VSeries.one(trunc)
+        inv_f = FR_ONE / FRational.variable()
+        log_plus = log_unit(one + self.z_of_v * inv_f)      # log(1 + 1/(f t))
+        log_minus = log_unit(one + self.zbar_of_v * inv_f)  # log(1 + 1/(f s(t)))
+        self.eta_minus_one = (log_minus - log_plus) \
+            * FRational.from_fraction("1/2")
         self._t_pows = {0: VSeries.one(self.t_of_v.trunc + self.trunc),
                         1: self.t_of_v}
-        self._lock = threading.Lock()
 
     def t_power(self, j):
         """t(v)^j, cached; j >= 0."""
         if j < 0:
             raise ValueError("negative power of t")
-        with self._lock:
-            have = max(self._t_pows)
-            while have < j:
-                self._t_pows[have + 1] = self._t_pows[have] * self.t_of_v
-                have += 1
-            return self._t_pows[j]
+        have = max(self._t_pows)
+        while have < j:
+            self._t_pows[have + 1] = self._t_pows[have] * self.t_of_v
+            have += 1
+        return self._t_pows[j]
 
 
 _CACHE = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def build_curve_series(trunc):
     """Construct-once, read-many access to the curve series at ``trunc``."""
-    with _CACHE_LOCK:
-        data = _CACHE.get(trunc)
-        if data is None:
-            data = CurveSeries(trunc)
-            _CACHE[trunc] = data
-        return data
+    data = _CACHE.get(trunc)
+    if data is None:
+        data = CurveSeries(trunc)
+        _CACHE[trunc] = data
+    return data

@@ -2,7 +2,7 @@
 
 * the tower phi_b(t), b >= 0: phi_0 = (t-1)/(f+1) and each step applies
   the vector field E = t(t-1)(ft+1)/(f+1) d/dt, raising the degree by 2;
-* the odd Laurent series eta_n(v), n >= -1, generated from
+* the odd Laurent series eta_n(v), n >= -1, generated from the curve's
   eta_{-1} = -(1/2)(log(1+1/(f t)) - log(1+1/(f s(t)))) by the operator
   -(f/(f+1)) (1/v) d/dv, which matches E along the curve;
 * extraction of the polynomial-in-t part of a v-series (``plus_part``);
@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import InsufficientTruncation, NotInSpan
 from .ratfunc import FR_ONE, FRational
 from .tpoly import TPolynomial
-from .vseries import VSeries, compose_polynomial, log_unit
+from .vseries import compose_polynomial
 
 _F = FRational.variable()
 _INV_F1 = FR_ONE / (_F + 1)
@@ -78,18 +78,17 @@ def build_phi_tower(b_max):
 
 
 class EtaFamily:
-    """eta_n for n = -1 .. n_max and the even remainders eta_n - phi_n(t(v))."""
+    """eta_n for n = -1 .. n_max and the even remainders eta_n - phi_n(t(v)).
+
+    The tower starts from ``curve.eta_minus_one``, which is not rebuilt.
+    """
 
     __slots__ = ("n_max", "curve", "etas", "evens")
 
     def __init__(self, curve, n_max, tower=None):
         self.curve = curve
         self.n_max = n_max
-        one = VSeries.one(curve.trunc)
-        inv_f = FR_ONE / _F
-        log_plus = log_unit(one + curve.z_of_v * inv_f)      # log(1 + 1/(f t))
-        log_minus = log_unit(one + curve.zbar_of_v * inv_f)  # log(1 + 1/(f s(t)))
-        eta = (log_minus - log_plus) * FRational.from_fraction("1/2")
+        eta = curve.eta_minus_one
         etas = [eta]
         scale = -_F * _INV_F1
         for _ in range(n_max + 1):

@@ -20,10 +20,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .curvefun import euler_field, vector_field
-from .engine import assemble_H, is_stable
+from .engine import _subsets, assemble_H, is_stable
 from .errors import OutsideVerifiableSet, UnstableDependency
 from .ratfunc import FRational
-from .tpoly import TPolynomial, exact_divide_difference
+from .tpoly import TPolynomial
 
 _F = FRational.variable()
 _HALF = FRational.from_fraction("1/2")
@@ -223,7 +223,7 @@ class CutJoinVerifier:
                 tj = TPolynomial.variable(n, j)
                 numer = ti * (_F * ti + 1) * (tj - 1) * p_i \
                     - tj * (_F * tj + 1) * (ti - 1) * p_j
-                total = total + exact_divide_difference(numer, i, j) * _INV_F1
+                total = total + numer.exact_divide_difference(i, j) * _INV_F1
         return total
 
     def verify(self, g, n):
@@ -233,29 +233,6 @@ class CutJoinVerifier:
                 % (g, n))
         rhs = self.t1(g, n) + self.t2_t3(g, n) + self.t4(g, n)
         return CutJoinReport(g, n, self.lhs(g, n), rhs)
-
-
-def _subsets(items):
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return out
-
-
-def cutjoin_lhs(g, n, table, tower):
-    return CutJoinVerifier(table, tower).lhs(g, n)
-
-
-def cutjoin_T1(g, n, table, tower):
-    return CutJoinVerifier(table, tower).t1(g, n)
-
-
-def cutjoin_T2_T3(g, n, table, tower):
-    return CutJoinVerifier(table, tower).t2_t3(g, n)
-
-
-def cutjoin_T4(g, n, table, tower):
-    return CutJoinVerifier(table, tower).t4(g, n)
 
 
 def verify_cutjoin(g, n, table, tower):

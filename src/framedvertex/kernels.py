@@ -14,13 +14,11 @@ aborts the computation, since the whole bracket extraction relies on it.
 
 from __future__ import annotations
 
-import threading
-
 from .curve import build_curve_series
 from .curvefun import (build_eta_family, build_phi_tower, phi_prime_decompose,
                        phi_prime_decompose_pair, plus_part)
 from .errors import DegreeCapExceeded
-from .ratfunc import FR_ONE, FRational
+from .ratfunc import FRational
 from .tpoly import TPolynomial
 from .vseries import VSeries, compose_polynomial
 
@@ -48,49 +46,38 @@ class KernelWorkspace:
         self._point = {}
         self._pair_dec = {}
         self._point_dec = {}
-        self._lock = threading.Lock()
 
     # -- pair kernels -------------------------------------------------------
 
     def kernel_I(self, a, b):
         key = (a, b) if a <= b else (b, a)
-        with self._lock:
-            got = self._pair.get(key)
+        got = self._pair.get(key)
         if got is None:
-            got = kernel_I(key[0], key[1], self.eta, self.curve)
-            with self._lock:
-                self._pair[key] = got
+            got = self._pair[key] = kernel_I(key[0], key[1], self.eta,
+                                             self.curve)
         return got
 
     def kernel_II(self, b):
-        with self._lock:
-            got = self._point.get(b)
+        got = self._point.get(b)
         if got is None:
-            got = kernel_II(b, self.curve, self.tower)
-            with self._lock:
-                self._point[b] = got
+            got = self._point[b] = kernel_II(b, self.curve, self.tower)
         return got
 
     def decompose_pair_kernel(self, a, b):
         """phi' coefficients of P_{a,b}; zero residual enforced."""
         key = (a, b) if a <= b else (b, a)
-        with self._lock:
-            got = self._pair_dec.get(key)
+        got = self._pair_dec.get(key)
         if got is None:
             dec = phi_prime_decompose(self.kernel_I(a, b), self.tower)
-            got = dec.coefficients
-            with self._lock:
-                self._pair_dec[key] = got
+            got = self._pair_dec[key] = dec.coefficients
         return got
 
     def decompose_point_kernel(self, b):
         """(c, d) -> coefficient for P_b(t_0, t_1); zero residual enforced."""
-        with self._lock:
-            got = self._point_dec.get(b)
+        got = self._point_dec.get(b)
         if got is None:
-            got = phi_prime_decompose_pair(self.kernel_II(b), self.tower)
-            with self._lock:
-                self._point_dec[b] = got
+            got = self._point_dec[b] = phi_prime_decompose_pair(
+                self.kernel_II(b), self.tower)
         return got
 
 
@@ -122,47 +109,36 @@ def kernel_I_via_involution(a, b, curve, tower):
         pb_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
         pb_s = compose_polynomial(tower.phi_coeffs(b + 1), curve.s_t_of_v)
     numer = pa_t * pb_s + pa_s * pb_t
-    eta_m1 = _eta_minus_one(curve)
     cubic = curve.t_of_v * (curve.t_of_v - VSeries.one(curve.trunc)) \
         * (curve.t_of_v * _F + VSeries.one(curve.trunc))
-    x = numer / (eta_m1 * cubic)
+    x = numer / (curve.eta_minus_one * cubic)
     x = x * (-(_F + 1) / 4)
     poly, _ = plus_part(x, curve)
     return poly
 
 
-def _eta_minus_one(curve):
-    from .vseries import log_unit
-    one = VSeries.one(curve.trunc)
-    inv_f = FR_ONE / _F
-    lp = log_unit(one + curve.z_of_v * inv_f)
-    lm = log_unit(one + curve.zbar_of_v * inv_f)
-    return (lm - lp) * _HALF
-
-
-def kernel_II(b, curve, tower, cap=None):
+def kernel_II(b, curve, tower):
     """Point kernel P_b(t, t_i) as a two-variable polynomial.
 
     The double poles expand geometrically at t = infinity:
     1/(t - t_i)^2    = sum_k (k+1) t_i^k z^{k+2},        z   = 1/t,
     1/(s(t) - t_i)^2 = sum_k (k+1) t_i^k zbar^{k+2},     zbar = 1/s(t),
-    and the factor from B(s(t), t_i) carries s'(t).  Each t_i-coefficient
-    gets its own polynomial-part extraction.
+    and the factor from B(s(t), t_i) carries s'(t).  The t_i^k coefficient
+    is (k+1) times the polynomial part of
+
+        (s' phi_{b+1}(t) zbar^{k+2} + phi_{b+1}(s(t)) z^{k+2}) / (-2 eta_{-1})
+          = s' C_k - C_k(-v),   C_k = phi_{b+1}(t) zbar^{k+2} / (-2 eta_{-1}),
+
+    because the deck map v -> -v sends t to s(t) and zbar to z, and
+    eta_{-1} is odd.  So phi_{b+1} is composed once and C_k advances by
+    one factor of zbar per k.
     """
-    if cap is None:
-        cap = 2 * b + 6
-    if cap < 2 * b + 4:
-        raise ValueError("degree cap %d below safe bound %d" % (cap, 2 * b + 4))
+    cap = 2 * b + 6
     phi_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
-    phi_s = compose_polynomial(tower.phi_coeffs(b + 1), curve.s_t_of_v)
-    phi_t_sp = phi_t * curve.sprime
-    denom = (_eta_minus_one(curve) * (-2)).reciprocal()
-    z_pow = curve.z_of_v ** 2
-    zbar_pow = curve.zbar_of_v ** 2
+    c_k = phi_t * curve.zbar_of_v ** 2 / (curve.eta_minus_one * (-2))
     terms = {}
     for k in range(cap + 1):
-        numer = phi_t_sp * zbar_pow + phi_s * z_pow
-        q, _ = plus_part(numer * denom, curve)
+        q, _ = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
         q = q * FRational.from_int(k + 1)
         if not q.is_zero:
             if k == cap:
@@ -171,23 +147,21 @@ def kernel_II(b, curve, tower, cap=None):
             for (e,), c in q.terms():
                 terms[(e, k)] = c
         if k < cap:
-            z_pow = z_pow * curve.z_of_v
-            zbar_pow = zbar_pow * curve.zbar_of_v
+            c_k = c_k * curve.zbar_of_v
     return TPolynomial(2, terms.items())
 
 
-def kernel_II_symmetrized(b, curve, tower, cap=None):
+def kernel_II_symmetrized(b, curve, tower):
     """Alternate form of the point kernel: both summands on one sheet each.
 
     (phi_{b+1}(t) B(t, t_i) + phi_{b+1}(s(t)) B(s(t), t_i)) / (2 eta_{-1}),
     polynomial part per t_i-coefficient.  Must agree with ``kernel_II``.
     """
-    if cap is None:
-        cap = 2 * b + 6
+    cap = 2 * b + 6
     phi_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
     phi_s = compose_polynomial(tower.phi_coeffs(b + 1), curve.s_t_of_v)
     phi_s_sp = phi_s * curve.sprime
-    denom = (_eta_minus_one(curve) * 2).reciprocal()
+    denom = (curve.eta_minus_one * 2).reciprocal()
     z_pow = curve.z_of_v ** 2
     zbar_pow = curve.zbar_of_v ** 2
     terms = {}

@@ -366,8 +366,3 @@ class TPolynomial:
         if not self._terms:
             return "TPolynomial(%d, 0)" % self._arity
         return "TPolynomial(%d, {%s})" % (self._arity, "; ".join(self.render_lines()))
-
-
-def exact_divide_difference(numer, i, j):
-    """Module-level alias for :meth:`TPolynomial.exact_divide_difference`."""
-    return numer.exact_divide_difference(i, j)

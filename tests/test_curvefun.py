@@ -89,6 +89,15 @@ def test_eta_equals_half_odd_part_of_phi(curve, tower, eta):
         assert eta.eta(n).agrees_with((phi_t - phi_st) * half)
 
 
+def test_phi_on_second_sheet_is_deck_image(curve, tower):
+    # phi_b(s(t)) = [phi_b(t)](-v), truncation included; kernel_II uses
+    # this in place of a second composition
+    for b in range(7):
+        at_s = compose_polynomial(tower.phi_coeffs(b), curve.s_t_of_v)
+        at_t = compose_polynomial(tower.phi_coeffs(b), curve.t_of_v)
+        assert at_s == at_t.negate_variable(), b
+
+
 def test_eta_remainder_even_and_regular(curve, eta):
     for n in range(4):
         rem = eta.even_remainder(n)

@@ -65,7 +65,7 @@ def test_point_kernel_degree_bound(ws):
 
 
 def test_point_kernel_symmetrized_variant(ws):
-    for b in range(3):
+    for b in range(4):
         assert ws.kernel_II(b) == kernel_II_symmetrized(b, ws.curve, ws.tower), b
 
 
@@ -89,7 +89,6 @@ def test_truncation_stability():
 def test_integrand_difference_has_no_polynomial_part(ws):
     # the two pair-kernel integrands differ only in strictly positive
     # v-exponents, which is why their polynomial parts agree
-    from framedvertex.kernels import _eta_minus_one
     from framedvertex.vseries import VSeries, compose_polynomial
     curve, tower, eta = ws.curve, ws.tower, ws.eta
     a, b = 1, 1
@@ -101,6 +100,10 @@ def test_integrand_difference_has_no_polynomial_part(ws):
     numer = pa_t * pa_s * 2
     one = VSeries.one(curve.trunc)
     cubic = curve.t_of_v * (curve.t_of_v - one) * (curve.t_of_v * F + one)
-    x2 = numer / (_eta_minus_one(curve) * cubic) * (-(F + 1) / 4)
+    x2 = numer / (curve.eta_minus_one * cubic) * (-(F + 1) / 4)
     diff = x1 - x2
     assert diff.is_zero or diff.lead > 0
+
+
+def test_eta_family_shares_curve_eta_minus_one(ws):
+    assert ws.eta.eta(-1) is ws.curve.eta_minus_one

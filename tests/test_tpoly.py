@@ -2,7 +2,7 @@ import pytest
 
 from framedvertex.errors import ArityMismatch, IndexOutOfRange, NotDivisible
 from framedvertex.ratfunc import FR_ONE, FRational
-from framedvertex.tpoly import TPolynomial, exact_divide_difference
+from framedvertex.tpoly import TPolynomial
 
 from conftest import random_frational
 
@@ -102,10 +102,10 @@ def test_substitute_then_derivative_commutes_on_disjoint_slots(rng):
 
 def test_exact_divide_difference_basic():
     t1, t2 = var(2, 0), var(2, 1)
-    assert exact_divide_difference(t1 * t1 - t2 * t2, 0, 1) == t1 + t2
-    assert exact_divide_difference(t1 - t2, 0, 1) == TPolynomial.constant(2, FR_ONE)
+    assert (t1 * t1 - t2 * t2).exact_divide_difference(0, 1) == t1 + t2
+    assert (t1 - t2).exact_divide_difference(0, 1) == TPolynomial.constant(2, FR_ONE)
     with pytest.raises(NotDivisible):
-        exact_divide_difference(t1, 0, 1)
+        t1.exact_divide_difference(0, 1)
 
 
 def test_exact_divide_difference_round_trip(rng):
@@ -113,7 +113,7 @@ def test_exact_divide_difference_round_trip(rng):
     for _ in range(8):
         p = rand_tpoly(rng, 3)
         numer = p * (t1 - t2)
-        assert exact_divide_difference(numer, 0, 1) == p
+        assert numer.exact_divide_difference(0, 1) == p
 
 
 def test_mul_commutative_associative(rng):
