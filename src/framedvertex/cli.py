@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .curvefun import build_phi_tower
 from .cutjoin import CutJoinVerifier, psi_oracle
-from .engine import (BracketTable, budget_cells, make_workspace,
+from .engine import (BracketTable, assemble_H, budget_cells, make_workspace,
                      run_to_budget, seed_initial_data, support_bound)
 from .errors import (ConfigError, FramedVertexError, InternalInvariantError,
                      PoleAtFraming)
@@ -88,22 +88,41 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args):
+def _config_argv(args):
+    """The settings of ``--config`` as ``--option=value`` tokens.
+
+    The parser checks them like flags; placed before the command-line
+    flags, they lose to any flag given there (the last occurrence wins).
+    """
     if args.config is None:
-        return
+        return []
     try:
         overrides = json.loads(args.config.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot read config file: %s" % exc)
-    defaults = {"chi_max": 3, "truncation_margin": 0, "output": "json",
-                "seed": 0, "cache": None, "framing": "symbolic"}
+    if not isinstance(overrides, dict):
+        raise ConfigError("config file must hold a JSON object")
+    options = set(vars(args)) - {"command", "config"}
+    tokens = []
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in options:
             raise ConfigError("unknown config key %r" % key)
-        # flags win: only apply when the flag still has its default
-        if getattr(args, attr) == defaults.get(attr):
-            setattr(args, attr, Path(value) if attr == "cache" else value)
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError("config key %r needs a string or a number" % key)
+        tokens.append("--%s=%s" % (attr.replace("_", "-"), value))
+    return tokens
+
+
+def _write_atomic(path, text):
+    """Replace ``path`` by ``text`` whole: readers see the old or the new file."""
+    tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cache_dir(args):
@@ -140,13 +159,11 @@ def _load_or_compute(args, extra_cells=()):
             raise ConfigError("unreadable cache file %s" % path)
     table = run_to_budget(args.chi_max, args.truncation_margin,
                           extra_cells=extra_cells, table=table)
-    path.write_text(table.to_json())
+    _write_atomic(path, table.to_json())
     return table, path
 
 
 def cmd_compute(args):
-    if args.chi_max < 1:
-        raise ConfigError("--chi-max must be >= 1")
     framing = args.framing
     at_f = None
     if framing != "symbolic":
@@ -163,17 +180,21 @@ def cmd_compute(args):
             for key, value in table.cell_entries(g, n).items():
                 label = "%d|%s" % (g, ",".join(map(str, key)))
                 entries[label] = str(value.evaluate(at_f))
-        spec_path.write_text(json.dumps(
+        _write_atomic(spec_path, json.dumps(
             {"framing": str(at_f), "entries": entries},
             sort_keys=True, separators=(",", ": "), indent=1) + "\n")
         print("specialized table: %s" % spec_path)
     return EXIT_OK
 
 
+def _table_tower(table):
+    """The phi tower up to one past the largest support bound of the table."""
+    return build_phi_tower(max(support_bound(g, n)
+                               for g, n in table.cells()) + 1)
+
+
 def _suite_cutjoin(args, table):
-    tower = build_phi_tower(max(support_bound(g, n)
-                                for g, n in table.cells()) + 1)
-    verifier = CutJoinVerifier(table, tower)
+    verifier = CutJoinVerifier(table, _table_tower(table))
     results = []
     for g, n in table.cells():
         if 2 * g - 2 + n < 2:
@@ -247,10 +268,8 @@ def _suite_kernels(args, table):
 def _suite_symmetry(args, table):
     # support bound plus a seeded sample of permutation invariance of the
     # assembled polynomials
-    from .engine import assemble_H
     rng = random.Random(args.seed)
-    tower = build_phi_tower(max(support_bound(g, n)
-                                for g, n in table.cells()) + 1)
+    tower = _table_tower(table)
     results = []
     for g, n in table.cells():
         ok = all(sum(key) <= support_bound(g, n)
@@ -282,8 +301,8 @@ def cmd_verify(args):
                 failed.append((name, row))
     cache = _cache_dir(args)
     report_path = cache / ("report_%s.json" % args.suite)
-    report_path.write_text(json.dumps(report, sort_keys=True,
-                                      separators=(",", ": "), indent=1) + "\n")
+    _write_atomic(report_path, json.dumps(report, sort_keys=True,
+                                          separators=(",", ": "), indent=1) + "\n")
     for name, results in report.items():
         for row in results:
             print("%s %s %s" % ("PASS" if row.get("passed") else "FAIL",
@@ -310,7 +329,7 @@ def _rows_to_output(rows, header, fmt, out_path):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        out_path.write_text(text)
+        _write_atomic(out_path, text)
 
 
 def cmd_export(args):
@@ -356,9 +375,13 @@ def cmd_export(args):
 
 def main(argv=None):
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        config = _config_argv(args)
+        if config:
+            # argv[0] is the subcommand; its options follow it
+            args = parser.parse_args(argv[:1] + config + argv[1:])
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "verify":

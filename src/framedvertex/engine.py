@@ -25,7 +25,7 @@ from .errors import (MissingDependency, SupportBoundViolation,
                      SymmetryViolation)
 from .kernels import KernelWorkspace
 from .ratfunc import FR_ZERO, FRational
-from .tpoly import TPolynomial
+from .tpoly import TPolynomial, add_term
 
 _F = FRational.variable()
 _FF1 = _F * (_F + 1)  # f (f + 1)
@@ -154,18 +154,6 @@ def recursion_step(g, n, table, workspace):
     if not is_stable(g, n):
         raise ValueError("cell (%d, %d) is not stable" % (g, n))
     coeff = {}
-
-    def add(beta, value):
-        prev = coeff.get(beta)
-        if prev is None:
-            coeff[beta] = value
-        else:
-            s = prev + value
-            if s.is_zero:
-                del coeff[beta]
-            else:
-                coeff[beta] = s
-
     spect = n - 1  # companion slots 1..n-1
 
     # genus reduction: brackets at (g-1, n+1) against pair kernels
@@ -181,7 +169,7 @@ def recursion_step(g, n, table, workspace):
                         continue
                     w = pref * br
                     for c, dc in workspace.decompose_pair_kernel(a1, a2).items():
-                        add((c,) + bs, w * dc)
+                        add_term(coeff, (c,) + bs, w * dc)
 
     # stable splittings: ordered pairs of lower cells against pair kernels
     if spect >= 0:
@@ -214,7 +202,7 @@ def recursion_step(g, n, table, workspace):
                                 continue
                             w = pref * br1 * br2
                             for c, dc in workspace.decompose_pair_kernel(a1, a2).items():
-                                add((c,) + bs, -(w * dc))
+                                add_term(coeff, (c,) + bs, -(w * dc))
 
     # companion-slot terms: brackets at (g, n-1) against point kernels
     if n >= 2:
@@ -236,7 +224,7 @@ def recursion_step(g, n, table, workspace):
                         for k in range(1, n):
                             if k != j:
                                 beta[k] = next(others)
-                        add(tuple(beta), -(w * dc))
+                        add_term(coeff, tuple(beta), -(w * dc))
 
     # extraction: divide out the prefactor, check symmetry and support
     scale = _FF1 ** (n - 1)

@@ -1,11 +1,14 @@
 """Exact arithmetic over Q and Q(f).
 
-Rational numbers are stdlib :class:`fractions.Fraction`.  ``FPolynomial``
-is a univariate polynomial in the framing variable ``f`` with rational
-coefficients, stored internally as integer coefficients over a common
-positive integer denominator.  ``FRational`` is a quotient of two such
-polynomials kept in canonical form: the denominator is monic, coprime to
-the numerator, and equality is plain structural equality.
+Rational numbers are stdlib :class:`fractions.Fraction`.  ``FRational``,
+an element of Q(f) for the framing variable ``f``, is the only arithmetic
+type: a quotient of two integer-coefficient polynomials kept in canonical
+form (the denominator is monic and coprime to the numerator, so equality
+is plain structural equality).  Gcds strip common powers of f and f + 1
+first, the denominators that occur in practice, and fall back to a
+primitive polynomial remainder sequence for any other common factor.
+``FPolynomial`` is the read-only num/den view: the argument type of
+``FRational(num, den)`` and the result of ``FRational.num`` / ``.den``.
 
 Everything here is exact; no floating point is used anywhere.
 """
@@ -85,6 +88,7 @@ def _psplit(a):
 
 
 def _peval_int(a, x):
+    """Horner value of ``a`` at ``x``, an int or a Fraction."""
     acc = 0
     for coef in reversed(a):
         acc = acc * x + coef
@@ -133,44 +137,6 @@ def _prem(a, b):
 
 _F1 = (1, 1)  # the polynomial f + 1
 
-_P61 = (1 << 61) - 1  # Mersenne prime for the coprimality certificate
-
-
-def _coprime_mod_p(a, b):
-    """Certify gcd(a, b) = 1 via a single modular Euclid run.
-
-    Sound: if p divides neither leading coefficient, a nonconstant
-    rational gcd survives reduction mod p with full degree, so a constant
-    gcd mod p proves coprimality.  Returns False when nothing is proved.
-    """
-    p = _P61
-    if a[-1] % p == 0 or b[-1] % p == 0:
-        return False
-    am = [x % p for x in a]
-    bm = [x % p for x in b]
-    while bm and bm[-1] == 0:
-        bm.pop()
-    while True:
-        if not bm:
-            return False
-        if len(bm) == 1:
-            return True
-        db = len(bm) - 1
-        lb = bm[-1]
-        r = am
-        # inverse-free scaled reduction: r <- lb*r - top*f^off*bm
-        while len(r) - 1 >= db:
-            top = r.pop()
-            if top:
-                off = len(r) - db
-                for i in range(off):
-                    r[i] = r[i] * lb % p
-                for i in range(db):
-                    r[off + i] = (r[off + i] * lb - top * bm[i]) % p
-            while r and r[-1] == 0:
-                r.pop()
-        am, bm = bm, r
-
 
 def _pp_gcd(a, b):
     """Gcd of two nonzero primitive positive-lead int polynomials.
@@ -205,8 +171,6 @@ def _pp_gcd(a, b):
     # common f / (f+1) structure is gone; if either remainder is a pure
     # c f^j (f+1)^k monomial, nothing further can be shared
     if _is_ff1_monomial(a) or _is_ff1_monomial(b):
-        return acc if acc else (1,)
-    if _coprime_mod_p(a, b):
         return acc if acc else (1,)
     g = _prs_gcd(a, b)
     if acc:
@@ -334,18 +298,24 @@ def _parse_int_poly(text):
 # ---------------------------------------------------------------------------
 
 class FPolynomial:
-    """Univariate polynomial in f over Q, canonical and immutable.
+    """Univariate polynomial in f over Q: the num/den view of ``FRational``.
 
-    Stored as integer coefficients ``ic`` (ascending degree, trimmed) over a
-    positive integer denominator ``d`` with gcd(content(ic), d) = 1.
+    It is the argument type of ``FRational(num, den)`` and the result of
+    ``FRational.num`` / ``.den``; it carries no arithmetic.  Stored as
+    integer coefficients ``ic`` (ascending degree, trimmed) over a positive
+    integer denominator ``d`` with gcd(content(ic), d) = 1.
     """
 
     __slots__ = ("_ic", "_d")
 
     def __init__(self, coefficients=()):
-        ic, d = _coeffs_to_int_form(coefficients)
-        self._ic = ic
-        self._d = d
+        fracs = [Fraction(c) for c in coefficients]
+        d = 1
+        for c in fracs:
+            d = d * c.denominator // gcd(d, c.denominator)
+        v = FPolynomial._build([c.numerator * (d // c.denominator) for c in fracs], d)
+        self._ic = v._ic
+        self._d = v._d
 
     @classmethod
     def _raw(cls, ic, d):
@@ -372,22 +342,6 @@ class FPolynomial:
             d //= g
         return cls._raw(ic, d)
 
-    @classmethod
-    def variable(cls):
-        return _FP_F
-
-    @classmethod
-    def one(cls):
-        return _FP_ONE
-
-    @classmethod
-    def zero(cls):
-        return _FP_ZERO
-
-    @classmethod
-    def from_text(cls, text):
-        return cls._build(_parse_int_poly(text), 1)
-
     # -- properties ---------------------------------------------------------
 
     @property
@@ -404,114 +358,8 @@ class FPolynomial:
         return not self._ic
 
     @property
-    def leading_coefficient(self):
-        if not self._ic:
-            return Fraction(0)
-        return Fraction(self._ic[-1], self._d)
-
-    @property
     def is_monic(self):
         return bool(self._ic) and self._ic[-1] == self._d
-
-    def coefficient(self, k):
-        if 0 <= k < len(self._ic):
-            return Fraction(self._ic[k], self._d)
-        return Fraction(0)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_fpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._d == other._d:
-            return FPolynomial._build(_padd(self._ic, other._ic), self._d)
-        return FPolynomial._build(
-            _padd(_pscale(self._ic, other._d), _pscale(other._ic, self._d)),
-            self._d * other._d,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_fpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        if not self._ic:
-            return self
-        return FPolynomial._raw(_pneg(self._ic), self._d)
-
-    def __mul__(self, other):
-        other = _as_fpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FPolynomial._build(_pmul(self._ic, other._ic), self._d * other._d)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _FP_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def divmod(self, other):
-        """Quotient and remainder over Q."""
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        q = _FP_ZERO
-        r = self
-        while not r.is_zero and r.degree >= other.degree:
-            k = r.degree - other.degree
-            c = r.leading_coefficient / other.leading_coefficient
-            t = FPolynomial._build(
-                (0,) * k + (c.numerator,), c.denominator)
-            q = q + t
-            r = r - t * other
-        return q, r
-
-    def gcd(self, other):
-        """Monic gcd over Q."""
-        if self.is_zero:
-            return other.monic() if not other.is_zero else _FP_ZERO
-        if other.is_zero:
-            return self.monic()
-        _, pa = _psplit(self._ic)
-        _, pb = _psplit(other._ic)
-        g = _pp_gcd(pa, pb)
-        return FPolynomial._build(g, 1).monic()
-
-    def monic(self):
-        if self.is_zero or self.is_monic:
-            return self
-        return FPolynomial._build(self._ic, self._ic[-1])
-
-    def derivative(self):
-        if len(self._ic) <= 1:
-            return _FP_ZERO
-        return FPolynomial._build(
-            tuple(k * x for k, x in enumerate(self._ic))[1:], self._d)
-
-    def eval(self, x):
-        """Exact evaluation at a Fraction (or int)."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for coef in reversed(self._ic):
-            acc = acc * x + coef
-        return acc / self._d
 
     # -- comparisons / hashing ----------------------------------------------
 
@@ -539,23 +387,6 @@ class FPolynomial:
         return "(%s)/%d" % (body, self._d)
 
 
-def _coeffs_to_int_form(coefficients):
-    fracs = [Fraction(c) for c in coefficients]
-    if not fracs:
-        return (), 1
-    d = 1
-    for c in fracs:
-        d = d * c.denominator // gcd(d, c.denominator)
-    ic = _ptrim([c.numerator * (d // c.denominator) for c in fracs])
-    if not ic:
-        return (), 1
-    g = gcd(_pcontent(ic), d)
-    if g > 1:
-        ic = tuple(x // g for x in ic)
-        d //= g
-    return ic, d
-
-
 def _as_fpoly(x):
     if isinstance(x, FPolynomial):
         return x
@@ -568,7 +399,6 @@ def _as_fpoly(x):
 
 _FP_ZERO = FPolynomial._raw((), 1)
 _FP_ONE = FPolynomial._raw((1,), 1)
-_FP_F = FPolynomial._raw((0, 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +495,6 @@ class FRational:
     def is_zero(self):
         return not self._np
 
-    @property
-    def is_constant(self):
-        return len(self._np) <= 1 and len(self._dp) == 1
-
     def as_fraction(self):
         """The value as a Fraction; only valid for constants."""
         if len(self._dp) != 1 or len(self._np) > 1:
@@ -741,9 +567,6 @@ class FRational:
             return NotImplemented
         return other / self
 
-    def inverse(self):
-        return FR_ONE / self
-
     def __pow__(self, k):
         if k < 0:
             return (FR_ONE / self) ** (-k)
@@ -769,11 +592,11 @@ class FRational:
     def evaluate(self, f0):
         """Exact evaluation at a rational framing value."""
         f0 = Fraction(f0)
-        den = _peval_frac(self._dp, f0)
+        den = _peval_int(self._dp, f0)
         if den == 0:
             raise PoleAtFraming(
                 "denominator %s vanishes at f = %s" % (self.den, f0))
-        num = _peval_frac(self._np, f0)
+        num = _peval_int(self._np, f0)
         return (num * self._dp[-1]) / (self._nd * den)
 
     # -- text ----------------------------------------------------------------
@@ -818,13 +641,6 @@ class FRational:
 
     def __str__(self):
         return self.as_text()
-
-
-def _peval_frac(ic, x):
-    acc = Fraction(0)
-    for coef in reversed(ic):
-        acc = acc * x + coef
-    return acc
 
 
 def _normalize(nic, nd, dic, dd):
@@ -875,4 +691,3 @@ def _as_frational(x):
 FR_ZERO = FRational._raw((), 1, (1,))
 FR_ONE = FRational._raw((1,), 1, (1,))
 FR_F = FRational._raw((0, 1), 1, (1,))
-FR_F1 = FRational._raw((1, 1), 1, (1,))  # f + 1

@@ -10,7 +10,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch, IndexOutOfRange, NotDivisible
-from .ratfunc import FR_ONE, FR_ZERO, FRational, _as_frational
+from .ratfunc import FR_ONE, FR_ZERO, _as_frational
+
+
+def add_term(terms, key, coeff):
+    """Add ``coeff`` into ``terms[key]``, dropping the entry if it cancels."""
+    prev = terms.get(key)
+    if prev is None:
+        terms[key] = coeff
+    else:
+        s = prev + coeff
+        if s.is_zero:
+            del terms[key]
+        else:
+            terms[key] = s
 
 
 class TPolynomial:
@@ -29,17 +42,8 @@ class TPolynomial:
             coeff = _as_frational(coeff)
             if coeff is NotImplemented:
                 raise TypeError("coefficients must be FRational-like")
-            if coeff.is_zero:
-                continue
-            prev = clean.get(exps)
-            if prev is None:
-                clean[exps] = coeff
-            else:
-                s = prev + coeff
-                if s.is_zero:
-                    del clean[exps]
-                else:
-                    clean[exps] = s
+            if not coeff.is_zero:
+                add_term(clean, exps, coeff)
         self._terms = clean
 
     @classmethod
@@ -122,15 +126,7 @@ class TPolynomial:
             return self
         out = dict(self._terms)
         for exps, c in other._terms.items():
-            prev = out.get(exps)
-            if prev is None:
-                out[exps] = c
-            else:
-                s = prev + c
-                if s.is_zero:
-                    del out[exps]
-                else:
-                    out[exps] = s
+            add_term(out, exps, c)
         return TPolynomial._raw(self._arity, out)
 
     __radd__ = __add__
@@ -164,17 +160,7 @@ class TPolynomial:
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                p = c1 * c2
-                prev = out.get(e)
-                if prev is None:
-                    out[e] = p
-                else:
-                    s = prev + p
-                    if s.is_zero:
-                        del out[e]
-                    else:
-                        out[e] = s
+                add_term(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return TPolynomial._raw(self._arity, out)
 
     __rmul__ = __mul__
@@ -207,17 +193,10 @@ class TPolynomial:
 
     def partial_derivative(self, slot):
         self._check_slot(slot)
-        out = {}
-        for exps, c in self._terms.items():
-            k = exps[slot]
-            if k == 0:
-                continue
-            e = exps[:slot] + (k - 1,) + exps[slot + 1:]
-            v = c * k
-            prev = out.get(e)
-            out[e] = v if prev is None else prev + v
-        return TPolynomial._raw(self._arity,
-                                {e: c for e, c in out.items() if not c.is_zero})
+        # lowering one exponent is injective, so no two terms collide
+        return TPolynomial._raw(self._arity, {
+            exps[:slot] + (exps[slot] - 1,) + exps[slot + 1:]: c * exps[slot]
+            for exps, c in self._terms.items() if exps[slot]})
 
     def substitute(self, slot, target):
         """Replace variable ``slot`` by variable ``target``; arity drops by one.
@@ -234,16 +213,7 @@ class TPolynomial:
         for exps, c in self._terms.items():
             rest = list(exps[:slot] + exps[slot + 1:])
             rest[t_new] += exps[slot]
-            e = tuple(rest)
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
-            else:
-                s = prev + c
-                if s.is_zero:
-                    del out[e]
-                else:
-                    out[e] = s
+            add_term(out, tuple(rest), c)
         return TPolynomial._raw(self._arity - 1, out)
 
     def embed(self, arity, slot_map):
@@ -319,38 +289,18 @@ class TPolynomial:
             # q_k = a_{k+1} + t_j * q_{k+1}
             term = dict(by_k.get(k + 1, {}))
             for e, c in carry.items():
-                ej = e[:j] + (e[j] + 1,) + e[j + 1:]
-                prev = term.get(ej)
-                if prev is None:
-                    term[ej] = c
-                else:
-                    s = prev + c
-                    if s.is_zero:
-                        del term[ej]
-                    else:
-                        term[ej] = s
+                add_term(term, e[:j] + (e[j] + 1,) + e[j + 1:], c)
             for e, c in term.items():
                 quotient[e[:i] + (k,) + e[i + 1:]] = c
             carry = term
         # remainder = a_0 + t_j * q_0
         rem = dict(by_k.get(0, {}))
         for e, c in carry.items():
-            ej = e[:j] + (e[j] + 1,) + e[j + 1:]
-            prev = rem.get(ej)
-            if prev is None:
-                rem[ej] = c
-            else:
-                s = prev + c
-                if s.is_zero:
-                    del rem[ej]
-                else:
-                    rem[ej] = s
+            add_term(rem, e[:j] + (e[j] + 1,) + e[j + 1:], c)
         if rem:
             raise NotDivisible(
                 "numerator does not vanish on the diagonal t_%d = t_%d" % (i, j))
-        return TPolynomial._raw(self._arity,
-                                {e: c for e, c in quotient.items()
-                                 if not c.is_zero})
+        return TPolynomial._raw(self._arity, quotient)
 
     # -- rendering -----------------------------------------------------------------
 

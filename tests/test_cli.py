@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -158,3 +159,54 @@ def test_env_cache_dir(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["compute", "--chi-max", "1"], capsys)
     assert code == 0
     assert (tmp_path / "envcache" / "brackets.json").exists()
+
+
+def test_config_file_loses_to_flag_equal_to_default(tmp_path, capsys):
+    # --chi-max 3 is also the parser default; the flag must still win
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chi_max": 2}))
+    code, _, _ = run(["compute", "--chi-max", "3", "--config", str(cfg),
+                      "--cache", str(tmp_path)], capsys)
+    assert code == 0
+    obj = json.loads((tmp_path / "brackets.json").read_text())
+    assert "2,1" in obj["cells"]
+
+
+def test_config_file_values_get_option_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chi_max": "2"}))
+    code, _, _ = run(["compute", "--config", str(cfg),
+                      "--cache", str(tmp_path)], capsys)
+    assert code == 0
+    obj = json.loads((tmp_path / "brackets.json").read_text())
+    assert obj["cells"] == ["0,3", "0,4", "1,1", "1,2"]
+    cfg.write_text(json.dumps({"chi_max": "two"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--config", str(cfg), "--cache", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([["chi_max", 2]]))
+    code, _, err = run(["compute", "--config", str(cfg),
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 2
+    assert "JSON object" in err
+    assert not (tmp_path / "brackets.json").exists()
+
+
+def test_failed_write_keeps_previous_table(tmp_path, capsys, monkeypatch):
+    assert run(["compute", "--chi-max", "1",
+                "--cache", str(tmp_path)], capsys)[0] == 0
+    before = (tmp_path / "brackets.json").read_bytes()
+
+    def fail(src, dst):
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="injected failure"):
+        main(["compute", "--chi-max", "2", "--cache", str(tmp_path)])
+    assert (tmp_path / "brackets.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["brackets.json"]

@@ -27,6 +27,16 @@ def test_gcd_cancellation():
     r = fr([-1, 0, 1], [-1, 1])
     assert r == fr([1, 1])
     assert r.den == FPolynomial([1])
+    # coprime non-constant cofactors stay as they are
+    r = fr([1, 0, 1], [1, 1, 1])
+    assert r.num == FPolynomial([1, 0, 1])
+    assert r.den == FPolynomial([1, 1, 1])
+    assert r.as_text() == "(f^2+1)/(f^2+f+1)"
+    assert FRational.from_text(r.as_text()) == r
+    # a common factor outside f(f+1): (f^2+1)(f-2) / ((f^2+1)(f+3))
+    r = fr([-2, 1, -2, 1], [3, 1, 3, 1])
+    assert r == fr([-2, 1], [3, 1])
+    assert r.as_text() == "(f-2)/(f+3)"
 
 
 def test_multiplicative_inverse():
@@ -145,16 +155,23 @@ def test_power_and_negative_power():
 
 
 def test_fpolynomial_basics():
-    p = FPolynomial([1, 2, 1])
-    q = FPolynomial([1, 1])
-    assert q * q == p
-    assert p.gcd(q) == q
-    assert p.degree == 2
-    assert p.derivative() == FPolynomial([2, 2])
-    assert p.eval(Fraction(1, 2)) == Fraction(9, 4)
-    quo, rem = p.divmod(q)
-    assert quo == q and rem.is_zero
-    assert FPolynomial([2, 2]).monic() == q
+    # num/den are the read-only view the tracer reads: degree, coefficients
+    r = fr([0, 2, 4], [6, 2])  # (4f^2+2f)/(2f+6) = (2f^2+f)/(f+3)
+    assert r.num.degree == 2
+    assert r.num.coefficients == (0, 1, 2)
+    assert r.den.degree == 1
+    assert r.den.coefficients == (3, 1)
+    assert r.den.is_monic
+    assert str(r.num) == "2*f^2+f"
+    assert str(r.den) == "f+3"
+    assert r.num == FPolynomial([0, 1, 2]) and r.den == FPolynomial([3, 1])
+    assert r.num != r.den
+    half = fr([1, 2], [2])
+    assert half.num.coefficients == (Fraction(1, 2), 1)
+    assert str(half.num) == "(2*f+1)/2"
+    assert FR_ZERO.num.degree == -1 and FR_ZERO.num.is_zero
+    assert FR_ZERO.num.coefficients == ()
+    assert FR_ZERO.num == 0 and ONE.den == 1
 
 
 def test_fpolynomial_from_fractions():

@@ -35,7 +35,6 @@ def test_additive_identity():
 def test_scalar_coefficient_cancellation():
     # ((t-1)/(f+1)) * (f+1) = t - 1
     t = var(1, 0)
-    inv = FRational(1, FRational.variable().num + 1)  # placeholder, rebuilt below
     one_over = FRational.from_int(1) / (F + 1)
     p = (t - 1) * one_over
     assert p * (F + 1) == t - 1
