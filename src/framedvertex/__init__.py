@@ -8,12 +8,9 @@ differential-recursive identity (the symmetrized cut-and-join equation).
 """
 
 from .curve import CurveSeries, build_curve_series
-from .curvefun import (EtaFamily, PhiDecomposition, PhiTower,
-                       build_eta_family, build_phi_tower, euler_field,
-                       phi_prime_decompose, phi_prime_decompose_pair,
-                       plus_part)
-from .cutjoin import (CutJoinReport, CutJoinVerifier, psi_oracle,
-                      verify_cutjoin)
+from .curvefun import (EtaFamily, PhiTower, euler_field, phi_prime_decompose,
+                       phi_prime_decompose_pair, plus_part)
+from .cutjoin import CutJoinReport, CutJoinVerifier, psi_oracle
 from .engine import (BracketTable, assemble_H, budget_cells, recursion_step,
                      run_to_budget, seed_initial_data, support_bound)
 from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
@@ -28,12 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketTable", "CurveSeries", "CutJoinReport", "CutJoinVerifier",
     "EtaFamily", "FPolynomial", "FRational", "KernelWorkspace",
-    "PhiDecomposition", "PhiTower", "Rational", "TPolynomial", "VSeries",
-    "assemble_H", "budget_cells", "build_curve_series", "build_eta_family",
-    "build_phi_tower", "compose_polynomial", "euler_field", "exp_of",
+    "PhiTower", "Rational", "TPolynomial", "VSeries", "assemble_H",
+    "budget_cells", "build_curve_series", "compose_polynomial",
+    "euler_field", "exp_of",
     "kernel_I", "kernel_I_via_involution", "kernel_II",
     "kernel_II_symmetrized", "log_unit", "phi_prime_decompose",
     "phi_prime_decompose_pair", "plus_part", "psi_oracle", "revert",
     "recursion_step", "run_to_budget", "seed_initial_data", "sqrt_unit",
-    "support_bound", "verify_cutjoin",
+    "support_bound",
 ]

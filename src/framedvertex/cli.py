@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .curvefun import build_phi_tower
+from .curvefun import PhiTower
 from .cutjoin import CutJoinVerifier, psi_oracle
 from .engine import (BracketTable, assemble_H, budget_cells, make_workspace,
                      run_to_budget, seed_initial_data, support_bound)
@@ -155,7 +155,7 @@ def _load_or_compute(args, extra_cells=()):
     if path.exists():
         try:
             table = BracketTable.from_json(path.read_text())
-        except (ValueError, KeyError):
+        except ValueError:
             raise ConfigError("unreadable cache file %s" % path)
     table = run_to_budget(args.chi_max, args.truncation_margin,
                           extra_cells=extra_cells, table=table)
@@ -189,8 +189,7 @@ def cmd_compute(args):
 
 def _table_tower(table):
     """The phi tower up to one past the largest support bound of the table."""
-    return build_phi_tower(max(support_bound(g, n)
-                               for g, n in table.cells()) + 1)
+    return PhiTower(max(support_bound(g, n) for g, n in table.cells()) + 1)
 
 
 def _suite_cutjoin(args, table):
@@ -387,7 +386,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_export(args)
-    except (ConfigError, PoleAtFraming) as exc:
+    except (ConfigError, PoleAtFraming, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except InternalInvariantError as exc:

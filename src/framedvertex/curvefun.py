@@ -14,7 +14,6 @@ from __future__ import annotations
 from .errors import InsufficientTruncation, NotInSpan
 from .ratfunc import FR_ONE, FRational
 from .tpoly import TPolynomial
-from .vseries import compose_polynomial
 
 _F = FRational.variable()
 _INV_F1 = FR_ONE / (_F + 1)
@@ -73,19 +72,15 @@ class PhiTower:
         return self.phi_primes[b].coefficient((2 * b,))
 
 
-def build_phi_tower(b_max):
-    return PhiTower(b_max)
-
-
 class EtaFamily:
-    """eta_n for n = -1 .. n_max and the even remainders eta_n - phi_n(t(v)).
+    """eta_n for n = -1 .. n_max.
 
     The tower starts from ``curve.eta_minus_one``, which is not rebuilt.
     """
 
-    __slots__ = ("n_max", "curve", "etas", "evens")
+    __slots__ = ("n_max", "curve", "etas")
 
-    def __init__(self, curve, n_max, tower=None):
+    def __init__(self, curve, n_max):
         self.curve = curve
         self.n_max = n_max
         eta = curve.eta_minus_one
@@ -95,29 +90,11 @@ class EtaFamily:
             eta = (eta.derivative() * scale).shift(-1)
             etas.append(eta)
         self.etas = etas
-        self.evens = None
-        if tower is not None:
-            if tower.b_max < n_max:
-                raise ValueError("tower too short for the eta family")
-            evens = []
-            for n in range(n_max + 1):
-                evens.append(self.eta(n) -
-                             compose_polynomial(tower.phi_coeffs(n), curve.t_of_v))
-            self.evens = evens
 
     def eta(self, n):
         if n < -1 or n > self.n_max:
             raise IndexError("eta_%d not built (n_max=%d)" % (n, self.n_max))
         return self.etas[n + 1]
-
-    def even_remainder(self, n):
-        if self.evens is None:
-            raise ValueError("eta family built without a phi tower")
-        return self.evens[n]
-
-
-def build_eta_family(curve, n_max, tower=None):
-    return EtaFamily(curve, n_max, tower)
 
 
 def plus_part(series, curve):
@@ -145,32 +122,12 @@ def plus_part(series, curve):
     return poly, (rest.lead if not rest.is_zero else None)
 
 
-class PhiDecomposition:
-    """Result of a triangular solve in the phi'_b basis."""
-
-    __slots__ = ("coefficients", "residual")
-
-    def __init__(self, coefficients, residual):
-        self.coefficients = coefficients
-        self.residual = residual
-
-    @property
-    def ok(self):
-        return self.residual.is_zero
-
-    def reassemble(self, tower):
-        out = TPolynomial.zero(1)
-        for b, c in self.coefficients.items():
-            out = out + tower.phi_prime(b) * c
-        return out + self.residual
-
-
-def phi_prime_decompose(poly, tower, allow_residual=False):
-    """Write a 1-variable polynomial as sum_b c_b phi'_b + residual.
+def phi_prime_decompose(poly, tower):
+    """Coefficients {b: c_b} of a 1-variable polynomial = sum_b c_b phi'_b.
 
     phi'_b has exact degree 2b, so the solve is triangular from the top.
-    A nonzero residual means the input is outside the span; unless
-    ``allow_residual`` is set this raises ``NotInSpan``.
+    A nonzero residual means the input is outside the span and raises
+    ``NotInSpan``, which carries the coefficients and the residual.
     """
     if poly.arity != 1:
         raise ValueError("phi-prime decomposition expects one variable")
@@ -186,10 +143,10 @@ def phi_prime_decompose(poly, tower, allow_residual=False):
         c = c / tower.phi_prime_lead(b)
         coefficients[b] = c
         rest = rest - tower.phi_prime(b) * c
-    if not rest.is_zero and not allow_residual:
+    if not rest.is_zero:
         raise NotInSpan("polynomial not in the phi' span",
                         coefficients=coefficients, residual=rest)
-    return PhiDecomposition(coefficients, rest)
+    return coefficients
 
 
 def phi_prime_decompose_pair(poly, tower):
@@ -213,8 +170,7 @@ def phi_prime_decompose_pair(poly, tower):
             continue
         lead = tower.phi_prime_lead(b)
         top = sl.map_coefficients(lambda c: c / lead)
-        inner = phi_prime_decompose(top, tower)
-        for d, c in inner.coefficients.items():
+        for d, c in phi_prime_decompose(top, tower).items():
             out[(b, d)] = c
         # subtract phi'_b(t_0) * top(t_1)
         for (k,), cb in tower.phi_prime(b).terms():

@@ -233,7 +233,3 @@ class CutJoinVerifier:
                 % (g, n))
         rhs = self.t1(g, n) + self.t2_t3(g, n) + self.t4(g, n)
         return CutJoinReport(g, n, self.lhs(g, n), rhs)
-
-
-def verify_cutjoin(g, n, table, tower):
-    return CutJoinVerifier(table, tower).verify(g, n)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 from itertools import permutations
 
-from .errors import (MissingDependency, SupportBoundViolation,
-                     SymmetryViolation)
+from .errors import (DivisionByZero, MissingDependency,
+                     SupportBoundViolation, SymmetryViolation)
 from .kernels import KernelWorkspace
 from .ratfunc import FR_ZERO, FRational
 from .tpoly import TPolynomial, add_term
@@ -101,17 +101,31 @@ class BracketTable:
 
     @classmethod
     def from_json(cls, text):
+        """Parse ``to_json`` output; any malformed content raises ValueError."""
         obj = json.loads(text)
-        if obj.get("format") != FORMAT_NAME or obj.get("version") != FORMAT_VERSION:
+        if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
+                or obj.get("version") != FORMAT_VERSION):
             raise ValueError("unrecognized bracket table file")
+        cells, entries = obj.get("cells"), obj.get("entries")
+        if not isinstance(cells, list) or not isinstance(entries, dict):
+            raise ValueError("bracket table needs a cells list and an "
+                             "entries object")
         table = cls()
-        for cell in obj["cells"]:
+        for cell in cells:
+            if not isinstance(cell, str):
+                raise ValueError("bad cell %r" % (cell,))
             g, n = map(int, cell.split(","))
             table._cells.add((g, n))
-        for key, text_value in obj["entries"].items():
+        for key, text_value in entries.items():
             g_s, idx = key.split("|")
             indices = tuple(int(x) for x in idx.split(",")) if idx else ()
-            table._entries[(int(g_s), indices)] = FRational.from_text(text_value)
+            if not isinstance(text_value, str):
+                raise ValueError("bad value %r for %s" % (text_value, key))
+            try:
+                value = FRational.from_text(text_value)
+            except DivisionByZero:
+                raise ValueError("zero denominator in %s" % key)
+            table._entries[(int(g_s), indices)] = value
         return table
 
 

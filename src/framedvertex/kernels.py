@@ -15,7 +15,7 @@ aborts the computation, since the whole bracket extraction relies on it.
 from __future__ import annotations
 
 from .curve import build_curve_series
-from .curvefun import (build_eta_family, build_phi_tower, phi_prime_decompose,
+from .curvefun import (EtaFamily, PhiTower, phi_prime_decompose,
                        phi_prime_decompose_pair, plus_part)
 from .errors import DegreeCapExceeded
 from .ratfunc import FRational
@@ -40,8 +40,8 @@ class KernelWorkspace:
         self.margin = margin
         self.trunc = default_trunc(max(pair_budget, 0), margin)
         self.curve = build_curve_series(self.trunc)
-        self.tower = build_phi_tower(b_max)
-        self.eta = build_eta_family(self.curve, max(pair_budget + 1, 0))
+        self.tower = PhiTower(b_max)
+        self.eta = EtaFamily(self.curve, max(pair_budget + 1, 0))
         self._pair = {}
         self._point = {}
         self._pair_dec = {}
@@ -68,8 +68,8 @@ class KernelWorkspace:
         key = (a, b) if a <= b else (b, a)
         got = self._pair_dec.get(key)
         if got is None:
-            dec = phi_prime_decompose(self.kernel_I(a, b), self.tower)
-            got = self._pair_dec[key] = dec.coefficients
+            got = self._pair_dec[key] = phi_prime_decompose(
+                self.kernel_I(a, b), self.tower)
         return got
 
     def decompose_point_kernel(self, b):

@@ -4,9 +4,11 @@ Rational numbers are stdlib :class:`fractions.Fraction`.  ``FRational``,
 an element of Q(f) for the framing variable ``f``, is the only arithmetic
 type: a quotient of two integer-coefficient polynomials kept in canonical
 form (the denominator is monic and coprime to the numerator, so equality
-is plain structural equality).  Gcds strip common powers of f and f + 1
-first, the denominators that occur in practice, and fall back to a
-primitive polynomial remainder sequence for any other common factor.
+is plain structural equality).  Cancellation has one route, ``_cancel``:
+the denominator is split once into f^j (f+1)^k rest, the form that occurs
+in practice; the numerator loses the powers of f and f + 1 it shares with
+it, by synthetic division, and a primitive polynomial remainder sequence
+runs only against a nonconstant ``rest``.
 ``FPolynomial`` is the read-only num/den view: the argument type of
 ``FRational(num, den)`` and the result of ``FRational.num`` / ``.den``.
 
@@ -135,58 +137,50 @@ def _prem(a, b):
     return tuple(r)
 
 
-_F1 = (1, 1)  # the polynomial f + 1
+def _pdiv_f1(a):
+    """Quotient and remainder a(-1) of ``a`` by f + 1, by synthetic division."""
+    q = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, 0, -1):
+        acc = a[i] - acc
+        q[i - 1] = acc
+    return tuple(q), a[0] - acc
 
 
-def _pp_gcd(a, b):
-    """Gcd of two nonzero primitive positive-lead int polynomials.
+def _cancel(pn, pd):
+    """Divide nonzero primitive positive-lead ``pn`` and ``pd`` by their gcd.
 
-    Returns a primitive positive-lead polynomial.  Denominators arising in
-    this package are almost always f^j (f+1)^k times an integer, so powers
-    of f and f+1 are stripped cheaply before falling back to a primitive
-    polynomial remainder sequence.
+    The denominator is split once into f^j (f+1)^k rest.  The numerator
+    loses the powers of f and f + 1 that the denominator holds, up to its
+    first nonzero remainder, and the denominator loses the same powers.
+    Any further common factor divides ``rest``, so the remainder sequence
+    runs only when the numerator and ``rest`` are both nonconstant.
     """
-    if len(a) == 1 or len(b) == 1:
-        return (1,)
-    acc = ()
-    # common powers of f show up as shared low-order zero coefficients
-    za = 0
-    while a[za] == 0:
-        za += 1
-    zb = 0
-    while b[zb] == 0:
-        zb += 1
-    z = min(za, zb)
-    if z:
-        a = a[z:]
-        b = b[z:]
-        acc = (0,) * z + (1,)
-    # common powers of (f + 1)
-    while len(a) > 1 and len(b) > 1 and _peval_int(a, -1) == 0 and _peval_int(b, -1) == 0:
-        a = _pdivexact(a, _F1)
-        b = _pdivexact(b, _F1)
-        acc = _pmul(acc, _F1) if acc else _F1
-    if len(a) == 1 or len(b) == 1:
-        return acc if acc else (1,)
-    # common f / (f+1) structure is gone; if either remainder is a pure
-    # c f^j (f+1)^k monomial, nothing further can be shared
-    if _is_ff1_monomial(a) or _is_ff1_monomial(b):
-        return acc if acc else (1,)
-    g = _prs_gcd(a, b)
-    if acc:
-        g = _pmul(acc, g)
-    return g
-
-
-def _is_ff1_monomial(x):
-    """True when x = c * f^j * (f+1)^k."""
-    i = 0
-    while x[i] == 0:
-        i += 1
-    x = x[i:]
-    while len(x) > 1 and _peval_int(x, -1) == 0:
-        x = _pdivexact(x, _F1)
-    return len(x) == 1
+    j = 0
+    while pd[j] == 0:
+        j += 1
+    z = 0
+    while z < j and pn[z] == 0:
+        z += 1
+    pn = pn[z:]
+    pd = rest = pd[j:]
+    shared = True
+    while len(pn) > 1 and len(rest) > 1:
+        q, r = _pdiv_f1(rest)
+        if r:
+            break
+        rest = q
+        if shared:
+            q, r = _pdiv_f1(pn)
+            shared = not r
+            if shared:
+                pn, pd = q, rest
+    if len(pn) > 1 and len(rest) > 1:
+        g = _prs_gcd(pn, rest)
+        if g != (1,):
+            pn = _pdivexact(pn, g)
+            pd = _pdivexact(pd, g)
+    return pn, (0,) * (j - z) + pd
 
 
 def _prs_gcd(a, b):
@@ -654,10 +648,7 @@ def _normalize(nic, nd, dic, dd):
     cn, pn = _psplit(nic)
     cd, pd = _psplit(dic)
     if pd != (1,) and pn != (1,):
-        g = _pp_gcd(pn, pd)
-        if g != (1,):
-            pn = _pdivexact(pn, g)
-            pd = _pdivexact(pd, g)
+        pn, pd = _cancel(pn, pd)
     # value = (cn*dd)/(nd*cd) * pn/pd ; the stored triple reads back as
     # (np/nd) * lc(dp) / dp, so divide the scalar by lc(pd)
     num_s = cn * dd

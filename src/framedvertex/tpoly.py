@@ -71,10 +71,6 @@ class TPolynomial:
         exps = tuple(1 if i == slot else 0 for i in range(arity))
         return cls._raw(arity, {exps: FR_ONE})
 
-    @classmethod
-    def monomial(cls, arity, exps, coeff):
-        return cls(arity, [(tuple(exps), coeff)])
-
     # -- accessors ------------------------------------------------------------
 
     @property
@@ -100,11 +96,6 @@ class TPolynomial:
         if not self._terms:
             return -1
         return max(e[slot] for e in self._terms)
-
-    def total_degree(self):
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
 
     def _check_slot(self, slot):
         if not 0 <= slot < self._arity:

@@ -134,16 +134,6 @@ class VSeries:
                     for k, c in enumerate(self._coeffs))
         return VSeries(self._lead, list(out), self._trunc)
 
-    def even_part(self):
-        out = [c if (self._lead + k) % 2 == 0 else FR_ZERO
-               for k, c in enumerate(self._coeffs)]
-        return VSeries(self._lead, out, self._trunc)
-
-    def odd_part(self):
-        out = [c if (self._lead + k) % 2 == 1 else FR_ZERO
-               for k, c in enumerate(self._coeffs)]
-        return VSeries(self._lead, out, self._trunc)
-
     def is_even(self):
         return all((self._lead + k) % 2 == 0
                    for k, c in enumerate(self._coeffs) if not c.is_zero)

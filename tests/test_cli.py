@@ -206,7 +206,32 @@ def test_failed_write_keeps_previous_table(tmp_path, capsys, monkeypatch):
         raise OSError("injected failure")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="injected failure"):
-        main(["compute", "--chi-max", "2", "--cache", str(tmp_path)])
+    code, _, err = run(["compute", "--chi-max", "2",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 2
+    assert "injected failure" in err
     assert (tmp_path / "brackets.json").read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["brackets.json"]
+
+
+def test_cache_naming_a_file_is_config_error(tmp_path, capsys):
+    target = tmp_path / "not-a-dir"
+    target.write_text("")
+    code, _, err = run(["compute", "--chi-max", "1",
+                        "--cache", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cache_text", [
+    "[]",
+    json.dumps({"format": "framedvertex-brackets", "version": 1,
+                "cells": ["1,1"], "entries": {"1|0": "1/0"}}),
+], ids=["list", "zero-denominator"])
+def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text):
+    (tmp_path / "brackets.json").write_text(cache_text)
+    code, _, err = run(["compute", "--chi-max", "1",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 2
+    assert "unreadable cache file" in err
+    assert (tmp_path / "brackets.json").read_text() == cache_text

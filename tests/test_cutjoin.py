@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from framedvertex.curvefun import build_phi_tower
-from framedvertex.cutjoin import (CutJoinVerifier, psi_oracle, verify_cutjoin)
+from framedvertex.curvefun import PhiTower
+from framedvertex.cutjoin import CutJoinVerifier, psi_oracle
 from framedvertex.engine import run_to_budget, seed_initial_data
 from framedvertex.errors import OutsideVerifiableSet
 from framedvertex.ratfunc import FRational
@@ -19,7 +19,7 @@ def table3():
 
 @pytest.fixture(scope="module")
 def tower():
-    return build_phi_tower(8)
+    return PhiTower(8)
 
 
 def test_psi_genus0():
@@ -133,6 +133,6 @@ def test_identity_holds_at_chi3(table3, tower):
 
 
 def test_report_json(table3, tower):
-    report = verify_cutjoin(0, 4, table3, tower)
+    report = CutJoinVerifier(table3, tower).verify(0, 4)
     assert report.to_json_obj() == {"g": 0, "n": 4, "passed": True,
                                     "residual_terms": 0}

@@ -6,7 +6,7 @@ from framedvertex.engine import (BracketTable, assemble_H, budget_cells,
                                  run_to_budget, seed_initial_data,
                                  support_bound)
 from framedvertex.errors import MissingDependency
-from framedvertex.curvefun import build_phi_tower
+from framedvertex.curvefun import PhiTower
 from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
 
@@ -99,7 +99,7 @@ def test_run_is_idempotent(table3):
 
 def test_assemble_three_point():
     table = seed_initial_data()
-    tower = build_phi_tower(2)
+    tower = PhiTower(2)
     h = assemble_H(0, 3, table, tower)
     t = [TPolynomial.variable(3, i) for i in range(3)]
     want = (t[0] - 1) * (t[1] - 1) * (t[2] - 1) * (-F * F / (F + 1))
@@ -108,7 +108,7 @@ def test_assemble_three_point():
 
 def test_assemble_one_point():
     table = seed_initial_data()
-    tower = build_phi_tower(2)
+    tower = PhiTower(2)
     h = assemble_H(1, 1, table, tower)
     want = -(tower.phi(0) * (FRational.poly([1, 1, 1]) / 24)
              - tower.phi(1) * (F * (F + 1) / 24))
@@ -116,7 +116,7 @@ def test_assemble_one_point():
 
 
 def test_assemble_is_symmetric(table3):
-    tower = build_phi_tower(3)
+    tower = PhiTower(3)
     h = assemble_H(1, 2, table3, tower)
     swapped = TPolynomial(2, {(e[1], e[0]): c for e, c in h.terms()}.items())
     assert h == swapped

@@ -11,7 +11,7 @@ from itertools import permutations
 
 import pytest
 
-from framedvertex.curvefun import build_phi_tower
+from framedvertex.curvefun import PhiTower
 from framedvertex.cutjoin import CutJoinVerifier, psi_oracle
 from framedvertex.engine import run_to_budget, support_bound
 from framedvertex.ratfunc import FRational
@@ -30,7 +30,7 @@ def table5():
 
 @pytest.fixture(scope="module")
 def tower():
-    return build_phi_tower(11)
+    return PhiTower(11)
 
 
 def test_identity_on_remaining_cells(table5, tower):

@@ -22,9 +22,11 @@ def test_pair_kernel_top_coefficient(ws):
 
 
 def test_pair_kernel_symmetry(ws):
+    # the module function, not the workspace, whose cache key is sorted
     for a in range(3):
-        for b in range(3):
-            assert ws.kernel_I(a, b) == ws.kernel_I(b, a)
+        for b in range(a + 1, 3):
+            assert (kernel_I(a, b, ws.eta, ws.curve)
+                    == kernel_I(b, a, ws.eta, ws.curve)), (a, b)
 
 
 def test_pair_kernel_degree(ws):
@@ -43,9 +45,8 @@ def test_pair_kernel_cross_form(ws):
 def test_pair_kernel_decomposes(ws):
     for a in range(3):
         for b in range(a, 3):
-            dec = phi_prime_decompose(ws.kernel_I(a, b), ws.tower)
-            assert dec.residual.is_zero
-            assert max(dec.coefficients) == a + b + 2
+            coefficients = phi_prime_decompose(ws.kernel_I(a, b), ws.tower)
+            assert max(coefficients) == a + b + 2
 
 
 def test_point_kernel_b0_closed_form(ws):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from framedvertex.errors import DivisionByZero, PoleAtFraming
-from framedvertex.ratfunc import FPolynomial, FRational, FR_ONE, FR_ZERO
+from framedvertex.ratfunc import (FPolynomial, FRational, FR_ONE, FR_ZERO,
+                                  _pmul, _prs_gcd, _pscale, _psplit)
 
 from conftest import random_frational
 
@@ -37,6 +39,67 @@ def test_gcd_cancellation():
     r = fr([-2, 1, -2, 1], [3, 1, 3, 1])
     assert r == fr([-2, 1], [3, 1])
     assert r.as_text() == "(f-2)/(f+3)"
+
+
+def expand(*factors):
+    """Ascending int coefficients of a product of int polynomials."""
+    out = (1,)
+    for p in factors:
+        out = _pmul(out, tuple(p))
+    return list(out)
+
+
+FP = (0, 1)   # f
+FP1 = (1, 1)  # f + 1
+
+
+@pytest.mark.parametrize("num, den, want_num, want_den", [
+    # (f+1)(f+2) / (f+1)^3 -> (f+2)/(f+1)^2: part of the (f+1)^k cancels
+    (expand(FP1, (2, 1)), expand(FP1, FP1, FP1), [2, 1], expand(FP1, FP1)),
+    # f^3 (f+2) / (f^2 (f+3)) -> f(f+2)/(f+3)
+    (expand(FP, FP, FP, (2, 1)), expand(FP, FP, (3, 1)),
+     expand(FP, (2, 1)), [3, 1]),
+    # f^2 / (f^3 (f+1)) -> 1/(f^2+f)
+    (expand(FP, FP), expand(FP, FP, FP, FP1), [1], [0, 1, 1]),
+    # (f+1)^2 (f-3) / (f (f+2)): no f+1 below, nothing cancels
+    (expand(FP1, FP1, (-3, 1)), expand(FP, (2, 1)),
+     expand(FP1, FP1, (-3, 1)), [0, 2, 1]),
+    # f (f+1)^2 (f^2+1) / ((f+1)(f^2+1)(f-2)) -> (f^2+f)/(f-2)
+    (expand(FP, FP1, FP1, (1, 0, 1)), expand(FP1, (1, 0, 1), (-2, 1)),
+     [0, 1, 1], [-2, 1]),
+    # (f+1)(f^2+1) / ((f+1)^2 (f^2+f+1)): the rest is coprime
+    (expand(FP1, (1, 0, 1)), expand(FP1, FP1, (1, 1, 1)),
+     [1, 0, 1], expand(FP1, (1, 1, 1))),
+], ids=["part-of-f1-power", "f-powers-both-sides", "f-power-left-below",
+        "f1-only-above", "common-rest", "coprime-rest"])
+def test_cancel_branches(num, den, want_num, want_den):
+    r = fr(num, den)
+    assert r.num == FPolynomial(want_num)
+    assert r.den == FPolynomial(want_den)
+
+
+def test_normalization_is_reduced_and_keeps_the_value():
+    # random c f^a (f+1)^b cofactor quotients, with a shared factor half of
+    # the time; the check reads only the stored triple, _pmul and _prs_gcd
+    rng = random.Random(5)
+
+    def factor():
+        cof = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        cof[-1] = cof[-1] or 1
+        return expand(*[FP] * rng.randint(0, 3) + [FP1] * rng.randint(0, 3),
+                      cof, [rng.choice([-3, -1, 1, 2])])
+
+    for _ in range(300):
+        num, den = factor(), factor()
+        if rng.random() < 0.5:
+            common = factor()
+            num, den = expand(num, common), expand(den, common)
+        r = FRational(FPolynomial(num), FPolynomial(den))
+        np, nd, dp = r._np, r._nd, r._dp
+        assert _prs_gcd(_psplit(np)[1], dp) == (1,), (num, den)
+        # num/den == (np/nd) * lc(dp)/dp
+        assert (_pmul(tuple(num), _pscale(dp, nd))
+                == _pmul(tuple(den), _pscale(np, dp[-1]))), (num, den)
 
 
 def test_multiplicative_inverse():

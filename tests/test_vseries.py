@@ -154,12 +154,11 @@ def test_minimal_guarantee_product():
 
 def test_parity_helpers():
     s = series({-1: 2, 0: 3, 1: 4, 2: 5}, 6)
-    assert s.even_part() == series({0: 3, 2: 5}, 6)
-    assert s.odd_part() == series({-1: 2, 1: 4}, 6)
     flipped = s.negate_variable()
     assert flipped == series({-1: -2, 0: 3, 1: -4, 2: 5}, 6)
-    assert s.even_part().is_even()
-    assert s.odd_part().is_odd()
+    assert series({0: 3, 2: 5}, 6).is_even()
+    assert series({-1: 2, 1: 4}, 6).is_odd()
+    assert not s.is_even() and not s.is_odd()
 
 
 def test_power():
