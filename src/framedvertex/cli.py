@@ -155,8 +155,8 @@ def _load_or_compute(args, extra_cells=()):
     if path.exists():
         try:
             table = BracketTable.from_json(path.read_text())
-        except ValueError:
-            raise ConfigError("unreadable cache file %s" % path)
+        except ValueError as exc:
+            raise ConfigError("unreadable cache file %s: %s" % (path, exc))
     table = run_to_budget(args.chi_max, args.truncation_margin,
                           extra_cells=extra_cells, table=table)
     _write_atomic(path, table.to_json())

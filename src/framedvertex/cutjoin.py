@@ -5,8 +5,14 @@ differential-recursive identity: applying (d/df + sum_l t_l(t_l-1)/(f+1)
 d/dt_l) to H equals the sum of four terms built from lower-complexity
 cells (a genus reduction, two kinds of stable splittings, and a
 divided-difference term).  The identity is checked in the polynomial ring
-over Q(f); any nonzero residual means either the table or the term
-semantics is wrong.
+over Q(f), monomial by monomial; any nonzero residual means either the
+table or the term semantics is wrong.
+
+The splitting and divided-difference terms sum one product over many slot
+maps.  Each is computed once per orbit of those maps and every other term
+is its relabelled image (``TPolynomial.embed_sum``); the relabelling comes
+from the verifier's own slot maps, never from a symmetry of the table
+under test, so the genus-reduction term and the left side stay per slot.
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
@@ -186,45 +192,61 @@ class CutJoinVerifier:
         return total * (-_HALF)
 
     def t2_t3(self, g, n):
-        # -1/2 over the joining slot m and ordered stable splits
-        # (g1 on t_m + S) x (g2 on t_m + rest): both factors carry the
-        # joining variable, like the diagonal slot in t1 and the slot
-        # pairs in t4.  For g1 != g2 the two orders combine to the
-        # familiar unordered terms.
-        total = TPolynomial.zero(n)
+        """-1/2 over the joining slot m and ordered stable splits.
+
+        The (m, subset, a) term is EH(a, 1+s) on t_m + subset times
+        EH(g-a, n-s) on t_m + comp, s = len(subset): both factors carry
+        the joining variable, like the diagonal slot in t1 and the slot
+        pairs in t4.  For g1 != g2 the two orders combine to the familiar
+        unordered terms.  ``_subsets`` lists subset and comp in increasing
+        order, so the term is the image of the class product (first
+        factor on slots 0..s, second on 0 and s+1..n-1) under the slot map
+        (m,) + subset + comp: one product per class (s, a), and every term
+        of the class is a relabelled copy of it.
+        """
+        maps = {}
         for m in range(n):
             others = tuple(k for k in range(n) if k != m)
             for subset in _subsets(others):
                 comp = tuple(k for k in others if k not in subset)
-                k1 = 1 + len(subset)
-                k2 = 1 + len(comp)
-                for a in range(0, g + 1):
-                    if not (is_stable(a, k1) and is_stable(g - a, k2)):
-                        continue
-                    term = self.EH(a, k1).embed(n, (m,) + subset) \
-                        * self.EH(g - a, k2).embed(n, (m,) + comp)
-                    total = total + term * (-_HALF)
+                maps.setdefault(len(subset), []).append((m,) + subset + comp)
+        total = TPolynomial.zero(n)
+        for s, slot_maps in maps.items():
+            second = tuple(range(1 + s, n))
+            for a in range(0, g + 1):
+                if not (is_stable(a, 1 + s) and is_stable(g - a, n - s)):
+                    continue
+                product = self.EH(a, 1 + s).embed(n, range(1 + s)) \
+                    * self.EH(g - a, n - s).embed(n, (0,) + second)
+                total = total + (product * (-_HALF)).embed_sum(n, slot_maps)
         return total
 
     def t4(self, g, n):
+        """Divided differences over the slot pairs i < j.
+
+        The (i, j) term embeds EH(g, n-1) along (i,) + rest and (j,) + rest,
+        rest the other slots in order, and divides by t_i - t_j.  That is
+        the image of the (0, 1) term under the slot map (i, j) + rest, and
+        relabelling commutes with the exact division, so one numerator and
+        one division serve all C(n, 2) pairs.
+        """
         if n < 2:
             return TPolynomial.zero(n)
         if not is_stable(g, n - 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g, n - 1))
         base = self.EH(g, n - 1)
-        total = TPolynomial.zero(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                rest = tuple(k for k in range(n) if k != i and k != j)
-                p_i = base.embed(n, (i,) + rest)
-                p_j = base.embed(n, (j,) + rest)
-                ti = TPolynomial.variable(n, i)
-                tj = TPolynomial.variable(n, j)
-                numer = ti * (_F * ti + 1) * (tj - 1) * p_i \
-                    - tj * (_F * tj + 1) * (ti - 1) * p_j
-                total = total + numer.exact_divide_difference(i, j) * _INV_F1
-        return total
+        rest = tuple(range(2, n))
+        p_0 = base.embed(n, (0,) + rest)
+        p_1 = base.embed(n, (1,) + rest)
+        t0 = TPolynomial.variable(n, 0)
+        t1 = TPolynomial.variable(n, 1)
+        numer = t0 * (_F * t0 + 1) * (t1 - 1) * p_0 \
+            - t1 * (_F * t1 + 1) * (t0 - 1) * p_1
+        term = numer.exact_divide_difference(0, 1) * _INV_F1
+        return term.embed_sum(n, [
+            (i, j) + tuple(k for k in range(n) if k != i and k != j)
+            for i in range(n) for j in range(i + 1, n)])
 
     def verify(self, g, n):
         if 2 * g - 2 + n < 2:

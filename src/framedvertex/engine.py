@@ -101,7 +101,13 @@ class BracketTable:
 
     @classmethod
     def from_json(cls, text):
-        """Parse ``to_json`` output; any malformed content raises ValueError."""
+        """Parse ``to_json`` output; any malformed content raises ValueError.
+
+        That covers the structure the table relies on: every listed cell is
+        stable, and every entry lies in a listed cell under a non-decreasing
+        tuple of non-negative indices.  The support bound is left to the
+        symmetry suite, which reports it.
+        """
         obj = json.loads(text)
         if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
                 or obj.get("version") != FORMAT_VERSION):
@@ -115,10 +121,18 @@ class BracketTable:
             if not isinstance(cell, str):
                 raise ValueError("bad cell %r" % (cell,))
             g, n = map(int, cell.split(","))
+            if not is_stable(g, n):
+                raise ValueError("cell (%d, %d) is not stable" % (g, n))
             table._cells.add((g, n))
         for key, text_value in entries.items():
             g_s, idx = key.split("|")
             indices = tuple(int(x) for x in idx.split(",")) if idx else ()
+            if (int(g_s), len(indices)) not in table._cells:
+                raise ValueError("entry %s is outside the listed cells"
+                                 % key)
+            if list(indices) != sorted(indices) or any(b < 0 for b in indices):
+                raise ValueError("entry %s needs non-decreasing, non-negative "
+                                 "indices" % key)
             if not isinstance(text_value, str):
                 raise ValueError("bad value %r for %s" % (text_value, key))
             try:
@@ -270,15 +284,23 @@ def assemble_H(g, n, table, tower):
     """The n-variable polynomial generating one cell.
 
     -(f(f+1))^{n-1} sum over all orderings of bracket(g, b) prod_i phi_{b_i}(t_i).
+
+    The ordering beta of a sorted key contributes the image of the key's
+    own product value * prod_k phi_{key[k]}(t_k) under the slot map
+    m = slots sorted by (beta[s], s): beta[m[k]] = key[k], so the image
+    puts phi_{beta[s]} on t_s.  One product per key, every ordering a
+    relabelled copy of it.
     """
     out = TPolynomial.zero(n)
+    scale = -(_FF1 ** (n - 1))
     for key, value in table.cell_entries(g, n).items():
-        for beta in set(permutations(key)):
-            term = TPolynomial.constant(n, value)
-            for slot, b in enumerate(beta):
-                term = term * tower.phi(b).embed(n, [slot])
-            out = out + term
-    return out * (-(_FF1 ** (n - 1)))
+        term = TPolynomial.constant(n, value * scale)
+        for slot, b in enumerate(key):
+            term = term * tower.phi(b).embed(n, [slot])
+        out = out + term.embed_sum(n, [
+            sorted(range(n), key=lambda s: (beta[s], s))
+            for beta in set(permutations(key))])
+    return out
 
 
 def budget_cells(chi_max):

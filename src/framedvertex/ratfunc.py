@@ -231,6 +231,13 @@ def _is_atom(c):
     return len(nonzero) == 1 and c[nonzero[0]] > 0
 
 
+# Largest exponent of f that text input may carry.  The parser builds a
+# dense coefficient list as long as the largest exponent, so an unbounded
+# exponent lets a few bytes of a cache file ask for gigabytes; table
+# values reach degree 6 at chi <= 5, and 4096 leaves room far beyond that.
+MAX_TEXT_DEGREE = 4096
+
+
 def _parse_int_poly(text):
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
@@ -271,6 +278,9 @@ def _parse_int_poly(text):
                 if j == i:
                     raise ValueError("bad exponent in %r" % text)
                 k = int(text[i:j])
+                if k > MAX_TEXT_DEGREE:
+                    raise ValueError("exponent %d above %d in %r"
+                                     % (k, MAX_TEXT_DEGREE, text))
                 i = j
             else:
                 k = 1

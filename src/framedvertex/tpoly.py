@@ -231,6 +231,18 @@ class TPolynomial:
             out[tuple(e)] = c
         return TPolynomial._raw(arity, out)
 
+    def embed_sum(self, arity, slot_maps):
+        """The sum of ``self.embed(arity, m)`` over the maps ``m``.
+
+        Each map goes through ``embed`` and its checks; the images are
+        accumulated into one term dict.
+        """
+        out = {}
+        for slot_map in slot_maps:
+            for exps, c in self.embed(arity, slot_map)._terms.items():
+                add_term(out, exps, c)
+        return TPolynomial._raw(arity, out)
+
     def map_coefficients(self, fn):
         out = {}
         for e, c in self._terms.items():

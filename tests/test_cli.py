@@ -223,15 +223,28 @@ def test_cache_naming_a_file_is_config_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("cache_text", [
-    "[]",
-    json.dumps({"format": "framedvertex-brackets", "version": 1,
-                "cells": ["1,1"], "entries": {"1|0": "1/0"}}),
-], ids=["list", "zero-denominator"])
-def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text):
+def table_text(cells, entries):
+    return json.dumps({"format": "framedvertex-brackets", "version": 1,
+                       "cells": cells, "entries": entries})
+
+
+@pytest.mark.parametrize("cache_text, reason", [
+    ("[]", "unrecognized"),
+    (table_text(["1,1"], {"1|0": "1/0"}), "zero denominator"),
+    # a dense parse of f^1000000 would allocate a million coefficients
+    (table_text(["1,1"], {"1|0": "f^1000000"}), "above 4096"),
+    (table_text(["0,3", "1,1"], {"2|4": "1"}), "outside the listed cells"),
+    (table_text(["0,3", "1,1"], {"0|1,0,0": "1"}), "non-decreasing"),
+    (table_text(["0,3", "1,1"], {"1|-1": "1"}), "non-negative"),
+    (table_text(["0,2", "0,3", "1,1"], {}), "(0, 2) is not stable"),
+], ids=["list", "zero-denominator", "degree-bound", "unlisted-cell",
+        "unsorted-index", "negative-index", "unstable-cell"])
+def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
+                                              reason):
     (tmp_path / "brackets.json").write_text(cache_text)
     code, _, err = run(["compute", "--chi-max", "1",
                         "--cache", str(tmp_path)], capsys)
     assert code == 2
     assert "unreadable cache file" in err
+    assert reason in err
     assert (tmp_path / "brackets.json").read_text() == cache_text

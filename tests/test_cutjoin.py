@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from framedvertex.curvefun import PhiTower
 from framedvertex.cutjoin import CutJoinVerifier, psi_oracle
-from framedvertex.engine import run_to_budget, seed_initial_data
+from framedvertex.engine import (BracketTable, assemble_H, is_stable,
+                                 run_to_budget, seed_initial_data)
 from framedvertex.errors import OutsideVerifiableSet
 from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
@@ -136,3 +140,107 @@ def test_report_json(table3, tower):
     report = CutJoinVerifier(table3, tower).verify(0, 4)
     assert report.to_json_obj() == {"g": 0, "n": 4, "passed": True,
                                     "residual_terms": 0}
+
+
+# ---------------------------------------------------------------------------
+# relabelling: t2_t3, t4 and assemble_H against per-term loops
+# ---------------------------------------------------------------------------
+
+REFERENCE_CHI4 = (Path(__file__).resolve().parents[1]
+                  / "perfbench" / "reference" / "brackets_chi4.json")
+HALF = FRational.from_fraction("1/2")
+
+
+class RandomEH(CutJoinVerifier):
+    """EH(g, n) is a seeded random polynomial with no slot symmetry.
+
+    Coefficients are random quadratics in f over (f+1)^k, and the t_0^3
+    term has no image under any other slot order, so a term put on the
+    wrong slots cannot match by symmetry.
+    """
+
+    def __init__(self, seed):
+        super().__init__(None, None)
+        self.seed = seed
+
+    def EH(self, g, n):
+        got = self._eh.get((g, n))
+        if got is None:
+            rng = random.Random("%d/%d/%d" % (self.seed, g, n))
+
+            def coeff():
+                num = FRational.poly([rng.randint(-5, 5) for _ in range(3)])
+                return (num + 1) / (F + 1) ** rng.randint(1, 3)
+
+            terms = [(tuple(rng.randint(0, 2) for _ in range(n)), coeff())
+                     for _ in range(5)]
+            terms.append(((3,) + (0,) * (n - 1), coeff()))
+            got = self._eh[(g, n)] = TPolynomial(n, terms)
+        return got
+
+
+def per_subset_t2_t3(v, g, n):
+    total = TPolynomial.zero(n)
+    for m in range(n):
+        others = tuple(k for k in range(n) if k != m)
+        for size in range(n):
+            for subset in combinations(others, size):
+                comp = tuple(k for k in others if k not in subset)
+                k1 = 1 + len(subset)
+                k2 = 1 + len(comp)
+                for a in range(0, g + 1):
+                    if not (is_stable(a, k1) and is_stable(g - a, k2)):
+                        continue
+                    term = v.EH(a, k1).embed(n, (m,) + subset) \
+                        * v.EH(g - a, k2).embed(n, (m,) + comp)
+                    total = total + term * (-HALF)
+    return total
+
+
+def per_pair_t4(v, g, n):
+    base = v.EH(g, n - 1)
+    total = TPolynomial.zero(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = tuple(k for k in range(n) if k != i and k != j)
+            p_i = base.embed(n, (i,) + rest)
+            p_j = base.embed(n, (j,) + rest)
+            ti = TPolynomial.variable(n, i)
+            tj = TPolynomial.variable(n, j)
+            numer = ti * (F * ti + 1) * (tj - 1) * p_i \
+                - tj * (F * tj + 1) * (ti - 1) * p_j
+            total = total + numer.exact_divide_difference(i, j) * (F + 1) ** -1
+    return total
+
+
+@pytest.mark.parametrize("cell", [(0, 5), (1, 3), (1, 4), (2, 2)],
+                         ids=["0,5", "1,3", "1,4", "2,2"])
+def test_terms_are_relabelled_products_on_asymmetric_input(cell):
+    g, n = cell
+    v = RandomEH(7)
+    if n > 2:  # the base of t4 has no slot symmetry
+        eh = v.EH(g, n - 1)
+        assert eh.embed(n - 1, tuple(reversed(range(n - 1)))) != eh
+    t2_t3 = v.t2_t3(g, n)
+    assert t2_t3 == per_subset_t2_t3(v, g, n)
+    assert not t2_t3.is_zero
+    assert v.t4(g, n) == per_pair_t4(v, g, n)
+
+
+@pytest.fixture(scope="module")
+def table4():
+    return BracketTable.from_json(REFERENCE_CHI4.read_text())
+
+
+def test_assemble_H_matches_per_ordering_products(table4):
+    tower = PhiTower(6)
+    for g, n in table4.cells():
+        want = TPolynomial.zero(n)
+        for key, value in table4.cell_entries(g, n).items():
+            for beta in set(permutations(key)):
+                term = TPolynomial.constant(n, value)
+                for slot, b in enumerate(beta):
+                    term = term * tower.phi(b).embed(n, [slot])
+                want = want + term
+        want = want * (-(F * (F + 1)) ** (n - 1))
+        assert assemble_H(g, n, table4, tower) == want, (g, n)

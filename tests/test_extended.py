@@ -1,12 +1,11 @@
-"""Deeper cross-validation, opt-in via FRAMEDVERTEX_EXTENDED=1.
+"""Deeper cross-validation over the full complexity-5 budget.
 
-Covers the full complexity-5 budget: every cell is generated, the
-identity is verified on the large cells the regular suite skips, and the
-top-dimension shell of every cell is compared against the bare-integral
-oracle at all genera.
+Every cell is generated, the cut-and-join identity is verified on the
+large cells the other suites skip, the top-dimension shell of every cell
+is compared against the bare-integral oracle at all genera, and two
+assembled cells are checked for full permutation symmetry.
 """
 
-import os
 from itertools import permutations
 
 import pytest
@@ -15,10 +14,6 @@ from framedvertex.curvefun import PhiTower
 from framedvertex.cutjoin import CutJoinVerifier, psi_oracle
 from framedvertex.engine import run_to_budget, support_bound
 from framedvertex.ratfunc import FRational
-
-pytestmark = pytest.mark.skipif(
-    not os.environ.get("FRAMEDVERTEX_EXTENDED"),
-    reason="set FRAMEDVERTEX_EXTENDED=1 to run the extended suite")
 
 F = FRational.variable()
 

@@ -134,6 +134,24 @@ def test_embed():
         p.embed(2, [0, 5])
 
 
+def test_embed_sum_is_the_sum_of_embeds(rng):
+    p = rand_tpoly(rng, 2)
+    maps = [(0, 1), (1, 0), (2, 0), (0, 2), (3, 1), (1, 2)]
+    total = TPolynomial.zero(4)
+    for m in maps:
+        total = total + p.embed(4, m)
+    assert p.embed_sum(4, maps) == total
+    # images that cancel leave no zero entries behind
+    q = var(2, 0) - var(2, 1)
+    assert q.embed_sum(3, [(0, 2), (2, 0)]).is_zero
+    assert q.embed_sum(3, []) == TPolynomial.zero(3)
+    # every map keeps embed's checks
+    with pytest.raises(ValueError):
+        p.embed_sum(4, [(0, 1), (2, 2)])
+    with pytest.raises(IndexOutOfRange):
+        p.embed_sum(4, [(0, 1), (0, 4)])
+
+
 def test_render_lines_sorted():
     p = var(2, 0) ** 2 + var(2, 1) + TPolynomial.constant(2, FR_ONE)
     assert p.render_lines() == ["0,0 : 1", "0,1 : 1", "2,0 : 1"]
