@@ -102,9 +102,13 @@ def plus_part(series, curve):
 
     Peels the most negative v-exponent against the matching power of
     t(v) = v^-1 (1 + ...), descending, then reads the constant from the
-    v^0 coefficient.  Returns ``(poly, remainder_lead)`` where
-    ``remainder_lead`` is the lowest exponent of the discarded strictly
-    positive tail (None when the tail vanishes).
+    v^0 coefficient.  Each cached power of t(v) is cut to the remainder's
+    own guarantee before it is scaled, so the work follows the input's
+    window, not the length of the cached power.  Returns
+    ``(poly, remainder_lead)`` where ``remainder_lead`` is the lowest
+    exponent of the discarded strictly positive tail (None when the tail
+    vanishes).  An input known only below v^0 raises
+    ``InsufficientTruncation``.
     """
     if series.is_zero:
         return TPolynomial.zero(1), None
@@ -117,7 +121,7 @@ def plus_part(series, curve):
         j = -rest.lead
         c = rest.leading_coefficient()
         coeffs[j] = c
-        rest = rest - curve.t_power(j) * c
+        rest = rest - curve.t_power(j).truncate(rest.trunc) * c
     poly = TPolynomial(1, [((j,), c) for j, c in coeffs.items()])
     return poly, (rest.lead if not rest.is_zero else None)
 

@@ -10,6 +10,13 @@ polynomial-in-t part of Laurent expansions along the curve:
 
 Every kernel must decompose exactly in the phi' basis; a nonzero residual
 aborts the computation, since the whole bracket extraction relies on it.
+
+``plus_part`` reads only the exponents <= 0 of its input, so the two
+generator kernels cut their factors to the window that reaches v^0 and
+no further; each docstring says why its window is exact.  A window one
+coefficient short leaves a guarantee below v^0, and ``plus_part`` raises
+``InsufficientTruncation`` instead of returning a wrong kernel.  The
+cross-check forms run at the curve's full truncation.
 """
 
 from __future__ import annotations
@@ -81,16 +88,31 @@ class KernelWorkspace:
         return got
 
 
+def _window(series, n):
+    """``series`` known through its first ``n`` coefficients from its lead."""
+    return series.truncate(series.lead + n - 1)
+
+
 def kernel_I(a, b, eta, curve):
     """Pair kernel P_{a,b}(t).
 
     Expand eta_{a+1} eta_{b+1} / eta_{-1} * ((f+1)/f) v as a one-form in
     v dv, convert to the t chart by dividing by dt/dv, and keep the
     polynomial part, times -1/2.
+
+    Window: eta_n has lead -(2n+1), eta_{-1} lead 1 and dt/dv lead -2, so
+    x has lead -(2a+2b+4) and ``plus_part`` reads its W = 2a+2b+5
+    coefficients through v^0.  Products, reciprocals, shifts and scalar
+    multiples of series known to W coefficients from their leads are
+    known to W coefficients from their own leads, so with each of the
+    four factors cut to its first W coefficients x is known through v^0
+    exactly.
     """
-    x = eta.eta(a + 1) * eta.eta(b + 1) / eta.eta(-1)
+    w = 2 * a + 2 * b + 5
+    x = (_window(eta.eta(a + 1), w) * _window(eta.eta(b + 1), w)
+         / _window(eta.eta(-1), w))
     x = x.shift(1) * ((_F + 1) / _F)
-    x = x / curve.dt_dv
+    x = x / _window(curve.dt_dv, w)
     poly, _ = plus_part(x * (-_HALF), curve)
     return poly
 
@@ -132,10 +154,21 @@ def kernel_II(b, curve, tower):
     because the deck map v -> -v sends t to s(t) and zbar to z, and
     eta_{-1} is odd.  So phi_{b+1} is composed once and C_k advances by
     one factor of zbar per k.
+
+    Window: phi_{b+1} has degree d = 2b+3 and t(v) lead -1, so Horner at
+    t(v) cut to its first d coefficients (through v^{d-2}) gives
+    phi_{b+1}(t), of lead -d, through v^{-1}.  zbar^2/eta_{-1} has lead 1,
+    so C_0, with zbar and eta_{-1} cut to their first d coefficients too,
+    is known through v^0.  Each advance by zbar is cut back to v^0, and
+    s' (lead 0) times C_k is then known through v^0 by the product's own
+    guarantee: exactly the coefficients ``plus_part`` reads.
     """
     cap = 2 * b + 6
-    phi_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
-    c_k = phi_t * curve.zbar_of_v ** 2 / (curve.eta_minus_one * (-2))
+    d = 2 * b + 3
+    phi_t = compose_polynomial(tower.phi_coeffs(b + 1),
+                               _window(curve.t_of_v, d))
+    c_k = (phi_t * _window(curve.zbar_of_v, d) ** 2
+           / (_window(curve.eta_minus_one, d) * (-2)))
     terms = {}
     for k in range(cap + 1):
         q, _ = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
@@ -147,7 +180,7 @@ def kernel_II(b, curve, tower):
             for (e,), c in q.terms():
                 terms[(e, k)] = c
         if k < cap:
-            c_k = c_k * curve.zbar_of_v
+            c_k = (c_k * curve.zbar_of_v).truncate(0)
     return TPolynomial(2, terms.items())
 
 

@@ -26,7 +26,7 @@ class VSeries:
         coeffs = [_coerce(c) for c in coeffs]
         # drop anything beyond the guarantee
         if lead + len(coeffs) - 1 > trunc:
-            coeffs = coeffs[:trunc - lead + 1]
+            coeffs = coeffs[:max(trunc - lead + 1, 0)]
         # strip leading zeros
         while coeffs and coeffs[0].is_zero:
             coeffs.pop(0)

@@ -237,8 +237,11 @@ def table_text(cells, entries):
     (table_text(["0,3", "1,1"], {"0|1,0,0": "1"}), "non-decreasing"),
     (table_text(["0,3", "1,1"], {"1|-1": "1"}), "non-negative"),
     (table_text(["0,2", "0,3", "1,1"], {}), "(0, 2) is not stable"),
+    # a file cut off mid-write
+    (table_text(["0,3", "1,1"], {"0|0,0,0": "1", "1|1": "1/24"})[:60],
+     "Expecting value"),
 ], ids=["list", "zero-denominator", "degree-bound", "unlisted-cell",
-        "unsorted-index", "negative-index", "unstable-cell"])
+        "unsorted-index", "negative-index", "unstable-cell", "cut-mid-file"])
 def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
                                               reason):
     (tmp_path / "brackets.json").write_text(cache_text)
@@ -248,3 +251,47 @@ def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
     assert "unreadable cache file" in err
     assert reason in err
     assert (tmp_path / "brackets.json").read_text() == cache_text
+
+
+def test_kernels_suite_checks_the_swapped_pair_order(tmp_path, capsys,
+                                                     monkeypatch):
+    import framedvertex.cli as cli
+    real = cli.kernel_I
+
+    def lopsided(a, b, eta, curve):
+        poly = real(a, b, eta, curve)
+        return poly if a <= b else poly + poly
+
+    monkeypatch.setattr(cli, "kernel_I", lopsided)
+    code, out, _ = run(["verify", "--suite", "kernels", "--chi-max", "3",
+                        "--seed", "3", "--cache", str(tmp_path)], capsys)
+    assert code == 1
+    rows = []
+    for line in out.splitlines():
+        status, suite, body = line.split(" ", 2)
+        row = json.loads(body)
+        if row["kernel"] != "point":
+            rows.append(row)
+            # each row compares with kernel_I(b, a), lopsided when b > a
+            assert (status == "PASS") == (row["a"] >= row["b"]), line
+    assert [r["kernel"] for r in rows].count("pair") == 6
+    assert {(r["a"], r["b"]) for r in rows
+            if r["kernel"] == "pair-symmetry-sample"} == {(0, 2), (2, 0)}
+
+
+def test_tampered_entry_fails_cutjoin(tmp_path, capsys):
+    assert run(["compute", "--chi-max", "3",
+                "--cache", str(tmp_path)], capsys)[0] == 0
+    path = tmp_path / "brackets.json"
+    obj = json.loads(path.read_text())
+    # a well-formed value, taken from a neighbouring entry of cell (2, 1)
+    assert obj["entries"]["2|2"] != obj["entries"]["2|1"]
+    obj["entries"]["2|2"] = obj["entries"]["2|1"]
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["verify", "--suite", "cutjoin", "--chi-max", "3",
+                          "--cache", str(tmp_path)], capsys)
+    assert code == 1
+    failed = [json.loads(line.split(" ", 2)[2])
+              for line in out.splitlines() if line.startswith("FAIL")]
+    assert [(row["g"], row["n"]) for row in failed] == [(2, 1)]
+    assert "first failure in suite 'cutjoin'" in err

@@ -1,11 +1,16 @@
 import pytest
 
+from framedvertex import kernels
 from framedvertex.curvefun import (phi_prime_decompose,
-                                   phi_prime_decompose_pair)
+                                   phi_prime_decompose_pair, plus_part)
+from framedvertex.engine import budget_cells, make_workspace
+from framedvertex.errors import InsufficientTruncation
 from framedvertex.kernels import (KernelWorkspace, kernel_I,
                                   kernel_I_via_involution, kernel_II,
                                   kernel_II_symmetrized)
 from framedvertex.ratfunc import FRational
+from framedvertex.tpoly import TPolynomial
+from framedvertex.vseries import compose_polynomial
 
 F = FRational.variable()
 
@@ -108,3 +113,80 @@ def test_integrand_difference_has_no_polynomial_part(ws):
 
 def test_eta_family_shares_curve_eta_minus_one(ws):
     assert ws.eta.eta(-1) is ws.curve.eta_minus_one
+
+
+# -- kernel windows ----------------------------------------------------------
+
+CHI5_PAIRS = [(a, b) for a in range(6) for b in range(a, 6 - a)]
+
+
+@pytest.fixture(scope="module")
+def ws5():
+    ws = make_workspace(budget_cells(5))
+    assert ws.trunc == 22
+    return ws
+
+
+def full_kernel_I(a, b, eta, curve):
+    # the pair kernel with every factor at the curve's full truncation
+    x = eta.eta(a + 1) * eta.eta(b + 1) / eta.eta(-1)
+    x = x.shift(1) * ((F + 1) / F)
+    x = x / curve.dt_dv
+    poly, _ = plus_part(x * FRational.from_fraction("-1/2"), curve)
+    return poly
+
+
+def full_kernel_II(b, curve, tower):
+    # the point kernel with phi composed at the full t(v) and C_k never cut
+    phi_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
+    c_k = phi_t * curve.zbar_of_v ** 2 / (curve.eta_minus_one * (-2))
+    terms = {}
+    for k in range(2 * b + 7):
+        q, _ = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
+        q = q * FRational.from_int(k + 1)
+        for (e,), c in q.terms():
+            terms[(e, k)] = c
+        c_k = c_k * curve.zbar_of_v
+    return TPolynomial(2, terms.items())
+
+
+def test_windowed_pair_kernels_equal_full_truncation(ws5):
+    assert len(CHI5_PAIRS) == 12
+    for a, b in CHI5_PAIRS:
+        assert (kernel_I(a, b, ws5.eta, ws5.curve)
+                == full_kernel_I(a, b, ws5.eta, ws5.curve)), (a, b)
+
+
+def test_windowed_point_kernels_equal_full_truncation(ws5):
+    for b in range(6):
+        assert (kernel_II(b, ws5.curve, ws5.tower)
+                == full_kernel_II(b, ws5.curve, ws5.tower)), b
+
+
+def test_kernels_read_exactly_through_v0(ws5, monkeypatch):
+    # every series handed to plus_part is known through v^0 and no further
+    seen = []
+
+    def recording(series, curve):
+        seen.append(series.trunc)
+        return plus_part(series, curve)
+
+    monkeypatch.setattr(kernels, "plus_part", recording)
+    for a, b in CHI5_PAIRS:
+        kernel_I(a, b, ws5.eta, ws5.curve)
+    for b in range(6):
+        kernel_II(b, ws5.curve, ws5.tower)
+    assert len(seen) == len(CHI5_PAIRS) + sum(2 * b + 7 for b in range(6))
+    assert set(seen) == {0}
+
+
+def test_one_short_window_raises(ws5, monkeypatch):
+    window = kernels._window
+    monkeypatch.setattr(kernels, "_window",
+                        lambda series, n: window(series, n - 1))
+    for a, b in [(0, 0), (1, 2), (0, 5)]:
+        with pytest.raises(InsufficientTruncation):
+            kernel_I(a, b, ws5.eta, ws5.curve)
+    for b in (0, 3, 5):
+        with pytest.raises(InsufficientTruncation):
+            kernel_II(b, ws5.curve, ws5.tower)
