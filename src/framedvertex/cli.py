@@ -23,11 +23,13 @@ from pathlib import Path
 
 from .curvefun import PhiTower
 from .cutjoin import CutJoinVerifier, psi_oracle
-from .engine import (BracketTable, assemble_H, budget_cells, make_workspace,
-                     run_to_budget, seed_initial_data, support_bound)
+from .engine import (BracketTable, assemble_H, budget_cells, is_stable,
+                     make_workspace, run_to_budget, seed_initial_data,
+                     support_bound)
 from .errors import (ConfigError, FramedVertexError, InternalInvariantError,
                      PoleAtFraming)
-from .kernels import kernel_I, kernel_I_via_involution, kernel_II_symmetrized
+from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
+                      kernel_II_symmetrized)
 from .ratfunc import FRational
 
 CACHE_ENV = "FRAMEDVERTEX_CACHE"
@@ -49,16 +51,11 @@ def build_parser():
     def common(p):
         p.add_argument("--chi-max", type=int, default=3,
                        help="complexity budget 2g-2+n (default 3)")
-        p.add_argument("--truncation-margin", type=int, default=0,
-                       help="extra series truncation margin")
         p.add_argument("--cache", type=Path, default=None,
                        help="cache directory (default $%s or .framedvertex)"
                             % CACHE_ENV)
         p.add_argument("--config", type=Path, default=None,
                        help="optional JSON config file; flags win")
-        p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized spot checks")
 
     p_compute = sub.add_parser("compute", help="fill the bracket table")
     common(p_compute)
@@ -66,17 +63,24 @@ def build_parser():
                            help="'symbolic' or a rational value p/q; a "
                                 "rational framing also writes a specialized "
                                 "table next to the symbolic cache")
+    p_compute.add_argument("--seed", type=int, default=0,
+                           help="accepted and ignored, so that one seeded "
+                                "command line serves compute and verify")
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
     common(p_verify)
     p_verify.add_argument("--suite", default="all",
                           choices=("cutjoin", "kernels", "symmetry",
                                    "oracle", "all"))
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized spot checks")
 
     p_export = sub.add_parser("export", help="emit cells or kernels")
     common(p_export)
+    p_export.add_argument("--output", choices=("json", "csv"), default="json")
     p_export.add_argument("--cell", default=None, metavar="G,N",
-                          help="bracket cell to export, e.g. 1,1")
+                          help="bracket cell to export, e.g. 1,1; the table "
+                               "is computed through the cells below it")
     p_export.add_argument("--kernel", default=None, metavar="A,B",
                           help="pair kernel to export, e.g. 0,0")
     p_export.add_argument("--kernel2", default=None, metavar="B", type=int,
@@ -143,12 +147,17 @@ def _parse_rational(text, what):
         raise ConfigError("bad %s value %r (expected p/q)" % (what, text))
 
 
-def _load_or_compute(args, extra_cells=()):
+def _load_or_compute(args, cell=None):
+    """The table through ``--chi-max``; with ``cell``, also that cell and
+    every cell of lower complexity, which its recursion step reads."""
     if args.chi_max < 1:
         raise ConfigError("--chi-max must be >= 1")
-    for g, n in extra_cells:
-        if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
-            raise ConfigError("cell (%d, %d) is unstable" % (g, n))
+    chi_max, extra_cells = args.chi_max, []
+    if cell is not None:
+        if not is_stable(*cell):
+            raise ConfigError("cell (%d, %d) is unstable" % cell)
+        chi_max = max(chi_max, 2 * cell[0] - 3 + cell[1])
+        extra_cells = [cell]
     cache = _cache_dir(args)
     path = cache / TABLE_FILE
     table = None
@@ -157,8 +166,7 @@ def _load_or_compute(args, extra_cells=()):
             table = BracketTable.from_json(path.read_text())
         except ValueError as exc:
             raise ConfigError("unreadable cache file %s: %s" % (path, exc))
-    table = run_to_budget(args.chi_max, args.truncation_margin,
-                          extra_cells=extra_cells, table=table)
+    table = run_to_budget(chi_max, extra_cells=extra_cells, table=table)
     _write_atomic(path, table.to_json())
     return table, path
 
@@ -242,7 +250,7 @@ def _suite_oracle(args, table):
 
 def _suite_kernels(args, table):
     cells = budget_cells(args.chi_max)
-    ws = make_workspace(cells, args.truncation_margin)
+    ws = make_workspace(cells)
     results = []
     top = min(3, ws.pair_budget)
     for a in range(top + 1):
@@ -349,25 +357,30 @@ def cmd_export(args):
             g, n = (int(x) for x in args.cell.split(","))
         except ValueError:
             raise ConfigError("bad --cell %r (expected G,N)" % args.cell)
-        table, _ = _load_or_compute(args, extra_cells=[(g, n)])
+        table, _ = _load_or_compute(args, cell=(g, n))
         rows = [(g, " ".join(map(str, key)), render(value))
                 for key, value in sorted(table.cell_entries(g, n).items())]
         _rows_to_output(rows, ("g", "b", "value"), args.output, args.out)
         return EXIT_OK
 
-    cells = budget_cells(args.chi_max)
-    ws = make_workspace(cells, args.truncation_margin)
+    # each kernel reads a fixed window of the curve series, so a workspace
+    # sized for the requested kernel alone gives the same values
     if args.kernel:
         try:
             a, b = (int(x) for x in args.kernel.split(","))
         except ValueError:
             raise ConfigError("bad --kernel %r (expected A,B)" % args.kernel)
-        poly = ws.kernel_I(a, b)
+        if a < 0 or b < 0:
+            raise ConfigError("--kernel indices must be >= 0")
+        poly = KernelWorkspace(a + b, 0, 0).kernel_I(a, b)
         rows = [(e[0], render(c)) for e, c in sorted(poly.terms())]
         _rows_to_output(rows, ("exponent", "value"), args.output, args.out)
         return EXIT_OK
 
-    poly = ws.kernel_II(args.kernel2)
+    b = args.kernel2
+    if b < 0:
+        raise ConfigError("--kernel2 must be >= 0")
+    poly = KernelWorkspace(b, b, b + 1).kernel_II(b)
     rows = [(e[0], e[1], render(c)) for e, c in sorted(poly.terms())]
     _rows_to_output(rows, ("exponent_t", "exponent_ti", "value"),
                     args.output, args.out)

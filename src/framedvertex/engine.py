@@ -43,17 +43,18 @@ def support_bound(g, n):
 
 
 class BracketTable:
-    """Map (genus, sorted index tuple) -> FRational, per computed cell."""
+    """Map (genus, sorted index tuple) -> FRational, per computed cell.
+
+    One store: ``_cells[(g, n)]`` maps each sorted index tuple of the cell
+    to its value; an index tuple absent from a computed cell is zero.
+    """
 
     def __init__(self):
-        self._entries = {}
-        self._cells = set()
+        self._cells = {}
 
     def mark_cell(self, g, n, entries):
-        self._cells.add((g, n))
-        for key, value in entries.items():
-            if not value.is_zero:
-                self._entries[(g, key)] = value
+        self._cells[(g, n)] = {key: value for key, value in entries.items()
+                               if not value.is_zero}
 
     def has_cell(self, g, n):
         return (g, n) in self._cells
@@ -68,27 +69,29 @@ class BracketTable:
     def value(self, g, indices):
         """Bracket value; zero inside a computed cell, error outside."""
         key = tuple(sorted(indices))
-        if (g, len(key)) not in self._cells:
-            raise MissingDependency("cell (%d, %d) not computed" % (g, len(key)))
-        return self._entries.get((g, key), FR_ZERO)
+        return self._cell(g, len(key)).get(key, FR_ZERO)
 
     def cell_entries(self, g, n):
-        if (g, n) not in self._cells:
+        return dict(self._cell(g, n))
+
+    def _cell(self, g, n):
+        cell = self._cells.get((g, n))
+        if cell is None:
             raise MissingDependency("cell (%d, %d) not computed" % (g, n))
-        return {key: v for (gg, key), v in self._entries.items()
-                if gg == g and len(key) == n}
+        return cell
 
     def __eq__(self, other):
         if not isinstance(other, BracketTable):
             return NotImplemented
-        return self._cells == other._cells and self._entries == other._entries
+        return self._cells == other._cells
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
         entries = {}
-        for (g, key), value in self._entries.items():
-            entries["%d|%s" % (g, ",".join(map(str, key)))] = value.as_text()
+        for (g, _), cell in self._cells.items():
+            for key, value in cell.items():
+                entries["%d|%s" % (g, ",".join(map(str, key)))] = value.as_text()
         obj = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -123,11 +126,12 @@ class BracketTable:
             g, n = map(int, cell.split(","))
             if not is_stable(g, n):
                 raise ValueError("cell (%d, %d) is not stable" % (g, n))
-            table._cells.add((g, n))
+            table._cells[(g, n)] = {}
         for key, text_value in entries.items():
             g_s, idx = key.split("|")
             indices = tuple(int(x) for x in idx.split(",")) if idx else ()
-            if (int(g_s), len(indices)) not in table._cells:
+            cell = table._cells.get((int(g_s), len(indices)))
+            if cell is None:
                 raise ValueError("entry %s is outside the listed cells"
                                  % key)
             if list(indices) != sorted(indices) or any(b < 0 for b in indices):
@@ -139,7 +143,7 @@ class BracketTable:
                 value = FRational.from_text(text_value)
             except DivisionByZero:
                 raise ValueError("zero denominator in %s" % key)
-            table._entries[(int(g_s), indices)] = value
+            cell[indices] = value
         return table
 
 
@@ -333,13 +337,11 @@ def kernel_requirements(cells):
     return pair, point, b_max
 
 
-def make_workspace(cells, truncation_margin=0):
-    pair, point, b_max = kernel_requirements(cells)
-    return KernelWorkspace(pair, point, b_max, margin=truncation_margin)
+def make_workspace(cells):
+    return KernelWorkspace(*kernel_requirements(cells))
 
 
-def run_to_budget(chi_max, truncation_margin=0, extra_cells=(), table=None,
-                  workspace=None):
+def run_to_budget(chi_max, extra_cells=(), table=None, workspace=None):
     """Populate every stable cell with chi <= chi_max (plus extras).
 
     Idempotent over a warm table: already-computed cells are left alone.
@@ -355,7 +357,7 @@ def run_to_budget(chi_max, truncation_margin=0, extra_cells=(), table=None,
         table = seed_initial_data()
     todo = [c for c in cells if not table.has_cell(*c)]
     if todo and workspace is None:
-        workspace = make_workspace(cells, truncation_margin)
+        workspace = make_workspace(cells)
     for g, n in todo:
         table.mark_cell(g, n, recursion_step(g, n, table, workspace))
     return table

@@ -33,19 +33,23 @@ _F = FRational.variable()
 _HALF = FRational.from_fraction("1/2")
 
 
-def default_trunc(pair_budget, margin=0):
-    """Truncation order covering pair kernels with a+b <= pair_budget."""
-    return 2 * pair_budget + 12 + margin
+def default_trunc(pair_budget):
+    """Curve truncation order for the pair kernels with a+b <= pair_budget.
+
+    The one setting of the series length.  The generator kernels read a
+    fixed window of these series (see ``kernel_I`` and ``kernel_II``), so
+    a longer curve changes no kernel; the cross-check forms read it whole.
+    """
+    return 2 * pair_budget + 12
 
 
 class KernelWorkspace:
     """Curve, eta family, phi tower and kernel caches for one truncation."""
 
-    def __init__(self, pair_budget, point_budget, b_max, margin=0):
+    def __init__(self, pair_budget, point_budget, b_max):
         self.pair_budget = pair_budget
         self.point_budget = point_budget
-        self.margin = margin
-        self.trunc = default_trunc(max(pair_budget, 0), margin)
+        self.trunc = default_trunc(max(pair_budget, 0))
         self.curve = build_curve_series(self.trunc)
         self.tower = PhiTower(b_max)
         self.eta = EtaFamily(self.curve, max(pair_budget + 1, 0))

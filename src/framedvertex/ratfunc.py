@@ -9,8 +9,10 @@ the denominator is split once into f^j (f+1)^k rest, the form that occurs
 in practice; the numerator loses the powers of f and f + 1 it shares with
 it, by synthetic division, and a primitive polynomial remainder sequence
 runs only against a nonconstant ``rest``.
-``FPolynomial`` is the read-only num/den view: the argument type of
-``FRational(num, den)`` and the result of ``FRational.num`` / ``.den``.
+A value is built only by ``FRational.from_int``, ``from_fraction``,
+``poly``, ``from_text`` and arithmetic, so every value is canonical.
+``FPolynomial`` is the read-only view returned by ``FRational.num`` /
+``.den``; it cannot be built from coefficients.
 
 Everything here is exact; no floating point is used anywhere.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .errors import DivisionByZero, PoleAtFraming
 
@@ -304,22 +307,15 @@ def _parse_int_poly(text):
 class FPolynomial:
     """Univariate polynomial in f over Q: the num/den view of ``FRational``.
 
-    It is the argument type of ``FRational(num, den)`` and the result of
-    ``FRational.num`` / ``.den``; it carries no arithmetic.  Stored as
-    integer coefficients ``ic`` (ascending degree, trimmed) over a positive
-    integer denominator ``d`` with gcd(content(ic), d) = 1.
+    Returned by ``FRational.num`` / ``.den``; it carries no arithmetic.
+    Stored as integer coefficients ``ic`` (ascending degree, trimmed) over
+    a positive integer denominator ``d`` with gcd(content(ic), d) = 1.
     """
 
     __slots__ = ("_ic", "_d")
 
-    def __init__(self, coefficients=()):
-        fracs = [Fraction(c) for c in coefficients]
-        d = 1
-        for c in fracs:
-            d = d * c.denominator // gcd(d, c.denominator)
-        v = FPolynomial._build([c.numerator * (d // c.denominator) for c in fracs], d)
-        self._ic = v._ic
-        self._d = v._d
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("FPolynomial is the view FRational.num / .den")
 
     @classmethod
     def _raw(cls, ic, d):
@@ -327,26 +323,6 @@ class FPolynomial:
         self._ic = ic
         self._d = d
         return self
-
-    @classmethod
-    def _build(cls, ic, d):
-        """Normalize an (int coeffs, int denominator) pair."""
-        if d == 0:
-            raise DivisionByZero("zero denominator in polynomial scalar")
-        ic = _ptrim(ic)
-        if not ic:
-            return _FP_ZERO
-        if d < 0:
-            ic = _pneg(ic)
-            d = -d
-        g = _pcontent(ic)
-        g = gcd(g, d)
-        if g > 1:
-            ic = tuple(x // g for x in ic)
-            d //= g
-        return cls._raw(ic, d)
-
-    # -- properties ---------------------------------------------------------
 
     @property
     def coefficients(self):
@@ -357,30 +333,10 @@ class FPolynomial:
         """Degree, with -1 for the zero polynomial."""
         return len(self._ic) - 1
 
-    @property
-    def is_zero(self):
-        return not self._ic
-
-    @property
-    def is_monic(self):
-        return bool(self._ic) and self._ic[-1] == self._d
-
-    # -- comparisons / hashing ----------------------------------------------
-
     def __eq__(self, other):
-        other = _as_fpoly(other)
-        if other is NotImplemented:
+        if not isinstance(other, FPolynomial):
             return NotImplemented
         return self._ic == other._ic and self._d == other._d
-
-    def __hash__(self):
-        return hash((self._ic, self._d))
-
-    def __bool__(self):
-        return bool(self._ic)
-
-    def __repr__(self):
-        return "FPolynomial(%s)" % str(self)
 
     def __str__(self):
         body = _render_int_poly(self._ic)
@@ -389,20 +345,6 @@ class FPolynomial:
         if _is_atom(self._ic):
             return "%s/%d" % (body, self._d)
         return "(%s)/%d" % (body, self._d)
-
-
-def _as_fpoly(x):
-    if isinstance(x, FPolynomial):
-        return x
-    if isinstance(x, int):
-        return FPolynomial._build((x,), 1)
-    if isinstance(x, Fraction):
-        return FPolynomial._build((x.numerator,), x.denominator)
-    return NotImplemented
-
-
-_FP_ZERO = FPolynomial._raw((), 1)
-_FP_ONE = FPolynomial._raw((1,), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +364,9 @@ class FRational:
 
     __slots__ = ("_np", "_nd", "_dp")
 
-    def __init__(self, num=0, den=1):
-        num = _as_fpoly(num)
-        den = _as_fpoly(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("FRational expects polynomial-like arguments")
-        v = _normalize(num._ic, num._d, den._ic, den._d)
-        self._np, self._nd, self._dp = v
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("FRational is built by from_int, from_fraction, "
+                        "poly, from_text or arithmetic")
 
     @classmethod
     def _raw(cls, np, nd, dp):
@@ -460,9 +398,9 @@ class FRational:
         return FR_F
 
     @classmethod
-    def poly(cls, int_coeffs, den=1):
-        """Polynomial value from ascending integer (or Fraction) coefficients."""
-        return cls(FPolynomial(int_coeffs), _as_fpoly(den))
+    def poly(cls, int_coeffs):
+        """Polynomial value from ascending integer coefficients."""
+        return cls._raw(_ptrim([index(c) for c in int_coeffs]), 1, (1,))
 
     @classmethod
     def from_text(cls, text):
@@ -479,16 +417,15 @@ class FRational:
                 split = i
                 break
         if split < 0:
-            return cls(FPolynomial._build(_parse_int_poly(text), 1), _FP_ONE)
-        num = FPolynomial._build(_parse_int_poly(text[:split]), 1)
-        den = FPolynomial._build(_parse_int_poly(text[split + 1:]), 1)
-        return cls(num, den)
+            return _from_raw(_parse_int_poly(text), 1, (1,), 1)
+        return _from_raw(_parse_int_poly(text[:split]), 1,
+                         _parse_int_poly(text[split + 1:]), 1)
 
     # -- views ---------------------------------------------------------------
 
     @property
     def num(self):
-        return FPolynomial._build(self._np, self._nd)
+        return FPolynomial._raw(self._np, self._nd)
 
     @property
     def den(self):
@@ -498,14 +435,6 @@ class FRational:
     @property
     def is_zero(self):
         return not self._np
-
-    def as_fraction(self):
-        """The value as a Fraction; only valid for constants."""
-        if len(self._dp) != 1 or len(self._np) > 1:
-            raise ValueError("not a constant: %s" % self)
-        if not self._np:
-            return Fraction(0)
-        return Fraction(self._np[0], self._nd * self._dp[0])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -684,8 +613,6 @@ def _as_frational(x):
         return FRational.from_int(x)
     if isinstance(x, Fraction):
         return FRational.from_fraction(x)
-    if isinstance(x, FPolynomial):
-        return FRational(x, _FP_ONE)
     return NotImplemented
 
 

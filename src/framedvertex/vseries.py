@@ -330,9 +330,6 @@ class VSeries:
             return True
         return all(self._at(e) == other._at(e) for e in range(lo, hi + 1))
 
-    def dump_lines(self):
-        return ["v^%d : %s" % (e, c.as_text()) for e, c in self.known_items()]
-
     def __repr__(self):
         if self.is_zero:
             return "VSeries(0; O(v^%d))" % (self._trunc + 1)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from framedvertex import kernels
 from framedvertex.cli import main as cli_main
 from framedvertex.curve import build_curve_series
 from framedvertex.curvefun import (EtaFamily, PhiTower, phi_prime_decompose,
@@ -37,7 +38,7 @@ def all_cells():
 
 @pytest.fixture(scope="module")
 def workspace():
-    return make_workspace(all_cells(), truncation_margin=0)
+    return make_workspace(all_cells())
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +47,18 @@ def table(workspace):
 
 
 @pytest.fixture(scope="module")
-def workspace_margin():
-    return make_workspace(all_cells(), truncation_margin=4)
+def workspace_long():
+    """The workspace with the curve and eta series four orders longer."""
+    real = kernels.default_trunc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "default_trunc", lambda pair: real(pair) + 4)
+        return make_workspace(all_cells())
 
 
 @pytest.fixture(scope="module")
-def table_margin(workspace_margin):
+def table_long(workspace_long):
     return run_to_budget(CHI_MAX, extra_cells=EXTRA_CELLS,
-                         workspace=workspace_margin)
+                         workspace=workspace_long)
 
 
 @pytest.fixture(scope="module")
@@ -160,17 +165,17 @@ def test_criterion_6_eta_invariants():
           "truncation %d" % (n_max, trunc))
 
 
-def test_criterion_7_truncation_stability(workspace, table, workspace_margin,
-                                          table_margin):
-    assert workspace_margin.trunc == workspace.trunc + 4
+def test_criterion_7_truncation_stability(workspace, table, workspace_long,
+                                          table_long):
+    assert workspace_long.trunc == workspace.trunc + 4
     for (a, b), poly in sorted(workspace._pair.items()):
-        assert workspace_margin.kernel_I(a, b) == poly, (a, b)
+        assert workspace_long.kernel_I(a, b) == poly, (a, b)
     for b, poly in sorted(workspace._point.items()):
-        assert workspace_margin.kernel_II(b) == poly, b
-    assert table_margin == table
-    assert table_margin.to_json() == table.to_json()
+        assert workspace_long.kernel_II(b) == poly, b
+    assert table_long == table
+    assert table_long.to_json() == table.to_json()
     print("PASS criterion 7: %d pair kernels, %d point kernels and all %d "
-          "cells identical at margin +4"
+          "cells identical with the curve four orders longer"
           % (len(workspace._pair), len(workspace._point), len(table.cells())))
 
 

@@ -1,9 +1,14 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from framedvertex.cli import main
+from framedvertex.cli import build_parser, main
+from framedvertex.curvefun import PhiTower
+from framedvertex.engine import run_to_budget
+from framedvertex.kernels import (KernelWorkspace, kernel_I_via_involution,
+                                  kernel_II_symmetrized)
 
 
 def run(argv, capsys):
@@ -295,3 +300,95 @@ def test_tampered_entry_fails_cutjoin(tmp_path, capsys):
               for line in out.splitlines() if line.startswith("FAIL")]
     assert [(row["g"], row["n"]) for row in failed] == [(2, 1)]
     assert "first failure in suite 'cutjoin'" in err
+
+
+@pytest.mark.parametrize("a, b, chi_max", [(1, 1, 1), (4, 4, 4), (5, 5, 5)])
+def test_export_pair_kernel_sized_by_request(tmp_path, capsys, a, b, chi_max):
+    # the workspace of --chi-max alone is too small for each of these
+    code, out, err = run(["export", "--kernel", "%d,%d" % (a, b),
+                          "--chi-max", str(chi_max),
+                          "--cache", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    ws = KernelWorkspace(a + b, 0, 0)
+    want = kernel_I_via_involution(a, b, ws.curve, PhiTower(b + 1))
+    assert {row["exponent"]: row["value"] for row in json.loads(out)} == {
+        e: c.as_text() for (e,), c in want.terms()}
+
+
+def test_export_point_kernel_sized_by_request(tmp_path, capsys):
+    code, out, err = run(["export", "--kernel2", "7", "--chi-max", "2",
+                          "--cache", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    ws = KernelWorkspace(7, 7, 8)
+    want = kernel_II_symmetrized(7, ws.curve, ws.tower)
+    assert {(row["exponent_t"], row["exponent_ti"]): row["value"]
+            for row in json.loads(out)} == {
+        e: c.as_text() for e, c in want.terms()}
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--kernel", "0,-1"], "--kernel indices"),
+    (["--kernel=-1,2"], "--kernel indices"),
+    (["--kernel2", "-1"], "--kernel2 must"),
+])
+def test_export_negative_kernel_index_is_config_error(tmp_path, capsys, argv,
+                                                      reason):
+    code, out, err = run(["export"] + argv + ["--cache", str(tmp_path)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
+@pytest.mark.parametrize("chi_max", [None, "2"])
+def test_export_cell_computes_the_cells_below_it(tmp_path, capsys, chi_max):
+    argv = ["export", "--cell", "3,1", "--cache", str(tmp_path)]
+    if chi_max is not None:
+        argv += ["--chi-max", chi_max]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    want = run_to_budget(4, extra_cells=[(3, 1)]).cell_entries(3, 1)
+    assert {row["b"]: row["value"] for row in json.loads(out)} == {
+        str(key[0]): value.as_text() for key, value in want.items()}
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["compute", "--truncation-margin", "4"], "unrecognized arguments"),
+    (["verify", "--truncation-margin", "4"], "unrecognized arguments"),
+    (["export", "--kernel", "0,0", "--truncation-margin", "4"],
+     "unrecognized arguments"),
+    (["compute", "--output", "csv"], "unrecognized arguments"),
+    (["verify", "--output", "csv"], "unrecognized arguments"),
+    (["export", "--kernel", "0,0", "--seed", "1"], "unrecognized arguments"),
+])
+def test_inert_options_are_usage_errors(tmp_path, capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache", str(tmp_path)])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "brackets.json").exists()
+
+
+def test_truncation_margin_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"truncation_margin": 4}))
+    code, _, err = run(["compute", "--config", str(cfg), "--chi-max", "1",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 2
+    assert "unknown config key 'truncation_margin'" in err
+    assert not (tmp_path / "brackets.json").exists()
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {name: sorted(opt for action in parser._actions
+                            for opt in action.option_strings
+                            if opt not in ("-h", "--help"))
+               for name, parser in subparsers.choices.items()}
+    common = ["--cache", "--chi-max", "--config"]
+    assert options == {
+        "compute": sorted(common + ["--framing", "--seed"]),
+        "verify": sorted(common + ["--seed", "--suite"]),
+        "export": sorted(common + ["--at-f", "--cell", "--kernel",
+                                   "--kernel2", "--out", "--output"]),
+    }

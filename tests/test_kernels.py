@@ -83,9 +83,12 @@ def test_point_kernel_decomposes(ws):
         assert max(d for _, d in out) <= b + 1
 
 
-def test_truncation_stability():
+def test_truncation_stability(monkeypatch):
     lo = KernelWorkspace(pair_budget=2, point_budget=1, b_max=6)
-    hi = KernelWorkspace(pair_budget=2, point_budget=1, b_max=6, margin=4)
+    real = kernels.default_trunc
+    monkeypatch.setattr(kernels, "default_trunc", lambda pair: real(pair) + 4)
+    hi = KernelWorkspace(pair_budget=2, point_budget=1, b_max=6)
+    assert hi.trunc == lo.trunc + 4
     for a, b in [(0, 0), (0, 1), (1, 1), (0, 2)]:
         assert lo.kernel_I(a, b) == hi.kernel_I(a, b)
     for b in range(2):

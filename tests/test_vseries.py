@@ -169,11 +169,6 @@ def test_power():
     assert (inv2 * s * s).agrees_with(VSeries.one(inv2.trunc))
 
 
-def test_dump_lines():
-    s = series({-1: 2, 1: Fraction(1, 3)}, 4)
-    assert s.dump_lines() == ["v^-1 : 2", "v^1 : 1/3"]
-
-
 def test_truncate_below_the_lead_is_zero():
     s = series({2: 1, 3: 3}, 10)
     for trunc in (1, 0, -3):
