@@ -27,7 +27,7 @@ from .engine import (BracketTable, assemble_H, budget_cells, is_stable,
                      make_workspace, run_to_budget, seed_initial_data,
                      support_bound)
 from .errors import (ConfigError, FramedVertexError, InternalInvariantError,
-                     PoleAtFraming)
+                     MissingDependency, PoleAtFraming)
 from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
                       kernel_II_symmetrized)
 from .ratfunc import FRational
@@ -195,15 +195,22 @@ def cmd_compute(args):
     return EXIT_OK
 
 
-def _table_tower(table):
-    """The phi tower up to one past the largest support bound of the table."""
-    return PhiTower(max(support_bound(g, n) for g, n in table.cells()) + 1)
+def _budget_cells(args, table):
+    """The cells of the table within ``--chi-max``; the cache file may
+    hold more, left by an earlier command."""
+    return [(g, n) for g, n in table.cells() if 2 * g - 2 + n <= args.chi_max]
+
+
+def _cells_tower(cells):
+    """The phi tower up to one past the largest support bound of the cells."""
+    return PhiTower(max(support_bound(g, n) for g, n in cells) + 1)
 
 
 def _suite_cutjoin(args, table):
-    verifier = CutJoinVerifier(table, _table_tower(table))
+    cells = _budget_cells(args, table)
+    verifier = CutJoinVerifier(table, _cells_tower(cells))
     results = []
-    for g, n in table.cells():
+    for g, n in cells:
         if 2 * g - 2 + n < 2:
             continue
         report = verifier.verify(g, n)
@@ -226,7 +233,7 @@ def _partitions_with_length(total, length):
 
 def _suite_oracle(args, table):
     results = []
-    for g, n in table.cells():
+    for g, n in _budget_cells(args, table):
         if g != 0:
             continue
         entries = table.cell_entries(g, n)
@@ -278,14 +285,14 @@ def _suite_symmetry(args, table):
     # support bound plus a seeded sample of permutation invariance of the
     # assembled polynomials
     rng = random.Random(args.seed)
-    tower = _table_tower(table)
+    cells = _budget_cells(args, table)
+    tower = _cells_tower(cells)
     results = []
-    for g, n in table.cells():
+    for g, n in cells:
         ok = all(sum(key) <= support_bound(g, n)
                  for key in table.cell_entries(g, n))
         results.append({"check": "support", "g": g, "n": n, "passed": ok})
-    cells = [c for c in table.cells() if c[1] >= 2 and 2 * c[0] - 2 + c[1] <= 3]
-    for g, n in cells:
+    for g, n in [c for c in cells if c[1] >= 2 and 2 * c[0] - 2 + c[1] <= 3]:
         h = assemble_H(g, n, table, tower)
         perm = list(range(n))
         rng.shuffle(perm)
@@ -404,7 +411,10 @@ def main(argv=None):
     except (ConfigError, PoleAtFraming, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, MissingDependency) as exc:
+        # the CLI computes every cell a request reads and sizes each
+        # workspace from the request, so a missing cell, like a cut-short
+        # series or a kernel over its degree cap, is a fault of the program
         print("internal invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     except FramedVertexError as exc:

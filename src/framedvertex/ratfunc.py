@@ -2,13 +2,32 @@
 
 Rational numbers are stdlib :class:`fractions.Fraction`.  ``FRational``,
 an element of Q(f) for the framing variable ``f``, is the only arithmetic
-type: a quotient of two integer-coefficient polynomials kept in canonical
-form (the denominator is monic and coprime to the numerator, so equality
-is plain structural equality).  Cancellation has one route, ``_cancel``:
-the denominator is split once into f^j (f+1)^k rest, the form that occurs
-in practice; the numerator loses the powers of f and f + 1 it shares with
-it, by synthetic division, and a primitive polynomial remainder sequence
-runs only against a nonconstant ``rest``.
+type.  Every denominator the computation meets has the form
+N f^j (f+1)^k, so a value is stored in the localised form
+
+    np * lc(rest) / (nd * f^j * (f+1)^k * rest)
+
+with the exponents j and k beside the integer numerator ``np`` and
+``rest`` = (1,) in practice: arithmetic runs in Z[f, 1/f, 1/(f+1)].  A
+product adds the exponents; a sum aligns its operands to the larger
+exponents, by a shift and a cached power (f+1)^m, and its scalars to
+their lcm.  The form is canonical (see ``FRational``), so equality of
+values is structural equality.
+
+Cancellation has one route, ``_reduce``, and it tests only the
+numerator: it strips at most j factors f (leading zeros), divides by
+f + 1 at most k times, each time after checking that the numerator
+vanishes at f = -1, and takes the content gcd with the scalar
+denominator.  A primitive remainder sequence runs only against a
+nonconstant ``rest``.  A denominator is never split again: a polynomial
+becomes a denominator only in ``from_text`` and in a division, and is
+split there once, by ``_split``.
+
+``sum_of_products`` puts a list of products over one common denominator
+N f^J (f+1)^K, sums the integer numerators and reduces once (delayed
+reduction), so series products, multivariate products and sums of slot
+images cost one reduction per output coefficient.
+
 A value is built only by ``FRational.from_int``, ``from_fraction``,
 ``poly``, ``from_text`` and arithmetic, so every value is canonical.
 ``FPolynomial`` is the read-only view returned by ``FRational.num`` /
@@ -20,7 +39,7 @@ Everything here is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .errors import DivisionByZero, PoleAtFraming
@@ -141,49 +160,68 @@ def _prem(a, b):
 
 
 def _pdiv_f1(a):
-    """Quotient and remainder a(-1) of ``a`` by f + 1, by synthetic division."""
+    """Exact quotient of ``a`` by f + 1 (a(-1) = 0), by synthetic division."""
     q = [0] * (len(a) - 1)
     acc = 0
     for i in range(len(a) - 1, 0, -1):
         acc = a[i] - acc
         q[i - 1] = acc
-    return tuple(q), a[0] - acc
+    return tuple(q)
 
 
-def _cancel(pn, pd):
-    """Divide nonzero primitive positive-lead ``pn`` and ``pd`` by their gcd.
+def _at_minus_one(a):
+    """The value a(-1)."""
+    return sum(a[::2]) - sum(a[1::2])
 
-    The denominator is split once into f^j (f+1)^k rest.  The numerator
-    loses the powers of f and f + 1 that the denominator holds, up to its
-    first nonzero remainder, and the denominator loses the same powers.
-    Any further common factor divides ``rest``, so the remainder sequence
-    runs only when the numerator and ``rest`` are both nonconstant.
+
+def _strip(p, j, k):
+    """Divide nonzero ``p`` by f and by f + 1 as often as they divide it,
+    at most ``j`` and ``k`` times; returns (quotient, times f, times f + 1).
+
+    A division by f + 1 runs only after p(-1) = 0 is seen, so the first
+    nonzero value ends the loop without a division.
     """
-    j = 0
-    while pd[j] == 0:
-        j += 1
-    z = 0
-    while z < j and pn[z] == 0:
-        z += 1
-    pn = pn[z:]
-    pd = rest = pd[j:]
-    shared = True
-    while len(pn) > 1 and len(rest) > 1:
-        q, r = _pdiv_f1(rest)
-        if r:
-            break
-        rest = q
-        if shared:
-            q, r = _pdiv_f1(pn)
-            shared = not r
-            if shared:
-                pn, pd = q, rest
-    if len(pn) > 1 and len(rest) > 1:
-        g = _prs_gcd(pn, rest)
-        if g != (1,):
-            pn = _pdivexact(pn, g)
-            pd = _pdivexact(pd, g)
-    return pn, (0,) * (j - z) + pd
+    a = 0
+    while a < j and not p[a]:
+        a += 1
+    p = p[a:]
+    b = 0
+    while b < k and not _at_minus_one(p):
+        p = _pdiv_f1(p)
+        b += 1
+    return p, a, b
+
+
+def _split(p):
+    """Split nonzero ``p`` as f^j (f+1)^k q with q(0) != 0 and q(-1) != 0.
+
+    Returns (j, k, q).  Only ``from_text`` and division call this, on the
+    polynomial that becomes a denominator.
+    """
+    q, j, k = _strip(p, len(p), len(p))
+    return j, k, q
+
+
+_F1_POWERS = [(1,)]
+
+
+def _f1_power(m):
+    """(f+1)^m, from a cache grown on demand."""
+    while len(_F1_POWERS) <= m:
+        p = _F1_POWERS[-1]
+        _F1_POWERS.append(tuple(x + y for x, y in zip(p + (0,), (0,) + p)))
+    return _F1_POWERS[m]
+
+
+def _align(n, dj, dk):
+    """n f^dj (f+1)^dk."""
+    if dk:
+        n = _pmul(n, _f1_power(dk))
+    return (0,) * dj + n if dj else n
+
+
+def _pderiv(a):
+    return tuple(i * a[i] for i in range(1, len(a)))
 
 
 def _prs_gcd(a, b):
@@ -351,29 +389,41 @@ class FPolynomial:
 # FRational
 # ---------------------------------------------------------------------------
 
-class FRational:
-    """Element of Q(f) in canonical form.
+_ONE = (1,)
 
-    Internally ``(np, nd, dp)``: the value is ``(np/nd) / (dp/lc(dp))``
-    where ``np`` is an integer polynomial carrying the sign, ``nd`` a
-    positive integer with gcd(content(np), nd) = 1, and ``dp`` a primitive
-    positive-lead integer polynomial coprime to ``np``.  The exposed
-    denominator is therefore always monic, so equality of values is
-    equality of representations.
+
+class FRational:
+    """Element of Q(f) in canonical localised form.
+
+    Internally ``(np, nd, j, k, rest)``: the value is
+    ``np * lc(rest) / (nd * f^j * (f+1)^k * rest)``, where
+
+    * ``np`` is an integer polynomial carrying the sign and ``nd`` a
+      positive integer, with gcd(content(np), nd) = 1;
+    * np(0) != 0 when j > 0, and np(-1) != 0 when k > 0;
+    * ``rest`` is a primitive, positive-lead integer polynomial coprime to
+      ``np``, to f and to f + 1.  It is (1,) unless a denominator with
+      another factor came in through ``from_text`` or a division.
+
+    The exposed denominator ``dp / lc(dp)``, with the derived
+    ``dp = f^j (f+1)^k rest``, is monic and coprime to the numerator, so
+    equality of values is equality of representations.
     """
 
-    __slots__ = ("_np", "_nd", "_dp")
+    __slots__ = ("_np", "_nd", "_j", "_k", "_rest")
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("FRational is built by from_int, from_fraction, "
                         "poly, from_text or arithmetic")
 
     @classmethod
-    def _raw(cls, np, nd, dp):
+    def _raw(cls, np, nd, j, k, rest):
         self = object.__new__(cls)
         self._np = np
         self._nd = nd
-        self._dp = dp
+        self._j = j
+        self._k = k
+        self._rest = rest
         return self
 
     # -- constructors --------------------------------------------------------
@@ -384,14 +434,14 @@ class FRational:
             return FR_ZERO
         if k == 1:
             return FR_ONE
-        return cls._raw((k,), 1, (1,))
+        return cls._raw((k,), 1, 0, 0, _ONE)
 
     @classmethod
     def from_fraction(cls, q):
         q = Fraction(q)
         if not q:
             return FR_ZERO
-        return cls._raw((q.numerator,), q.denominator, (1,))
+        return cls._raw((q.numerator,), q.denominator, 0, 0, _ONE)
 
     @classmethod
     def variable(cls):
@@ -400,7 +450,7 @@ class FRational:
     @classmethod
     def poly(cls, int_coeffs):
         """Polynomial value from ascending integer coefficients."""
-        return cls._raw(_ptrim([index(c) for c in int_coeffs]), 1, (1,))
+        return cls._raw(_ptrim([index(c) for c in int_coeffs]), 1, 0, 0, _ONE)
 
     @classmethod
     def from_text(cls, text):
@@ -417,11 +467,19 @@ class FRational:
                 split = i
                 break
         if split < 0:
-            return _from_raw(_parse_int_poly(text), 1, (1,), 1)
-        return _from_raw(_parse_int_poly(text[:split]), 1,
-                         _parse_int_poly(text[split + 1:]), 1)
+            return _reduce(_parse_int_poly(text), 1, 0, 0)
+        den = _parse_int_poly(text[split + 1:])
+        if not den:
+            raise DivisionByZero("zero denominator in Q(f)")
+        return _reduce(_parse_int_poly(text[:split]), 1, *_split(den))
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def _dp(self):
+        """The polynomial denominator f^j (f+1)^k rest."""
+        dp = _pmul(_f1_power(self._k), self._rest) if self._k else self._rest
+        return (0,) * self._j + dp
 
     @property
     def num(self):
@@ -430,7 +488,8 @@ class FRational:
     @property
     def den(self):
         """Monic denominator."""
-        return FPolynomial._raw(self._dp, self._dp[-1])
+        dp = self._dp
+        return FPolynomial._raw(dp, dp[-1])
 
     @property
     def is_zero(self):
@@ -446,15 +505,22 @@ class FRational:
             return other
         if not other._np:
             return self
-        if self._dp == other._dp:
-            num = _padd(_pscale(self._np, other._nd), _pscale(other._np, self._nd))
-            return _from_raw(num, self._nd * other._nd, self._dp, self._dp[-1])
-        lc1 = self._dp[-1]
-        lc2 = other._dp[-1]
-        a = _pscale(_pmul(self._np, other._dp), other._nd * lc1)
-        b = _pscale(_pmul(other._np, self._dp), self._nd * lc2)
-        return _from_raw(_padd(a, b), self._nd * other._nd * lc1 * lc2,
-                         _pmul(self._dp, other._dp), lc1 * lc2)
+        na, nb, rest = self._np, other._np, self._rest
+        if len(rest) > 1 or len(other._rest) > 1:
+            na, nb = _pscale(na, rest[-1]), _pscale(nb, other._rest[-1])
+            if rest != other._rest:
+                na, nb = _pmul(na, other._rest), _pmul(nb, rest)
+                rest = _pmul(rest, other._rest)
+        da, db = self._nd, other._nd
+        if da == db:
+            d = da
+        else:
+            d = lcm(da, db)
+            na, nb = _pscale(na, d // da), _pscale(nb, d // db)
+        j, k = max(self._j, other._j), max(self._k, other._k)
+        na = _align(na, j - self._j, k - self._k)
+        nb = _align(nb, j - other._j, k - other._k)
+        return _reduce(_padd(na, nb), d, j, k, rest)
 
     __radd__ = __add__
 
@@ -470,7 +536,8 @@ class FRational:
     def __neg__(self):
         if not self._np:
             return self
-        return FRational._raw(_pneg(self._np), self._nd, self._dp)
+        return FRational._raw(_pneg(self._np), self._nd, self._j, self._k,
+                              self._rest)
 
     def __mul__(self, other):
         other = _as_frational(other)
@@ -478,8 +545,13 @@ class FRational:
             return NotImplemented
         if not self._np or not other._np:
             return FR_ZERO
-        return _from_raw(_pmul(self._np, other._np), self._nd * other._nd,
-                         _pmul(self._dp, other._dp), self._dp[-1] * other._dp[-1])
+        n = _pmul(self._np, other._np)
+        rest = _ONE
+        if len(self._rest) > 1 or len(other._rest) > 1:
+            n = _pscale(n, self._rest[-1] * other._rest[-1])
+            rest = _pmul(self._rest, other._rest)
+        return _reduce(n, self._nd * other._nd, self._j + other._j,
+                       self._k + other._k, rest)
 
     __rmul__ = __mul__
 
@@ -491,8 +563,17 @@ class FRational:
             raise DivisionByZero("division by zero in Q(f)")
         if not self._np:
             return FR_ZERO
-        return _from_raw(_pmul(self._np, other._dp), self._nd * other._dp[-1],
-                         _pmul(self._dp, other._np), self._dp[-1] * other._nd)
+        # the divisor's numerator becomes a denominator: split it once
+        s, t, q = _split(other._np)
+        n = _pscale(self._np, other._nd * self._rest[-1])
+        if len(other._rest) > 1:
+            n = _pmul(n, other._rest)
+        j = self._j + s - other._j
+        k = self._k + t - other._k
+        n = _align(n, max(-j, 0), max(-k, 0))
+        rest = _pmul(self._rest, q) if len(self._rest) > 1 else q
+        return _reduce(n, self._nd * other._rest[-1], max(j, 0), max(k, 0),
+                       rest)
 
     def __rtruediv__(self, other):
         other = _as_frational(other)
@@ -514,23 +595,39 @@ class FRational:
         return out
 
     def derivative(self):
-        """d/df by the quotient rule, normalized."""
-        if not self._np or (len(self._np) == 1 and len(self._dp) == 1):
+        """d/df, in closed form over the stored denominator.
+
+        With L = f^[j>0] (f+1)^[k>0] and c = j (f+1)^[k>0] + k f^[j>0],
+        d/df n / (nd f^j (f+1)^k) = (n' L - n c) / (nd f^j (f+1)^k L);
+        a nonconstant ``rest`` r adds the quotient rule in r.
+        """
+        n, j, k, rest = self._np, self._j, self._k, self._rest
+        if not n:
             return FR_ZERO
-        dn = _ptrim(tuple(k * x for k, x in enumerate(self._np))[1:])
-        dd = _ptrim(tuple(k * x for k, x in enumerate(self._dp))[1:])
-        num = _padd(_pmul(dn, self._dp), _pneg(_pmul(self._np, dd)))
-        return _from_raw(num, self._nd, _pmul(self._dp, self._dp), self._dp[-1])
+        low = (0, 1) if j else _ONE
+        if k:
+            low = _pmul(low, (1, 1))
+        c = _padd(_pscale((1, 1) if k else _ONE, j),
+                  _pscale((0, 1) if j else _ONE, k))
+        if len(rest) > 1:
+            n = _pscale(n, rest[-1])
+        num = _padd(_pmul(_pderiv(n), low), _pneg(_pmul(n, c)))
+        if len(rest) > 1:
+            num = _padd(_pmul(num, rest),
+                        _pneg(_pmul(_pmul(n, _pderiv(rest)), low)))
+            rest = _pmul(rest, rest)
+        return _reduce(num, self._nd, j + (j > 0), k + (k > 0), rest)
 
     def evaluate(self, f0):
         """Exact evaluation at a rational framing value."""
         f0 = Fraction(f0)
-        den = _peval_int(self._dp, f0)
+        dp = self._dp
+        den = _peval_int(dp, f0)
         if den == 0:
             raise PoleAtFraming(
                 "denominator %s vanishes at f = %s" % (self.den, f0))
         num = _peval_int(self._np, f0)
-        return (num * self._dp[-1]) / (self._nd * den)
+        return (num * dp[-1]) / (self._nd * den)
 
     # -- text ----------------------------------------------------------------
 
@@ -538,8 +635,9 @@ class FRational:
         """Canonical text form with integer-coefficient polynomials."""
         if not self._np:
             return "0"
-        num_ic = _pscale(self._np, self._dp[-1])
-        den_ic = _pscale(self._dp, self._nd)
+        dp = self._dp
+        num_ic = _pscale(self._np, dp[-1])
+        den_ic = _pscale(dp, self._nd)
         g = gcd(_pcontent(num_ic), _pcontent(den_ic))
         if g > 1:
             num_ic = tuple(x // g for x in num_ic)
@@ -561,10 +659,11 @@ class FRational:
         if other is NotImplemented:
             return NotImplemented
         return (self._np == other._np and self._nd == other._nd
-                and self._dp == other._dp)
+                and self._j == other._j and self._k == other._k
+                and self._rest == other._rest)
 
     def __hash__(self):
-        return hash((self._np, self._nd, self._dp))
+        return hash((self._np, self._nd, self._j, self._k, self._rest))
 
     def __bool__(self):
         return bool(self._np)
@@ -576,34 +675,91 @@ class FRational:
         return self.as_text()
 
 
-def _normalize(nic, nd, dic, dd):
-    """Reduce ((nic/nd) / (dic/dd)) to the canonical (np, nd, dp) triple."""
-    dic = _ptrim(dic)
-    if not dic:
-        raise DivisionByZero("zero denominator in Q(f)")
-    nic = _ptrim(nic)
-    if not nic:
-        return (), 1, (1,)
-    cn, pn = _psplit(nic)
-    cd, pd = _psplit(dic)
-    if pd != (1,) and pn != (1,):
-        pn, pd = _cancel(pn, pd)
-    # value = (cn*dd)/(nd*cd) * pn/pd ; the stored triple reads back as
-    # (np/nd) * lc(dp) / dp, so divide the scalar by lc(pd)
-    num_s = cn * dd
-    den_s = nd * cd * pd[-1]
-    if den_s < 0:
-        num_s, den_s = -num_s, -den_s
-    g = gcd(abs(num_s), den_s)
+def _reduce(n, d, j, k, rest=_ONE):
+    """The canonical value of n / (d f^j (f+1)^k rest).
+
+    ``n`` is a trimmed integer polynomial, ``d`` a nonzero integer and
+    ``rest`` a nonzero integer polynomial prime to f and f + 1.  Only the
+    numerator is tested against f and f + 1; the remainder sequence runs
+    only when ``rest`` and the numerator are both nonconstant.
+    """
+    if not n:
+        return FR_ZERO
+    if j or k:
+        n, a, b = _strip(n, j, k)
+        j, k = j - a, k - b
+    if len(rest) > 1:
+        c, rest = _psplit(rest)
+        if len(n) > 1:
+            g = _prs_gcd(_psplit(n)[1], rest)
+            if len(g) > 1:
+                n = _pdivexact(n, g)
+                rest = _pdivexact(rest, g)
+        # the stored form reads np * lc(rest) / (nd ... rest)
+        d *= c * rest[-1]
+    elif rest[0] != 1:  # a constant rest is a scalar
+        d *= rest[0]
+        rest = _ONE
+    if d < 0:
+        n, d = _pneg(n), -d
+    g = gcd(d, *n)
     if g > 1:
-        num_s //= g
-        den_s //= g
-    return _pscale(pn, num_s), den_s, pd
+        n = tuple(x // g for x in n)
+        d //= g
+    return FRational._raw(n, d, j, k, rest)
 
 
-def _from_raw(nic, nd, dic, dd):
-    v = _normalize(nic, nd, dic, dd)
-    return FRational._raw(*v)
+def sum_of_products(xs, ys):
+    """The sum of ``x * y`` over ``zip(xs, ys)``, two sequences, reduced once.
+
+    Equal to the left fold of ``+`` and ``*``.  The products are put over
+    one common denominator L f^J (f+1)^K, with L the lcm of their scalar
+    denominators and J, K the largest exponents, and their integer
+    numerators are summed: first per class of equal exponents (j, k),
+    then each class aligned once, by a shift and (f+1)^(K-k).  A pair with
+    a nonconstant ``rest`` makes it fold with ``+`` and ``*`` instead.
+    """
+    live = []
+    for a, b in zip(xs, ys):
+        if a._np and b._np:
+            if len(a._rest) > 1 or len(b._rest) > 1:
+                total = FR_ZERO
+                for a, b in zip(xs, ys):
+                    total = total + a * b
+                return total
+            live.append((a, b))
+    if not live:
+        return FR_ZERO
+    if len(live) == 1:
+        a, b = live[0]
+        return _reduce(_pmul(a._np, b._np), a._nd * b._nd, a._j + b._j,
+                       a._k + b._k)
+    L = lcm(*[a._nd * b._nd for a, b in live])
+    buckets = {}
+    for a, b in live:
+        an, bn = a._np, b._np
+        if len(an) > len(bn):
+            an, bn = bn, an
+        s = L // (a._nd * b._nd)
+        if s != 1:
+            an = [x * s for x in an]
+        key = (a._j + b._j, a._k + b._k)
+        acc = buckets.get(key)
+        size = len(an) + len(bn) - 1
+        if acc is None:
+            acc = buckets[key] = [0] * size
+        elif len(acc) < size:
+            acc.extend([0] * (size - len(acc)))
+        for i, x in enumerate(an):
+            if x:
+                for m, y in enumerate(bn, i):
+                    acc[m] += x * y
+    J = max(j for j, _ in buckets)
+    K = max(k for _, k in buckets)
+    total = ()
+    for (j, k), acc in buckets.items():
+        total = _padd(total, _align(tuple(acc), J - j, K - k))
+    return _reduce(total, L, J, K)
 
 
 def _as_frational(x):
@@ -616,6 +772,6 @@ def _as_frational(x):
     return NotImplemented
 
 
-FR_ZERO = FRational._raw((), 1, (1,))
-FR_ONE = FRational._raw((1,), 1, (1,))
-FR_F = FRational._raw((0, 1), 1, (1,))
+FR_ZERO = FRational._raw((), 1, 0, 0, _ONE)
+FR_ONE = FRational._raw((1,), 1, 0, 0, _ONE)
+FR_F = FRational._raw((0, 1), 1, 0, 0, _ONE)

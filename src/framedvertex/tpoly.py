@@ -3,6 +3,10 @@
 Terms are stored as a map from exponent tuples to nonzero ``FRational``
 coefficients.  Values are immutable by convention: every operation returns
 a new polynomial.  Variable slots are 0-based throughout.
+
+A product gathers the coefficient pairs of each output monomial, and
+``embed_sum`` the images of each, and sums them with one
+``ratfunc.sum_of_products``: one Q(f) reduction per output key.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch, IndexOutOfRange, NotDivisible
-from .ratfunc import FR_ONE, FR_ZERO, _as_frational
+from .ratfunc import FR_ONE, FR_ZERO, _as_frational, sum_of_products
 
 
 def add_term(terms, key, coeff):
@@ -24,6 +28,17 @@ def add_term(terms, key, coeff):
             del terms[key]
         else:
             terms[key] = s
+
+
+def _sum_per_key(items):
+    """{key: sum of x * y over zip(xs, ys)} for (key, xs, ys) in ``items``,
+    one reduction per key, zero sums dropped."""
+    out = {}
+    for key, xs, ys in items:
+        c = sum_of_products(xs, ys)
+        if c:
+            out[key] = c
+    return out
 
 
 class TPolynomial:
@@ -148,11 +163,13 @@ class TPolynomial:
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        out = {}
+        factors = {}  # key -> [x0, y0, x1, y1, ...]
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                add_term(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        return TPolynomial._raw(self._arity, out)
+                key = tuple(x + y for x, y in zip(e1, e2))
+                factors.setdefault(key, []).extend((c1, c2))
+        return TPolynomial._raw(self._arity, _sum_per_key(
+            (key, f[::2], f[1::2]) for key, f in factors.items()))
 
     __rmul__ = __mul__
 
@@ -234,14 +251,15 @@ class TPolynomial:
     def embed_sum(self, arity, slot_maps):
         """The sum of ``self.embed(arity, m)`` over the maps ``m``.
 
-        Each map goes through ``embed`` and its checks; the images are
-        accumulated into one term dict.
+        Each map goes through ``embed`` and its checks; the coefficients
+        landing on one monomial are summed with one reduction.
         """
-        out = {}
+        images = {}
         for slot_map in slot_maps:
             for exps, c in self.embed(arity, slot_map)._terms.items():
-                add_term(out, exps, c)
-        return TPolynomial._raw(arity, out)
+                images.setdefault(exps, []).append(c)
+        return TPolynomial._raw(arity, _sum_per_key(
+            (key, cs, [FR_ONE] * len(cs)) for key, cs in images.items()))
 
     def map_coefficients(self, fn):
         out = {}

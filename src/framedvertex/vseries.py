@@ -8,6 +8,10 @@ derived series is exact.
 
 The zero series keeps a truncation order but no coefficients; its lead is
 treated as ``trunc + 1`` ("nothing seen yet") in truncation bookkeeping.
+
+Products and reciprocals form each output coefficient as one
+``ratfunc.sum_of_products``, so a coefficient costs one Q(f) reduction,
+not one per term of its convolution sum.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from fractions import Fraction
 
 from .errors import (InsufficientTruncation, InvalidComposition, NotAUnit,
                      NotInvertible, ZeroDivisor)
-from .ratfunc import FR_ONE, FR_ZERO, FRational, _as_frational
+from .ratfunc import (FR_ONE, FR_ZERO, FRational, _as_frational,
+                      sum_of_products)
 
 
 class VSeries:
@@ -202,15 +207,12 @@ class VSeries:
             raise InsufficientTruncation(
                 "product has no guaranteed terms (lead %d, trunc %d)"
                 % (lead, trunc))
-        out = [FR_ZERO] * n
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            jmax = min(len(other._coeffs), n - i)
-            for j in range(jmax):
-                b = other._coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
+        a, b = self._coeffs, other._coeffs
+        out = []
+        for m in range(n):
+            lo, hi = max(0, m - len(b) + 1), min(m + 1, len(a))
+            out.append(sum_of_products(a[lo:hi],
+                                       [b[m - i] for i in range(lo, hi)]))
         return VSeries(lead, out, trunc)
 
     __rmul__ = __mul__
@@ -223,15 +225,11 @@ class VSeries:
         rel = self._trunc - lead  # relative guarantee of the unit part
         inv0 = FR_ONE / u[0]
         n = rel + 1
-        out = [FR_ZERO] * n
-        out[0] = inv0
+        # out[m] = sum_{k >= 1} w[k] out[m - k] with w[k] = -u[k] / u[0]
+        w = [x * -inv0 for x in u[:n]]
+        out = [inv0]
         for m in range(1, n):
-            s = FR_ZERO
-            kmax = min(m, len(u) - 1)
-            for k in range(1, kmax + 1):
-                if not u[k].is_zero:
-                    s = s + u[k] * out[m - k]
-            out[m] = -s * inv0
+            out.append(sum_of_products(w[1:m + 1], out[m - 1::-1]))
         trunc = self._trunc - 2 * lead
         return VSeries(-lead, out, trunc)
 

@@ -7,6 +7,8 @@ import pytest
 from framedvertex.cli import build_parser, main
 from framedvertex.curvefun import PhiTower
 from framedvertex.engine import run_to_budget
+from framedvertex.errors import (DegreeCapExceeded, InsufficientTruncation,
+                                 MissingDependency)
 from framedvertex.kernels import (KernelWorkspace, kernel_I_via_involution,
                                   kernel_II_symmetrized)
 
@@ -86,6 +88,26 @@ def test_verify_symmetry(tmp_path, capsys):
                         "--cache", str(tmp_path)], capsys)
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("suite, want", [
+    ("cutjoin", [(0, 4), (1, 2)]),
+    ("symmetry", [("support", 0, 3), ("support", 1, 1), ("support", 0, 4),
+                  ("support", 1, 2), ("h-symmetry", 0, 3),
+                  ("h-symmetry", 0, 4), ("h-symmetry", 1, 2)]),
+    ("oracle", [(0, 3), (0, 4), ("one-point anchor",)]),
+])
+def test_verify_suites_honour_chi_max(tmp_path, capsys, suite, want):
+    # the cache holds every cell through (3, 1), left by an export
+    assert run(["export", "--cell", "3,1", "--chi-max", "1",
+                "--cache", str(tmp_path)], capsys)[0] == 0
+    code, out, _ = run(["verify", "--suite", suite, "--chi-max", "2",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 0
+    rows = [json.loads(line.split(" ", 2)[2]) for line in out.splitlines()]
+    keys = [tuple(row[k] for k in ("check", "g", "n") if k in row)
+            for row in rows]
+    assert keys == want
 
 
 def test_export_one_point_cell(tmp_path, capsys):
@@ -392,3 +414,18 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
         "export": sorted(common + ["--at-f", "--cell", "--kernel",
                                    "--kernel2", "--out", "--output"]),
     }
+
+
+@pytest.mark.parametrize("error", [MissingDependency, DegreeCapExceeded,
+                                   InsufficientTruncation])
+def test_program_faults_exit_3(tmp_path, capsys, monkeypatch, error):
+    import framedvertex.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "run_to_budget", fail)
+    code, _, err = run(["compute", "--chi-max", "1",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 3
+    assert err == "internal invariant violation: injected\n"

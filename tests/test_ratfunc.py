@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from framedvertex import ratfunc
 from framedvertex.errors import DivisionByZero, PoleAtFraming
 from framedvertex.ratfunc import (FPolynomial, FRational, FR_ONE, FR_ZERO,
-                                  _normalize, _pmul, _prs_gcd, _pscale,
-                                  _psplit)
+                                  _pcontent, _pmul, _prs_gcd, _pscale,
+                                  _psplit, _reduce, sum_of_products)
 
 from conftest import random_frational
 
@@ -78,9 +80,33 @@ def test_cancel_branches(num, den, want_num, want_den):
     assert r.den.coefficients == tuple(want_den)
 
 
+def stored(r):
+    return r._np, r._nd, r._j, r._k, r._rest
+
+
+def assert_canonical(r):
+    """Every invariant of the stored form (np, nd, j, k, rest)."""
+    np, nd, j, k, rest = stored(r)
+    if not np:
+        assert (nd, j, k, rest) == (1, 0, 0, (1,))
+        return
+    assert isinstance(np, tuple) and np[-1] != 0
+    assert nd > 0 and gcd(_pcontent(np), nd) == 1
+    assert j >= 0 and k >= 0
+    if j:
+        assert np[0] != 0
+    if k:
+        assert sum(np[::2]) - sum(np[1::2]) != 0
+    # rest: primitive, positive lead, prime to f, f + 1 and the numerator
+    assert _pcontent(rest) == 1 and rest[-1] > 0
+    assert rest[0] != 0 and sum(rest[::2]) - sum(rest[1::2]) != 0
+    if len(rest) > 1 and len(np) > 1:
+        assert _prs_gcd(_psplit(np)[1], rest) == (1,)
+
+
 def test_normalization_is_reduced_and_keeps_the_value():
     # random c f^a (f+1)^b cofactor quotients, with a shared factor half of
-    # the time; the check reads only the stored triple, _pmul and _prs_gcd
+    # the time; the check reads only the stored form, _pmul and _prs_gcd
     rng = random.Random(5)
 
     def factor():
@@ -95,6 +121,8 @@ def test_normalization_is_reduced_and_keeps_the_value():
             common = factor()
             num, den = expand(num, common), expand(den, common)
         r = fr(num, den)
+        assert_canonical(r)
+        assert FRational.from_text(r.as_text()) == r
         np, nd, dp = r._np, r._nd, r._dp
         assert _prs_gcd(_psplit(np)[1], dp) == (1,), (num, den)
         # num/den == (np/nd) * lc(dp)/dp
@@ -102,10 +130,97 @@ def test_normalization_is_reduced_and_keeps_the_value():
                 == _pmul(tuple(den), _pscale(np, dp[-1]))), (num, den)
 
 
+def localised(rng, scalars=(1, 2, 3, 6, 35)):
+    """A random N / (c f^j (f+1)^k): the values the computation meets."""
+    num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+    den = expand([rng.choice(scalars)],
+                 *[FP] * rng.randint(0, 4) + [FP1] * rng.randint(0, 4))
+    return fr(num, den)
+
+
+def fold(pairs):
+    total = FR_ZERO
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+def dot(pairs):
+    return sum_of_products([a for a, _ in pairs], [b for _, b in pairs])
+
+
+def test_sum_of_products_is_the_fold():
+    rng = random.Random(11)
+    a, b, c = (localised(rng) for _ in range(3))
+    other_rest = fr([1], [1, 0, 1])  # 1 / (f^2 + 1)
+    cases = {
+        "empty": [],
+        "total-cancellation": [(a, b), (-a, b), (c, a), (a, -c)],
+        "zeros": [(FR_ZERO, a), (b, FR_ZERO)],
+        "one-product": [(a, b)],
+        "mixed-exponents": [(F, fr([1], [0, 0, 0, 1])), (a, fr([1], [1, 1])),
+                            (fr([1], [1, 2, 1]), b), (ONE, c)],
+        "mixed-scalars": [(fr([1], [2]), a), (fr([1], [3]), b),
+                          (fr([5, 1], [7]), c)],
+        "rest": [(a, b), (other_rest, c), (b, c)],
+    }
+    for name, pairs in cases.items():
+        got = dot(pairs)
+        assert stored(got) == stored(fold(pairs)), name
+        assert_canonical(got)
+    assert dot(cases["total-cancellation"]).is_zero
+    for _ in range(100):
+        pairs = [(localised(rng, (1, 2, 9)), localised(rng, (1, 4, 5)))
+                 for _ in range(rng.randint(1, 6))]
+        assert stored(dot(pairs)) == stored(fold(pairs))
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_derivative_closed_form_is_the_quotient_rule(j, k):
+    rng = random.Random(10 * j + k)
+    den = expand([rng.choice([1, 2, 6])], *[FP] * j + [FP1] * k)
+    dd = [i * x for i, x in enumerate(den)][1:]
+    for _ in range(20):
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        dn = [i * x for i, x in enumerate(num)][1:]
+        # (N' D - N D') / D^2, unreduced
+        top = [0] * (len(num) + len(den))
+        for i, x in enumerate(_pmul(tuple(dn), tuple(den))):
+            top[i] += x
+        for i, x in enumerate(_pmul(tuple(num), tuple(dd))):
+            top[i] -= x
+        got = fr(num, den).derivative()
+        assert got == fr(top, expand(den, den)), (num, den)
+        assert_canonical(got)
+
+
+def test_localised_arithmetic_never_splits_a_denominator(monkeypatch):
+    # on N / (c f^j (f+1)^k) values only division splits a polynomial,
+    # the divisor's numerator, and no remainder sequence runs
+    rng = random.Random(3)
+    values = [localised(rng) for _ in range(30)]
+
+    def refuse(*args):
+        raise AssertionError("denominator split or gcd on a localised value")
+
+    monkeypatch.setattr(ratfunc, "_split", refuse)
+    monkeypatch.setattr(ratfunc, "_prs_gcd", refuse)
+    for a, b in zip(values, values[1:]):
+        for r in (a + b, a - b, a * b, a ** 3, a.derivative(),
+                  sum_of_products([a, b, a], [b, b, F])):
+            assert_canonical(r)
+            assert len(r._rest) == 1
+
+
 def test_multiplicative_inverse():
     r = fr([1], [1, 1])  # 1/(f+1)
     assert r * fr([1, 1]) == ONE
     assert (ONE / r) == fr([1, 1])
+    # a divisor's denominator f^j (f+1)^k moves up into the numerator
+    assert ONE / fr([1], [0, 0, 1]) == fr([0, 0, 1])
+    assert fr([1], [0, 1, 1]) / fr([3], [0, 0, 1, 1]) == fr([0, 1], [3])
+    assert fr([1], [2, 3, 1]) / fr([1], [0, 1]) == fr([0, 1], [2, 3, 1])
 
 
 def test_division_by_zero_raises():
@@ -135,9 +250,11 @@ def test_monic_denominator_and_structural_equality():
 
 
 def test_normalization_idempotence():
-    r = fr([0, 2, 4], [6, 2])
-    # the stored triple reads back as (np/nd) / (dp/lc(dp))
-    assert _normalize(r._np, r._nd, r._dp, r._dp[-1]) == (r._np, r._nd, r._dp)
+    # the stored form reads back as np * lc(rest) / (nd f^j (f+1)^k rest)
+    for r in (fr([0, 2, 4], [6, 2]), fr([3, 1], [0, 0, 2, 2]), F, FR_ZERO):
+        np, nd, j, k, rest = stored(r)
+        again = _reduce(_pscale(np, rest[-1]), nd, j, k, rest)
+        assert stored(again) == stored(r)
 
 
 def test_derivative_simple():
