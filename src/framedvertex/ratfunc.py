@@ -2,26 +2,27 @@
 
 Rational numbers are stdlib :class:`fractions.Fraction`.  ``FRational``,
 an element of Q(f) for the framing variable ``f``, is the only arithmetic
-type.  Every denominator the computation meets has the form
-N f^j (f+1)^k, so a value is stored in the localised form
+type.  Every denominator on the framed curve x = y^f (1 - y) is a
+constant times a power of f and a power of f + 1, so values live in the
+localised ring Q[f, 1/f, 1/(f+1)] and are stored as
 
-    np * lc(rest) / (nd * f^j * (f+1)^k * rest)
+    np / (nd * f^j * (f+1)^k)
 
-with the exponents j and k beside the integer numerator ``np`` and
-``rest`` = (1,) in practice: arithmetic runs in Z[f, 1/f, 1/(f+1)].  A
-product adds the exponents; a sum aligns its operands to the larger
-exponents, by a shift and a cached power (f+1)^m, and its scalars to
-their lcm.  The form is canonical (see ``FRational``), so equality of
-values is structural equality.
+with the exponents j and k beside the integer numerator ``np`` and the
+positive integer ``nd``.  A product adds the exponents; a sum aligns its
+operands to the larger exponents, by a shift and a cached power
+(f+1)^m, and its scalars to their lcm.  The form is canonical (see
+``FRational``), so equality of values is structural equality.
 
 Cancellation has one route, ``_reduce``, and it tests only the
 numerator: it strips at most j factors f (leading zeros), divides by
 f + 1 at most k times, each time after checking that the numerator
 vanishes at f = -1, and takes the content gcd with the scalar
-denominator.  A primitive remainder sequence runs only against a
-nonconstant ``rest``.  A denominator is never split again: a polynomial
-becomes a denominator only in ``from_text`` and in a division, and is
-split there once, by ``_split``.
+denominator.  A polynomial becomes a denominator only in ``from_text``
+and in a division, and ``_split`` is the one gate there: it splits the
+polynomial once into c f^j (f+1)^k and raises ``ValueError`` when a
+factor prime to f (f+1) is left, so a cache value such as
+``1/(f^2+1)`` is refused.
 
 ``sum_of_products`` puts a list of products over one common denominator
 N f^J (f+1)^K, sums the integer numerators and reduces once (delayed
@@ -92,71 +93,12 @@ def _pmul(a, b):
     return tuple(out)
 
 
-def _pcontent(a):
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-        if g == 1:
-            return 1
-    return g
-
-
-def _psplit(a):
-    """Split nonzero ``a`` into (signed content, primitive positive-lead part)."""
-    c = _pcontent(a)
-    if a[-1] < 0:
-        c = -c
-    if c == 1:
-        return 1, a
-    return c, tuple(x // c for x in a)
-
-
 def _peval_int(a, x):
     """Horner value of ``a`` at ``x``, an int or a Fraction."""
     acc = 0
     for coef in reversed(a):
         acc = acc * x + coef
     return acc
-
-
-def _pdivexact(a, b):
-    """Exact quotient a // b for int polynomials; the division must be exact."""
-    if not a:
-        return ()
-    la, lb = len(a), len(b)
-    if la < lb:
-        raise ArithmeticError("inexact polynomial division")
-    q = [0] * (la - lb + 1)
-    r = list(a)
-    for k in range(la - lb, -1, -1):
-        top = r[k + lb - 1]
-        if top == 0:
-            continue
-        c, rem = divmod(top, b[-1])
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        q[k] = c
-        for i, bx in enumerate(b):
-            r[k + i] -= c * bx
-    if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(q)
-
-
-def _prem(a, b):
-    """Pseudo-remainder of a by b (up to a unit), as an int polynomial."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and r:
-        s = r[-1]
-        off = len(r) - 1 - db
-        r = [lb * x for x in r]
-        for i, bx in enumerate(b):
-            r[off + i] -= s * bx
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
 
 
 def _pdiv_f1(a):
@@ -193,13 +135,17 @@ def _strip(p, j, k):
 
 
 def _split(p):
-    """Split nonzero ``p`` as f^j (f+1)^k q with q(0) != 0 and q(-1) != 0.
+    """Split nonzero ``p`` as c f^j (f+1)^k with c a nonzero integer.
 
-    Returns (j, k, q).  Only ``from_text`` and division call this, on the
-    polynomial that becomes a denominator.
+    Returns (j, k, c).  Only ``from_text`` and division call this, on the
+    polynomial that becomes a denominator; a factor prime to f (f+1) has
+    no place in the ring and raises ``ValueError``.
     """
     q, j, k = _strip(p, len(p), len(p))
-    return j, k, q
+    if len(q) > 1:
+        raise ValueError("denominator %s has a factor prime to f(f+1)"
+                         % _render_int_poly(p))
+    return j, k, q[0]
 
 
 _F1_POWERS = [(1,)]
@@ -222,20 +168,6 @@ def _align(n, dj, dk):
 
 def _pderiv(a):
     return tuple(i * a[i] for i in range(1, len(a)))
-
-
-def _prs_gcd(a, b):
-    """Primitive PRS gcd for nonconstant primitive polynomials."""
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        if len(b) == 1:
-            return (1,)
-        r = _prem(a, b)
-        if not r:
-            return b
-        _, r = _psplit(r)
-        a, b = b, r
 
 
 # ---------------------------------------------------------------------------
@@ -395,35 +327,32 @@ _ONE = (1,)
 class FRational:
     """Element of Q(f) in canonical localised form.
 
-    Internally ``(np, nd, j, k, rest)``: the value is
-    ``np * lc(rest) / (nd * f^j * (f+1)^k * rest)``, where
+    Internally ``(np, nd, j, k)``: the value is
+    ``np / (nd * f^j * (f+1)^k)``, where
 
     * ``np`` is an integer polynomial carrying the sign and ``nd`` a
       positive integer, with gcd(content(np), nd) = 1;
-    * np(0) != 0 when j > 0, and np(-1) != 0 when k > 0;
-    * ``rest`` is a primitive, positive-lead integer polynomial coprime to
-      ``np``, to f and to f + 1.  It is (1,) unless a denominator with
-      another factor came in through ``from_text`` or a division.
+    * np(0) != 0 when j > 0, and np(-1) != 0 when k > 0.
 
-    The exposed denominator ``dp / lc(dp)``, with the derived
-    ``dp = f^j (f+1)^k rest``, is monic and coprime to the numerator, so
-    equality of values is equality of representations.
+    The exposed denominator ``f^j (f+1)^k`` is monic and coprime to the
+    numerator, so equality of values is equality of representations.  A
+    denominator with a factor prime to f (f+1) is refused with
+    ``ValueError``, in ``from_text`` and in a division.
     """
 
-    __slots__ = ("_np", "_nd", "_j", "_k", "_rest")
+    __slots__ = ("_np", "_nd", "_j", "_k")
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("FRational is built by from_int, from_fraction, "
                         "poly, from_text or arithmetic")
 
     @classmethod
-    def _raw(cls, np, nd, j, k, rest):
+    def _raw(cls, np, nd, j, k):
         self = object.__new__(cls)
         self._np = np
         self._nd = nd
         self._j = j
         self._k = k
-        self._rest = rest
         return self
 
     # -- constructors --------------------------------------------------------
@@ -434,14 +363,14 @@ class FRational:
             return FR_ZERO
         if k == 1:
             return FR_ONE
-        return cls._raw((k,), 1, 0, 0, _ONE)
+        return cls._raw((k,), 1, 0, 0)
 
     @classmethod
     def from_fraction(cls, q):
         q = Fraction(q)
         if not q:
             return FR_ZERO
-        return cls._raw((q.numerator,), q.denominator, 0, 0, _ONE)
+        return cls._raw((q.numerator,), q.denominator, 0, 0)
 
     @classmethod
     def variable(cls):
@@ -450,7 +379,7 @@ class FRational:
     @classmethod
     def poly(cls, int_coeffs):
         """Polynomial value from ascending integer coefficients."""
-        return cls._raw(_ptrim([index(c) for c in int_coeffs]), 1, 0, 0, _ONE)
+        return cls._raw(_ptrim([index(c) for c in int_coeffs]), 1, 0, 0)
 
     @classmethod
     def from_text(cls, text):
@@ -471,15 +400,15 @@ class FRational:
         den = _parse_int_poly(text[split + 1:])
         if not den:
             raise DivisionByZero("zero denominator in Q(f)")
-        return _reduce(_parse_int_poly(text[:split]), 1, *_split(den))
+        j, k, c = _split(den)
+        return _reduce(_parse_int_poly(text[:split]), c, j, k)
 
     # -- views ---------------------------------------------------------------
 
     @property
     def _dp(self):
-        """The polynomial denominator f^j (f+1)^k rest."""
-        dp = _pmul(_f1_power(self._k), self._rest) if self._k else self._rest
-        return (0,) * self._j + dp
+        """The polynomial denominator f^j (f+1)^k."""
+        return (0,) * self._j + _f1_power(self._k)
 
     @property
     def num(self):
@@ -488,8 +417,7 @@ class FRational:
     @property
     def den(self):
         """Monic denominator."""
-        dp = self._dp
-        return FPolynomial._raw(dp, dp[-1])
+        return FPolynomial._raw(self._dp, 1)
 
     @property
     def is_zero(self):
@@ -505,12 +433,7 @@ class FRational:
             return other
         if not other._np:
             return self
-        na, nb, rest = self._np, other._np, self._rest
-        if len(rest) > 1 or len(other._rest) > 1:
-            na, nb = _pscale(na, rest[-1]), _pscale(nb, other._rest[-1])
-            if rest != other._rest:
-                na, nb = _pmul(na, other._rest), _pmul(nb, rest)
-                rest = _pmul(rest, other._rest)
+        na, nb = self._np, other._np
         da, db = self._nd, other._nd
         if da == db:
             d = da
@@ -520,7 +443,7 @@ class FRational:
         j, k = max(self._j, other._j), max(self._k, other._k)
         na = _align(na, j - self._j, k - self._k)
         nb = _align(nb, j - other._j, k - other._k)
-        return _reduce(_padd(na, nb), d, j, k, rest)
+        return _reduce(_padd(na, nb), d, j, k)
 
     __radd__ = __add__
 
@@ -536,8 +459,7 @@ class FRational:
     def __neg__(self):
         if not self._np:
             return self
-        return FRational._raw(_pneg(self._np), self._nd, self._j, self._k,
-                              self._rest)
+        return FRational._raw(_pneg(self._np), self._nd, self._j, self._k)
 
     def __mul__(self, other):
         other = _as_frational(other)
@@ -545,13 +467,8 @@ class FRational:
             return NotImplemented
         if not self._np or not other._np:
             return FR_ZERO
-        n = _pmul(self._np, other._np)
-        rest = _ONE
-        if len(self._rest) > 1 or len(other._rest) > 1:
-            n = _pscale(n, self._rest[-1] * other._rest[-1])
-            rest = _pmul(self._rest, other._rest)
-        return _reduce(n, self._nd * other._nd, self._j + other._j,
-                       self._k + other._k, rest)
+        return _reduce(_pmul(self._np, other._np), self._nd * other._nd,
+                       self._j + other._j, self._k + other._k)
 
     __rmul__ = __mul__
 
@@ -564,16 +481,11 @@ class FRational:
         if not self._np:
             return FR_ZERO
         # the divisor's numerator becomes a denominator: split it once
-        s, t, q = _split(other._np)
-        n = _pscale(self._np, other._nd * self._rest[-1])
-        if len(other._rest) > 1:
-            n = _pmul(n, other._rest)
+        s, t, c = _split(other._np)
         j = self._j + s - other._j
         k = self._k + t - other._k
-        n = _align(n, max(-j, 0), max(-k, 0))
-        rest = _pmul(self._rest, q) if len(self._rest) > 1 else q
-        return _reduce(n, self._nd * other._rest[-1], max(j, 0), max(k, 0),
-                       rest)
+        n = _align(_pscale(self._np, other._nd), max(-j, 0), max(-k, 0))
+        return _reduce(n, self._nd * c, max(j, 0), max(k, 0))
 
     def __rtruediv__(self, other):
         other = _as_frational(other)
@@ -598,10 +510,9 @@ class FRational:
         """d/df, in closed form over the stored denominator.
 
         With L = f^[j>0] (f+1)^[k>0] and c = j (f+1)^[k>0] + k f^[j>0],
-        d/df n / (nd f^j (f+1)^k) = (n' L - n c) / (nd f^j (f+1)^k L);
-        a nonconstant ``rest`` r adds the quotient rule in r.
+        d/df n / (nd f^j (f+1)^k) = (n' L - n c) / (nd f^j (f+1)^k L).
         """
-        n, j, k, rest = self._np, self._j, self._k, self._rest
+        n, j, k = self._np, self._j, self._k
         if not n:
             return FR_ZERO
         low = (0, 1) if j else _ONE
@@ -609,43 +520,33 @@ class FRational:
             low = _pmul(low, (1, 1))
         c = _padd(_pscale((1, 1) if k else _ONE, j),
                   _pscale((0, 1) if j else _ONE, k))
-        if len(rest) > 1:
-            n = _pscale(n, rest[-1])
         num = _padd(_pmul(_pderiv(n), low), _pneg(_pmul(n, c)))
-        if len(rest) > 1:
-            num = _padd(_pmul(num, rest),
-                        _pneg(_pmul(_pmul(n, _pderiv(rest)), low)))
-            rest = _pmul(rest, rest)
-        return _reduce(num, self._nd, j + (j > 0), k + (k > 0), rest)
+        return _reduce(num, self._nd, j + (j > 0), k + (k > 0))
 
     def evaluate(self, f0):
         """Exact evaluation at a rational framing value."""
         f0 = Fraction(f0)
-        dp = self._dp
-        den = _peval_int(dp, f0)
+        den = self._nd * f0 ** self._j * (f0 + 1) ** self._k
         if den == 0:
             raise PoleAtFraming(
                 "denominator %s vanishes at f = %s" % (self.den, f0))
-        num = _peval_int(self._np, f0)
-        return (num * dp[-1]) / (self._nd * den)
+        return _peval_int(self._np, f0) / den
 
     # -- text ----------------------------------------------------------------
 
     def as_text(self):
-        """Canonical text form with integer-coefficient polynomials."""
+        """Canonical text form with integer-coefficient polynomials.
+
+        The canonical form already has gcd(content(np), nd) = 1 and a
+        monic f^j (f+1)^k, so the two integer polynomials share no content.
+        """
         if not self._np:
             return "0"
-        dp = self._dp
-        num_ic = _pscale(self._np, dp[-1])
-        den_ic = _pscale(dp, self._nd)
-        g = gcd(_pcontent(num_ic), _pcontent(den_ic))
-        if g > 1:
-            num_ic = tuple(x // g for x in num_ic)
-            den_ic = tuple(x // g for x in den_ic)
-        num_txt = _render_int_poly(num_ic)
+        num_txt = _render_int_poly(self._np)
+        den_ic = _pscale(self._dp, self._nd)
         if den_ic == (1,):
             return num_txt
-        if not _is_atom(num_ic):
+        if not _is_atom(self._np):
             num_txt = "(%s)" % num_txt
         den_txt = _render_int_poly(den_ic)
         if not _is_atom(den_ic) or (len(den_ic) > 1 and den_ic[-1] != 1):
@@ -659,11 +560,10 @@ class FRational:
         if other is NotImplemented:
             return NotImplemented
         return (self._np == other._np and self._nd == other._nd
-                and self._j == other._j and self._k == other._k
-                and self._rest == other._rest)
+                and self._j == other._j and self._k == other._k)
 
     def __hash__(self):
-        return hash((self._np, self._nd, self._j, self._k, self._rest))
+        return hash((self._np, self._nd, self._j, self._k))
 
     def __bool__(self):
         return bool(self._np)
@@ -675,38 +575,24 @@ class FRational:
         return self.as_text()
 
 
-def _reduce(n, d, j, k, rest=_ONE):
-    """The canonical value of n / (d f^j (f+1)^k rest).
+def _reduce(n, d, j, k):
+    """The canonical value of n / (d f^j (f+1)^k).
 
-    ``n`` is a trimmed integer polynomial, ``d`` a nonzero integer and
-    ``rest`` a nonzero integer polynomial prime to f and f + 1.  Only the
-    numerator is tested against f and f + 1; the remainder sequence runs
-    only when ``rest`` and the numerator are both nonconstant.
+    ``n`` is a trimmed integer polynomial and ``d`` a nonzero integer.
+    Only the numerator is tested against f and f + 1.
     """
     if not n:
         return FR_ZERO
     if j or k:
         n, a, b = _strip(n, j, k)
         j, k = j - a, k - b
-    if len(rest) > 1:
-        c, rest = _psplit(rest)
-        if len(n) > 1:
-            g = _prs_gcd(_psplit(n)[1], rest)
-            if len(g) > 1:
-                n = _pdivexact(n, g)
-                rest = _pdivexact(rest, g)
-        # the stored form reads np * lc(rest) / (nd ... rest)
-        d *= c * rest[-1]
-    elif rest[0] != 1:  # a constant rest is a scalar
-        d *= rest[0]
-        rest = _ONE
     if d < 0:
         n, d = _pneg(n), -d
     g = gcd(d, *n)
     if g > 1:
         n = tuple(x // g for x in n)
         d //= g
-    return FRational._raw(n, d, j, k, rest)
+    return FRational._raw(n, d, j, k)
 
 
 def sum_of_products(xs, ys):
@@ -716,18 +602,9 @@ def sum_of_products(xs, ys):
     one common denominator L f^J (f+1)^K, with L the lcm of their scalar
     denominators and J, K the largest exponents, and their integer
     numerators are summed: first per class of equal exponents (j, k),
-    then each class aligned once, by a shift and (f+1)^(K-k).  A pair with
-    a nonconstant ``rest`` makes it fold with ``+`` and ``*`` instead.
+    then each class aligned once, by a shift and (f+1)^(K-k).
     """
-    live = []
-    for a, b in zip(xs, ys):
-        if a._np and b._np:
-            if len(a._rest) > 1 or len(b._rest) > 1:
-                total = FR_ZERO
-                for a, b in zip(xs, ys):
-                    total = total + a * b
-                return total
-            live.append((a, b))
+    live = [(a, b) for a, b in zip(xs, ys) if a._np and b._np]
     if not live:
         return FR_ZERO
     if len(live) == 1:
@@ -772,6 +649,6 @@ def _as_frational(x):
     return NotImplemented
 
 
-FR_ZERO = FRational._raw((), 1, 0, 0, _ONE)
-FR_ONE = FRational._raw((1,), 1, 0, 0, _ONE)
-FR_F = FRational._raw((0, 1), 1, 0, 0, _ONE)
+FR_ZERO = FRational._raw((), 1, 0, 0)
+FR_ONE = FRational._raw((1,), 1, 0, 0)
+FR_F = FRational._raw((0, 1), 1, 0, 0)

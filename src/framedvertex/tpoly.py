@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials in t_0 .. t_{n-1} over Q(f).
+"""Sparse multivariate polynomials in t_0 .. t_{n-1} with ``FRational``
+coefficients, in the ring Z[f, 1/f, 1/(f+1)] with rational scalars.
 
 Terms are stored as a map from exponent tuples to nonzero ``FRational``
 coefficients.  Values are immutable by convention: every operation returns
@@ -6,7 +7,8 @@ a new polynomial.  Variable slots are 0-based throughout.
 
 A product gathers the coefficient pairs of each output monomial, and
 ``embed_sum`` the images of each, and sums them with one
-``ratfunc.sum_of_products``: one Q(f) reduction per output key.
+``ratfunc.sum_of_products``: one Q(f) reduction per output key, none for
+a monomial with a single image.
 """
 
 from __future__ import annotations
@@ -252,14 +254,20 @@ class TPolynomial:
         """The sum of ``self.embed(arity, m)`` over the maps ``m``.
 
         Each map goes through ``embed`` and its checks; the coefficients
-        landing on one monomial are summed with one reduction.
+        landing on one monomial are summed with one reduction, and a
+        monomial with one image keeps that coefficient as it is.
         """
         images = {}
         for slot_map in slot_maps:
             for exps, c in self.embed(arity, slot_map)._terms.items():
                 images.setdefault(exps, []).append(c)
-        return TPolynomial._raw(arity, _sum_per_key(
-            (key, cs, [FR_ONE] * len(cs)) for key, cs in images.items()))
+        out = {}
+        for key, cs in images.items():
+            c = (cs[0] if len(cs) == 1
+                 else sum_of_products(cs, [FR_ONE] * len(cs)))
+            if c:
+                out[key] = c
+        return TPolynomial._raw(arity, out)
 
     def map_coefficients(self, fn):
         out = {}

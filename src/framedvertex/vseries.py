@@ -9,9 +9,9 @@ derived series is exact.
 The zero series keeps a truncation order but no coefficients; its lead is
 treated as ``trunc + 1`` ("nothing seen yet") in truncation bookkeeping.
 
-Products and reciprocals form each output coefficient as one
-``ratfunc.sum_of_products``, so a coefficient costs one Q(f) reduction,
-not one per term of its convolution sum.
+Products, reciprocals, ``sqrt_unit`` and ``exp_of`` form each output
+coefficient as one ``ratfunc.sum_of_products``, so a coefficient costs
+one Q(f) reduction for its convolution sum, not one per term.
 """
 
 from __future__ import annotations
@@ -358,16 +358,12 @@ def sqrt_unit(a):
     b_0 = 1 and b_k = (a_k - sum_{i=1}^{k-1} b_i b_{k-i}) / 2.
     """
     _require_unit(a, "sqrt_unit")
-    n = a.trunc + 1
     half = FRational.from_fraction(Fraction(1, 2))
-    out = [FR_ZERO] * n
-    out[0] = FR_ONE
-    for k in range(1, n):
-        s = a._at(k)
-        for i in range(1, k):
-            if not out[i].is_zero and not out[k - i].is_zero:
-                s = s - out[i] * out[k - i]
-        out[k] = s * half
+    out = [FR_ONE]
+    for k in range(1, a.trunc + 1):
+        s = sum_of_products([a._at(k), *out[1:k]],
+                            [FR_ONE, *(-x for x in out[k - 1:0:-1])])
+        out.append(s * half)
     return VSeries(0, out, a.trunc)
 
 
@@ -384,15 +380,11 @@ def exp_of(a):
     if a.lead < 1:
         raise NotAUnit("exp_of needs a series with positive lead")
     n = a.trunc + 1
-    out = [FR_ZERO] * n
-    out[0] = FR_ONE
+    ka = [a._at(k) * k for k in range(n)]  # coefficients of v a'(v)
+    out = [FR_ONE]
     for m in range(1, n):
-        s = FR_ZERO
-        for k in range(1, m + 1):
-            ak = a._at(k)
-            if not ak.is_zero and not out[m - k].is_zero:
-                s = s + ak * k * out[m - k]
-        out[m] = s * FRational.from_fraction(Fraction(1, m))
+        s = sum_of_products(ka[1:m + 1], out[::-1])
+        out.append(s * FRational.from_fraction(Fraction(1, m)))
     return VSeries(0, out, a.trunc)
 
 

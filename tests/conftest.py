@@ -5,18 +5,13 @@ import pytest
 from framedvertex.ratfunc import FRational
 
 
-def random_poly(rng, max_deg=4, allow_zero=True):
-    deg = rng.randint(0, max_deg)
-    p = FRational.poly([rng.randint(-9, 9) for _ in range(deg + 1)])
-    if p.is_zero and not allow_zero:
-        return FRational.poly([rng.randint(1, 9)])
-    return p
-
-
-def random_frational(rng, max_deg=4):
-    num = random_poly(rng, max_deg)
-    den = random_poly(rng, max_deg, allow_zero=False)
-    return num / den
+def localised(rng, scalars=(1, 2, 3, 6, 35), max_deg=5):
+    """A random N / (c f^j (f+1)^k): the form of every value in Q(f) here."""
+    num = [rng.randint(-9, 9) for _ in range(rng.randint(1, max_deg + 1))]
+    f = FRational.variable()
+    den = (rng.choice(scalars) * f ** rng.randint(0, 4)
+           * (f + 1) ** rng.randint(0, 4))
+    return FRational.poly(num) / den
 
 
 @pytest.fixture

@@ -260,6 +260,8 @@ def table_text(cells, entries):
     (table_text(["1,1"], {"1|0": "1/0"}), "zero denominator"),
     # a dense parse of f^1000000 would allocate a million coefficients
     (table_text(["1,1"], {"1|0": "f^1000000"}), "above 4096"),
+    # every table value lies in Z[f, 1/f, 1/(f+1)] up to a scalar
+    (table_text(["1,1"], {"1|0": "1/(f^2+1)"}), "prime to f(f+1)"),
     (table_text(["0,3", "1,1"], {"2|4": "1"}), "outside the listed cells"),
     (table_text(["0,3", "1,1"], {"0|1,0,0": "1"}), "non-decreasing"),
     (table_text(["0,3", "1,1"], {"1|-1": "1"}), "non-negative"),
@@ -267,8 +269,9 @@ def table_text(cells, entries):
     # a file cut off mid-write
     (table_text(["0,3", "1,1"], {"0|0,0,0": "1", "1|1": "1/24"})[:60],
      "Expecting value"),
-], ids=["list", "zero-denominator", "degree-bound", "unlisted-cell",
-        "unsorted-index", "negative-index", "unstable-cell", "cut-mid-file"])
+], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
+        "unlisted-cell", "unsorted-index", "negative-index", "unstable-cell",
+        "cut-mid-file"])
 def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
                                               reason):
     (tmp_path / "brackets.json").write_text(cache_text)

@@ -125,8 +125,8 @@ def test_plus_part_of_inverse_v(curve):
 
 def test_plus_part_is_projection(curve, rng):
     # plus_part(Q(t(v))) = Q for polynomial Q
-    from conftest import random_frational
-    coeffs = [random_frational(rng, max_deg=2) for _ in range(6)]
+    from conftest import localised
+    coeffs = [localised(rng, max_deg=2) for _ in range(6)]
     series = compose_polynomial(coeffs, curve.t_of_v)
     poly, tail = plus_part(series, curve)
     want = TPolynomial(1, [((k,), c) for k, c in enumerate(coeffs)])
@@ -164,10 +164,10 @@ def test_decompose_outside_span(tower):
 
 
 def test_decompose_reassembles(tower, rng):
-    from conftest import random_frational
+    from conftest import localised
     target = TPolynomial.zero(1)
-    picks = {0: random_frational(rng), 2: random_frational(rng),
-             3: random_frational(rng)}
+    picks = {0: localised(rng), 2: localised(rng),
+             3: localised(rng)}
     for b, c in picks.items():
         target = target + tower.phi_prime(b) * c
     got = {b: c for b, c in phi_prime_decompose(target, tower).items()

@@ -7,10 +7,9 @@ import pytest
 from framedvertex import ratfunc
 from framedvertex.errors import DivisionByZero, PoleAtFraming
 from framedvertex.ratfunc import (FPolynomial, FRational, FR_ONE, FR_ZERO,
-                                  _pcontent, _pmul, _prs_gcd, _pscale,
-                                  _psplit, _reduce, sum_of_products)
+                                  _pmul, _pscale, _reduce, sum_of_products)
 
-from conftest import random_frational
+from conftest import localised
 
 F = FRational.variable()
 ONE = FR_ONE
@@ -27,20 +26,23 @@ def test_plain_rational_arithmetic():
 
 
 def test_gcd_cancellation():
-    # (f^2 - 1) / (f - 1) -> f + 1
-    r = fr([-1, 0, 1], [-1, 1])
-    assert r == fr([1, 1])
+    # (f^2 - 1) / (f + 1) -> f - 1
+    r = fr([-1, 0, 1], [1, 1])
+    assert r == fr([-1, 1])
     assert r.den.coefficients == (1,)
-    # coprime non-constant cofactors stay as they are
-    r = fr([1, 0, 1], [1, 1, 1])
+    # a numerator prime to f(f+1) stays as it is
+    r = fr([1, 0, 1], [0, 1, 1])
     assert r.num.coefficients == (1, 0, 1)
-    assert r.den.coefficients == (1, 1, 1)
-    assert r.as_text() == "(f^2+1)/(f^2+f+1)"
+    assert r.den.coefficients == (0, 1, 1)
+    assert r.as_text() == "(f^2+1)/(f^2+f)"
     assert FRational.from_text(r.as_text()) == r
-    # a common factor outside f(f+1): (f^2+1)(f-2) / ((f^2+1)(f+3))
-    r = fr([-2, 1, -2, 1], [3, 1, 3, 1])
-    assert r == fr([-2, 1], [3, 1])
-    assert r.as_text() == "(f-2)/(f+3)"
+    # a denominator factor prime to f(f+1), common or not, is refused
+    for num, den in (([1, 0, 1], [1, 1, 1]), ([-2, 1, -2, 1], [3, 1, 3, 1])):
+        with pytest.raises(ValueError, match=r"prime to f\(f\+1\)"):
+            fr(num, den)
+        with pytest.raises(ValueError, match=r"prime to f\(f\+1\)"):
+            FRational.from_text("(%s)/(%s)" % (FRational.poly(num),
+                                               FRational.poly(den)))
 
 
 def expand(*factors):
@@ -58,84 +60,84 @@ FP1 = (1, 1)  # f + 1
 @pytest.mark.parametrize("num, den, want_num, want_den", [
     # (f+1)(f+2) / (f+1)^3 -> (f+2)/(f+1)^2: part of the (f+1)^k cancels
     (expand(FP1, (2, 1)), expand(FP1, FP1, FP1), [2, 1], expand(FP1, FP1)),
-    # f^3 (f+2) / (f^2 (f+3)) -> f(f+2)/(f+3)
-    (expand(FP, FP, FP, (2, 1)), expand(FP, FP, (3, 1)),
-     expand(FP, (2, 1)), [3, 1]),
+    # f^3 (f+2) / (f^2 (f+1)) -> f(f+2)/(f+1)
+    (expand(FP, FP, FP, (2, 1)), expand(FP, FP, FP1),
+     expand(FP, (2, 1)), [1, 1]),
     # f^2 / (f^3 (f+1)) -> 1/(f^2+f)
     (expand(FP, FP), expand(FP, FP, FP, FP1), [1], [0, 1, 1]),
-    # (f+1)^2 (f-3) / (f (f+2)): no f+1 below, nothing cancels
-    (expand(FP1, FP1, (-3, 1)), expand(FP, (2, 1)),
-     expand(FP1, FP1, (-3, 1)), [0, 2, 1]),
-    # f (f+1)^2 (f^2+1) / ((f+1)(f^2+1)(f-2)) -> (f^2+f)/(f-2)
+    # (f+1)^2 (f-3) / f^2: no f+1 below, nothing cancels
+    (expand(FP1, FP1, (-3, 1)), expand(FP, FP),
+     expand(FP1, FP1, (-3, 1)), [0, 0, 1]),
+    # a denominator factor prime to f(f+1) is refused, whether the
+    # numerator shares it, as f (f+1)^2 (f^2+1) / ((f+1)(f^2+1)(f-2)) ...
     (expand(FP, FP1, FP1, (1, 0, 1)), expand(FP1, (1, 0, 1), (-2, 1)),
-     [0, 1, 1], [-2, 1]),
-    # (f+1)(f^2+1) / ((f+1)^2 (f^2+f+1)): the rest is coprime
-    (expand(FP1, (1, 0, 1)), expand(FP1, FP1, (1, 1, 1)),
-     [1, 0, 1], expand(FP1, (1, 1, 1))),
+     None, None),
+    # ... or not, as (f+1)(f^2+1) / ((f+1)^2 (f^2+f+1))
+    (expand(FP1, (1, 0, 1)), expand(FP1, FP1, (1, 1, 1)), None, None),
 ], ids=["part-of-f1-power", "f-powers-both-sides", "f-power-left-below",
         "f1-only-above", "common-rest", "coprime-rest"])
 def test_cancel_branches(num, den, want_num, want_den):
+    if want_num is None:
+        with pytest.raises(ValueError, match=r"prime to f\(f\+1\)"):
+            fr(num, den)
+        with pytest.raises(ValueError, match=r"prime to f\(f\+1\)"):
+            FRational.from_text("(%s)/(%s)" % (FRational.poly(num),
+                                               FRational.poly(den)))
+        return
     r = fr(num, den)
     assert r.num.coefficients == tuple(want_num)
     assert r.den.coefficients == tuple(want_den)
+    assert FRational.from_text(r.as_text()) == r
 
 
 def stored(r):
-    return r._np, r._nd, r._j, r._k, r._rest
+    return r._np, r._nd, r._j, r._k
 
 
 def assert_canonical(r):
-    """Every invariant of the stored form (np, nd, j, k, rest)."""
-    np, nd, j, k, rest = stored(r)
+    """Every invariant of the stored form (np, nd, j, k)."""
+    np, nd, j, k = stored(r)
     if not np:
-        assert (nd, j, k, rest) == (1, 0, 0, (1,))
+        assert (nd, j, k) == (1, 0, 0)
         return
     assert isinstance(np, tuple) and np[-1] != 0
-    assert nd > 0 and gcd(_pcontent(np), nd) == 1
+    assert nd > 0 and gcd(nd, *np) == 1
     assert j >= 0 and k >= 0
+    # np is prime to the denominator f^j (f+1)^k
     if j:
         assert np[0] != 0
     if k:
         assert sum(np[::2]) - sum(np[1::2]) != 0
-    # rest: primitive, positive lead, prime to f, f + 1 and the numerator
-    assert _pcontent(rest) == 1 and rest[-1] > 0
-    assert rest[0] != 0 and sum(rest[::2]) - sum(rest[1::2]) != 0
-    if len(rest) > 1 and len(np) > 1:
-        assert _prs_gcd(_psplit(np)[1], rest) == (1,)
 
 
 def test_normalization_is_reduced_and_keeps_the_value():
-    # random c f^a (f+1)^b cofactor quotients, with a shared factor half of
-    # the time; the check reads only the stored form, _pmul and _prs_gcd
+    # random quotients of c f^a (f+1)^b cofactor by c f^a (f+1)^b, with a
+    # shared factor f^a (f+1)^b half of the time; the check reads only the
+    # stored form and _pmul
     rng = random.Random(5)
+
+    def unit():
+        return expand(*[FP] * rng.randint(0, 3) + [FP1] * rng.randint(0, 3),
+                      [rng.choice([-3, -1, 1, 2])])
 
     def factor():
         cof = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
         cof[-1] = cof[-1] or 1
-        return expand(*[FP] * rng.randint(0, 3) + [FP1] * rng.randint(0, 3),
-                      cof, [rng.choice([-3, -1, 1, 2])])
+        return expand(unit(), cof)
 
     for _ in range(300):
-        num, den = factor(), factor()
+        num, den = factor(), unit()
         if rng.random() < 0.5:
-            common = factor()
+            common = unit()
             num, den = expand(num, common), expand(den, common)
         r = fr(num, den)
         assert_canonical(r)
         assert FRational.from_text(r.as_text()) == r
         np, nd, dp = r._np, r._nd, r._dp
-        assert _prs_gcd(_psplit(np)[1], dp) == (1,), (num, den)
-        # num/den == (np/nd) * lc(dp)/dp
+        # num/den == np / (nd dp), with dp = f^j (f+1)^k monic
+        assert dp[-1] == 1
         assert (_pmul(tuple(num), _pscale(dp, nd))
-                == _pmul(tuple(den), _pscale(np, dp[-1]))), (num, den)
-
-
-def localised(rng, scalars=(1, 2, 3, 6, 35)):
-    """A random N / (c f^j (f+1)^k): the values the computation meets."""
-    num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
-    den = expand([rng.choice(scalars)],
-                 *[FP] * rng.randint(0, 4) + [FP1] * rng.randint(0, 4))
-    return fr(num, den)
+                == _pmul(tuple(den), np)), (num, den)
 
 
 def fold(pairs):
@@ -152,7 +154,6 @@ def dot(pairs):
 def test_sum_of_products_is_the_fold():
     rng = random.Random(11)
     a, b, c = (localised(rng) for _ in range(3))
-    other_rest = fr([1], [1, 0, 1])  # 1 / (f^2 + 1)
     cases = {
         "empty": [],
         "total-cancellation": [(a, b), (-a, b), (c, a), (a, -c)],
@@ -162,7 +163,6 @@ def test_sum_of_products_is_the_fold():
                             (fr([1], [1, 2, 1]), b), (ONE, c)],
         "mixed-scalars": [(fr([1], [2]), a), (fr([1], [3]), b),
                           (fr([5, 1], [7]), c)],
-        "rest": [(a, b), (other_rest, c), (b, c)],
     }
     for name, pairs in cases.items():
         got = dot(pairs)
@@ -196,21 +196,18 @@ def test_derivative_closed_form_is_the_quotient_rule(j, k):
 
 
 def test_localised_arithmetic_never_splits_a_denominator(monkeypatch):
-    # on N / (c f^j (f+1)^k) values only division splits a polynomial,
-    # the divisor's numerator, and no remainder sequence runs
+    # only division splits a polynomial, the divisor's numerator
     rng = random.Random(3)
     values = [localised(rng) for _ in range(30)]
 
     def refuse(*args):
-        raise AssertionError("denominator split or gcd on a localised value")
+        raise AssertionError("denominator split outside a division")
 
     monkeypatch.setattr(ratfunc, "_split", refuse)
-    monkeypatch.setattr(ratfunc, "_prs_gcd", refuse)
     for a, b in zip(values, values[1:]):
         for r in (a + b, a - b, a * b, a ** 3, a.derivative(),
                   sum_of_products([a, b, a], [b, b, F])):
             assert_canonical(r)
-            assert len(r._rest) == 1
 
 
 def test_multiplicative_inverse():
@@ -220,7 +217,7 @@ def test_multiplicative_inverse():
     # a divisor's denominator f^j (f+1)^k moves up into the numerator
     assert ONE / fr([1], [0, 0, 1]) == fr([0, 0, 1])
     assert fr([1], [0, 1, 1]) / fr([3], [0, 0, 1, 1]) == fr([0, 1], [3])
-    assert fr([1], [2, 3, 1]) / fr([1], [0, 1]) == fr([0, 1], [2, 3, 1])
+    assert fr([3], [1, 2, 1]) / fr([1], [0, 1]) == fr([0, 3], [1, 2, 1])
 
 
 def test_division_by_zero_raises():
@@ -250,11 +247,9 @@ def test_monic_denominator_and_structural_equality():
 
 
 def test_normalization_idempotence():
-    # the stored form reads back as np * lc(rest) / (nd f^j (f+1)^k rest)
-    for r in (fr([0, 2, 4], [6, 2]), fr([3, 1], [0, 0, 2, 2]), F, FR_ZERO):
-        np, nd, j, k, rest = stored(r)
-        again = _reduce(_pscale(np, rest[-1]), nd, j, k, rest)
-        assert stored(again) == stored(r)
+    # the stored form reads back as np / (nd f^j (f+1)^k)
+    for r in (fr([0, 2, 4], [0, 6, 6]), fr([3, 1], [0, 0, 2, 2]), F, FR_ZERO):
+        assert stored(_reduce(*stored(r))) == stored(r)
 
 
 def test_derivative_simple():
@@ -272,8 +267,8 @@ def test_derivative_quotient_rule_value():
 
 def test_derivation_property(rng):
     for _ in range(25):
-        a = random_frational(rng)
-        b = random_frational(rng)
+        a = localised(rng)
+        b = localised(rng)
         assert (a * b).derivative() == a * b.derivative() + b * a.derivative()
 
 
@@ -292,8 +287,8 @@ def test_evaluate_at_pole_raises():
 def test_evaluate_is_ring_homomorphism(rng):
     pts = [Fraction(2), Fraction(3), Fraction(1, 2)]
     for _ in range(20):
-        a = random_frational(rng)
-        b = random_frational(rng)
+        a = localised(rng)
+        b = localised(rng)
         for x in pts:
             try:
                 ax, bx = a.evaluate(x), b.evaluate(x)
@@ -305,14 +300,19 @@ def test_evaluate_is_ring_homomorphism(rng):
 
 def test_field_laws(rng):
     for _ in range(20):
-        a = random_frational(rng, max_deg=8)
-        b = random_frational(rng, max_deg=8)
-        c = random_frational(rng, max_deg=8)
+        a = localised(rng, max_deg=8)
+        b = localised(rng, max_deg=8)
+        c = localised(rng, max_deg=8)
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        if not a.is_zero:
-            assert a * (ONE / a) == ONE
+        # the units c f^i (f+1)^m divide; a factor prime to f(f+1) does not
+        u = fr(expand([rng.choice([-3, -1, 1, 2])],
+                      *[FP] * rng.randint(0, 3) + [FP1] * rng.randint(0, 3)),
+               expand([rng.choice([1, 2, 6])],
+                      *[FP] * rng.randint(0, 3) + [FP1] * rng.randint(0, 3)))
+        assert u * (ONE / u) == ONE
+        assert a / u * u == a
 
 
 def test_text_round_trip():
@@ -347,14 +347,14 @@ def test_power_and_negative_power():
 
 def test_fpolynomial_basics():
     # num/den are the read-only view the tracer reads: degree, coefficients
-    r = fr([0, 2, 4], [6, 2])  # (4f^2+2f)/(2f+6) = (2f^2+f)/(f+3)
+    r = fr([0, 2, 4], [2, 2])  # (4f^2+2f)/(2f+2) = (2f^2+f)/(f+1)
     assert r.num.degree == 2
     assert r.num.coefficients == (0, 1, 2)
     assert r.den.degree == 1
-    assert r.den.coefficients == (3, 1)
+    assert r.den.coefficients == (1, 1)
     assert str(r.num) == "2*f^2+f"
-    assert str(r.den) == "f+3"
-    assert r.num == fr([0, 1, 2]).num and r.den == fr([3, 1]).num
+    assert str(r.den) == "f+1"
+    assert r.num == fr([0, 1, 2]).num and r.den == fr([1, 1]).num
     assert r.num != r.den
     half = fr([1, 2], [2])
     assert half.num.coefficients == (Fraction(1, 2), 1)

@@ -4,7 +4,7 @@ from framedvertex.errors import ArityMismatch, IndexOutOfRange, NotDivisible
 from framedvertex.ratfunc import FR_ONE, FRational
 from framedvertex.tpoly import TPolynomial
 
-from conftest import random_frational
+from conftest import localised
 
 F = FRational.variable()
 
@@ -17,7 +17,7 @@ def rand_tpoly(rng, arity, max_deg=3, n_terms=4):
     terms = []
     for _ in range(n_terms):
         exps = tuple(rng.randint(0, max_deg) for _ in range(arity))
-        terms.append((exps, random_frational(rng, max_deg=2)))
+        terms.append((exps, localised(rng, max_deg=2)))
     return TPolynomial(arity, terms)
 
 
@@ -150,6 +150,33 @@ def test_embed_sum_is_the_sum_of_embeds(rng):
         p.embed_sum(4, [(0, 1), (2, 2)])
     with pytest.raises(IndexOutOfRange):
         p.embed_sum(4, [(0, 1), (0, 4)])
+
+
+def test_embed_sum_keeps_a_single_image(rng, monkeypatch):
+    # disjoint images: every monomial receives one coefficient, which is
+    # kept as it is, so no sum is formed
+    import framedvertex.tpoly as tpoly
+    p = rand_tpoly(rng, 1) * var(1, 0)  # no constant term, so no overlap
+    q = var(2, 0) + var(2, 1)
+    double = 2 * q
+    want = p.embed(3, (0,)) + p.embed(3, (1,)) + p.embed(3, (2,))
+    calls = []
+    real = tpoly.sum_of_products
+
+    def counting(xs, ys):
+        calls.append(len(xs))
+        return real(xs, ys)
+
+    monkeypatch.setattr(tpoly, "sum_of_products", counting)
+    maps = [(0,), (1,), (2,)]
+    got = p.embed_sum(3, maps)
+    assert calls == []
+    assert got == want
+    assert all(got.coefficient(e) is c
+               for m in maps for e, c in p.embed(3, m).terms())
+    # overlapping images still go through one sum per shared monomial
+    assert q.embed_sum(2, [(0, 1), (1, 0)]) == double
+    assert calls == [2, 2]
 
 
 def test_render_lines_sorted():
