@@ -30,15 +30,6 @@ def euler_field(p, slot):
     return cubic * dp
 
 
-def vector_field(p, slot):
-    """Apply t(t-1)/(f+1) d/dt in one variable slot (cut-join left side)."""
-    dp = p.partial_derivative(slot)
-    if dp.is_zero:
-        return dp
-    t = TPolynomial.variable(p.arity, slot)
-    return (t ** 2 - t) * _INV_F1 * dp
-
-
 class PhiTower:
     """phi_b and their t-derivatives, built once up to ``b_max``."""
 

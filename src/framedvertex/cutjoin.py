@@ -4,15 +4,25 @@ The generating polynomials H of the table must satisfy an exact
 differential-recursive identity: applying (d/df + sum_l t_l(t_l-1)/(f+1)
 d/dt_l) to H equals the sum of four terms built from lower-complexity
 cells (a genus reduction, two kinds of stable splittings, and a
-divided-difference term).  The identity is checked in the polynomial ring
-over Q(f), monomial by monomial; any nonzero residual means either the
-table or the term semantics is wrong.
+divided-difference term).  Any nonzero residual means either the table
+or the term semantics is wrong.
 
-The splitting and divided-difference terms sum one product over many slot
-maps.  Each is computed once per orbit of those maps and every other term
-is its relabelled image (``TPolynomial.embed_sum``); the relabelling comes
-from the verifier's own slot maps, never from a symmetry of the table
-under test, so the genus-reduction term and the left side stay per slot.
+The identity is checked at one coefficient per S_n orbit of monomials,
+the non-increasing exponent vectors.  That is the same exact test on
+every monomial, because the residual is symmetric in t_0..t_{n-1} whatever
+values the table holds: ``assemble_H`` sums every ordering of each sorted
+key, so every H is symmetric; the left side treats all slots alike; and
+the genus-reduction term sums over every slot, the splitting term over
+every joining slot and subset, the divided-difference term over every
+pair i < j (its summand is unchanged when i and j swap).  The symmetry
+comes from the assembly and from the verifier's own sums, never from the
+values under test.  Each term reads its coefficient at a representative:
+the left side from H, the genus-reduction term from E_n H(g-1, n+1), the
+splitting and divided-difference terms from one product or quotient per
+class of the verifier's slot maps, through every map of the class.  Each
+term covers every representative its full expansion would touch, so a
+report's ``residual_terms`` counts the nonzero orbit representatives of
+the residual (zero exactly when the identity holds).
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
@@ -22,13 +32,14 @@ recursion), used to pin the genus-0 cells and the one-point seed.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
-from .curvefun import euler_field, vector_field
+from .curvefun import euler_field
 from .engine import _subsets, assemble_H, is_stable
 from .errors import OutsideVerifiableSet, UnstableDependency
-from .ratfunc import FRational
+from .ratfunc import FR_ONE, FRational, sum_of_products
 from .tpoly import TPolynomial
 
 _F = FRational.variable()
@@ -51,7 +62,6 @@ def _dfact_odd(m):
 
 def _split_weights(legs):
     """Yield (sub, complement, count) over labeled subsets of a multiset."""
-    from collections import Counter
     items = sorted(Counter(legs).items())
 
     def rec(i, chosen, count):
@@ -149,7 +159,11 @@ class CutJoinReport:
 
 
 class CutJoinVerifier:
-    """Caches assembled polynomials across cell verifications."""
+    """Caches assembled polynomials across cell verifications.
+
+    Each term holds its coefficients at the orbit representatives it
+    touches, one ``sum_of_products`` each (see the module docstring).
+    """
 
     def __init__(self, table, tower):
         self.table = table
@@ -173,23 +187,56 @@ class CutJoinVerifier:
         return got
 
     def lhs(self, g, n):
-        h = self.H(g, n)
-        out = h.map_coefficients(lambda c: c.derivative())
-        for slot in range(n):
-            out = out + vector_field(h, slot)
-        return out
+        """(d/df + sum_l t_l(t_l-1)/(f+1) d/dt_l) H.
+
+        At e it reads H at e and at each e - 1_l.  H is symmetric, so the
+        representatives touched are those of its support and one step above.
+        """
+        h = dict(self.H(g, n).terms())
+        reps = set()
+        for r in h:
+            if _is_rep(r):
+                reps.add(r)
+                reps.update(_rep(_bump(r, l, 1)) for l in range(n))
+        reads = {}
+        for e in reps:
+            xs, ys = reads[e] = [], []
+            c = h.get(e)
+            if c is not None:
+                xs.append(c.derivative())
+                ys.append(FR_ONE)
+            for slot in range(n):
+                _field_reads(h, e, slot, _V, xs, ys)
+        return _sum_reads(n, reads)
 
     def t1(self, g, n):
+        """-1/2 sum over the slots l of E_l E_n H(g-1, n+1) with t_n set to t_l.
+
+        The coefficient at e sums the (E_l G)(e with e_l split as p + q, the
+        q on t_n) over l and p, with G = E_n H(g-1, n+1).  G is symmetric in
+        t_0..t_{n-1}, so the keys of G non-increasing there reach every
+        orbit: E_l moves a key by 0, 1 or 2 in slot l.
+        """
         if g == 0:
             return TPolynomial.zero(n)
         if not is_stable(g - 1, n + 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g - 1, n + 1))
-        inner = euler_field(self.H(g - 1, n + 1), n)
-        total = TPolynomial.zero(n)
-        for slot in range(n):
-            total = total + euler_field(inner, slot).substitute(n, slot)
-        return total * (-_HALF)
+        inner = dict(euler_field(self.H(g - 1, n + 1), n).terms())
+        reps = set()
+        for k in inner:
+            if _is_rep(k[:n]):
+                for l in range(n):
+                    merged = _bump(k[:n], l, k[n])
+                    reps.update(_rep(_bump(merged, l, j)) for j in range(3))
+        reads = {}
+        for e in reps:
+            xs, ys = reads[e] = [], []
+            for l, x in enumerate(e):
+                for p in range(x + 1):
+                    _field_reads(inner, e[:l] + (p,) + e[l + 1:] + (x - p,),
+                                 l, _E, xs, ys)
+        return _sum_reads(n, reads) * (-_HALF)
 
     def t2_t3(self, g, n):
         """-1/2 over the joining slot m and ordered stable splits.
@@ -201,8 +248,8 @@ class CutJoinVerifier:
         unordered terms.  ``_subsets`` lists subset and comp in increasing
         order, so the term is the image of the class product (first
         factor on slots 0..s, second on 0 and s+1..n-1) under the slot map
-        (m,) + subset + comp: one product per class (s, a), and every term
-        of the class is a relabelled copy of it.
+        (m,) + subset + comp: one product per class (s, a), read at each
+        representative through every map of its class.
         """
         maps = {}
         for m in range(n):
@@ -210,7 +257,7 @@ class CutJoinVerifier:
             for subset in _subsets(others):
                 comp = tuple(k for k in others if k not in subset)
                 maps.setdefault(len(subset), []).append((m,) + subset + comp)
-        total = TPolynomial.zero(n)
+        reads = {}
         for s, slot_maps in maps.items():
             second = tuple(range(1 + s, n))
             for a in range(0, g + 1):
@@ -218,8 +265,8 @@ class CutJoinVerifier:
                     continue
                 product = self.EH(a, 1 + s).embed(n, range(1 + s)) \
                     * self.EH(g - a, n - s).embed(n, (0,) + second)
-                total = total + (product * (-_HALF)).embed_sum(n, slot_maps)
-        return total
+                _image_reads(dict(product.terms()), slot_maps, reads)
+        return _sum_reads(n, reads) * (-_HALF)
 
     def t4(self, g, n):
         """Divided differences over the slot pairs i < j.
@@ -243,10 +290,11 @@ class CutJoinVerifier:
         t1 = TPolynomial.variable(n, 1)
         numer = t0 * (_F * t0 + 1) * (t1 - 1) * p_0 \
             - t1 * (_F * t1 + 1) * (t0 - 1) * p_1
-        term = numer.exact_divide_difference(0, 1) * _INV_F1
-        return term.embed_sum(n, [
+        reads = {}
+        _image_reads(dict(numer.exact_divide_difference(0, 1).terms()), [
             (i, j) + tuple(k for k in range(n) if k != i and k != j)
-            for i in range(n) for j in range(i + 1, n)])
+            for i in range(n) for j in range(i + 1, n)], reads)
+        return _sum_reads(n, reads) * _INV_F1
 
     def verify(self, g, n):
         if 2 * g - 2 + n < 2:
@@ -255,3 +303,64 @@ class CutJoinVerifier:
                 % (g, n))
         rhs = self.t1(g, n) + self.t2_t3(g, n) + self.t4(g, n)
         return CutJoinReport(g, n, self.lhs(g, n), rhs)
+
+
+# ---------------------------------------------------------------------------
+# reading a term at orbit representatives
+# ---------------------------------------------------------------------------
+
+# c(t) of the fields c(t) d/dt, as {power of t: coefficient}: the left
+# side's t(t-1)/(f+1) and E = t(t-1)(ft+1)/(f+1)
+_V = {1: -_INV_F1, 2: _INV_F1}
+_E = {1: -_INV_F1, 2: (1 - _F) * _INV_F1, 3: _F * _INV_F1}
+
+
+def _rep(key):
+    """The representative of the S_n orbit of an exponent vector."""
+    return tuple(sorted(key, reverse=True))
+
+
+def _is_rep(key):
+    return all(a >= b for a, b in zip(key, key[1:]))
+
+
+def _bump(key, slot, by):
+    return key[:slot] + (key[slot] + by,) + key[slot + 1:]
+
+
+def _field_reads(terms, key, slot, field, xs, ys):
+    """Append the factors whose sum of products is the coefficient at
+    ``key`` of c(t) d/dt_slot applied to the polynomial with ``terms``:
+    each c_i t^i d/dt reads the key i - 1 lower in ``slot``."""
+    x = key[slot]
+    for i, c in field.items():
+        m = x - i + 1
+        if m > 0:
+            v = terms.get(_bump(key, slot, 1 - i))
+            if v is not None:
+                xs.append(v)
+                ys.append(c * m)
+
+
+def _image_reads(terms, slot_maps, reads):
+    """Add the reads of the sum of the images of ``terms`` under the slot
+    maps at every representative those images touch.
+
+    The image under m puts variable k on slot m[k], so its coefficient at
+    e is ``terms[e o m]``; an image only permutes a key, so the
+    representatives of the keys of ``terms`` are all it touches.
+    """
+    for e in {_rep(k) for k in terms}:
+        xs, ys = reads.setdefault(e, ([], []))
+        for key, count in Counter(tuple(e[i] for i in m)
+                                  for m in slot_maps).items():
+            v = terms.get(key)
+            if v is not None:
+                xs.append(v)
+                ys.append(FRational.from_int(count))
+
+
+def _sum_reads(n, reads):
+    """The polynomial with one ``sum_of_products`` per representative."""
+    return TPolynomial(n, [(e, sum_of_products(xs, ys))
+                           for e, (xs, ys) in reads.items()])

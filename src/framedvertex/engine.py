@@ -143,6 +143,8 @@ class BracketTable:
                 value = FRational.from_text(text_value)
             except DivisionByZero:
                 raise ValueError("zero denominator in %s" % key)
+            except ValueError as exc:
+                raise ValueError("bad value for %s: %s" % (key, exc))
             cell[indices] = value
         return table
 

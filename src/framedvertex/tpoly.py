@@ -199,7 +199,7 @@ class TPolynomial:
     def __bool__(self):
         return bool(self._terms)
 
-    # -- calculus / substitution ---------------------------------------------
+    # -- calculus / relabelling ----------------------------------------------
 
     def partial_derivative(self, slot):
         self._check_slot(slot)
@@ -207,24 +207,6 @@ class TPolynomial:
         return TPolynomial._raw(self._arity, {
             exps[:slot] + (exps[slot] - 1,) + exps[slot + 1:]: c * exps[slot]
             for exps, c in self._terms.items() if exps[slot]})
-
-    def substitute(self, slot, target):
-        """Replace variable ``slot`` by variable ``target``; arity drops by one.
-
-        Remaining variables keep their order, so indices above ``slot``
-        shift down by one.
-        """
-        self._check_slot(slot)
-        self._check_slot(target)
-        if slot == target:
-            raise IndexOutOfRange("cannot substitute a variable into itself")
-        t_new = target if target < slot else target - 1
-        out = {}
-        for exps, c in self._terms.items():
-            rest = list(exps[:slot] + exps[slot + 1:])
-            rest[t_new] += exps[slot]
-            add_term(out, tuple(rest), c)
-        return TPolynomial._raw(self._arity - 1, out)
 
     def embed(self, arity, slot_map):
         """Map this polynomial into a larger ring along explicit slots.

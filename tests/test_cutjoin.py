@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
 
-from framedvertex.curvefun import PhiTower
+from framedvertex.curvefun import PhiTower, euler_field
 from framedvertex.cutjoin import CutJoinVerifier, psi_oracle
 from framedvertex.engine import (BracketTable, assemble_H, is_stable,
-                                 run_to_budget, seed_initial_data)
+                                 run_to_budget, seed_initial_data,
+                                 support_bound)
 from framedvertex.errors import OutsideVerifiableSet
 from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
+
+from conftest import localised, substitute
 
 F = FRational.variable()
 
@@ -85,7 +88,12 @@ def test_lhs_hand_value_three_point(tower):
     tsum = t[0] + t[1] + t[2]
     scale = (F + 1) ** -2
     want = -(prod * (F ** 2 + 2 * F) + prod * tsum * F ** 2) * scale
-    assert got == want
+    for perm in permutations(range(3)):
+        assert want.embed(3, perm) == want
+    # one coefficient per orbit; the hand value is symmetric, so its
+    # restriction determines it
+    assert got == restricted(want)
+    assert got == restricted(full_lhs(v, 0, 3))
 
 
 def test_t1_vanishes_at_genus0(table3, tower):
@@ -143,12 +151,97 @@ def test_report_json(table3, tower):
 
 
 # ---------------------------------------------------------------------------
-# relabelling: t2_t3, t4 and assemble_H against per-term loops
+# orbit terms against full per-slot, per-subset and per-pair forms
 # ---------------------------------------------------------------------------
 
 REFERENCE_CHI4 = (Path(__file__).resolve().parents[1]
                   / "perfbench" / "reference" / "brackets_chi4.json")
 HALF = FRational.from_fraction("1/2")
+
+
+def restricted(p):
+    """The terms of ``p`` at non-increasing exponent vectors, one per S_n
+    orbit of monomials: what an orbit term holds."""
+    return TPolynomial(p.arity, [(e, c) for e, c in p.terms()
+                                 if all(a >= b for a, b in zip(e, e[1:]))])
+
+
+def full_lhs(v, g, n):
+    h = v.H(g, n)
+    total = h.map_coefficients(lambda c: c.derivative())
+    for slot in range(n):
+        t = TPolynomial.variable(n, slot)
+        total = total + (t * t - t) * h.partial_derivative(slot) \
+            * (F + 1) ** -1
+    return total
+
+
+def per_slot_t1(v, g, n):
+    if g == 0:
+        return TPolynomial.zero(n)
+    inner = euler_field(v.H(g - 1, n + 1), n)
+    total = TPolynomial.zero(n)
+    for slot in range(n):
+        total = total + substitute(euler_field(inner, slot), n, slot)
+    return total * (-HALF)
+
+
+def per_subset_t2_t3(v, g, n):
+    total = TPolynomial.zero(n)
+    for m in range(n):
+        others = tuple(k for k in range(n) if k != m)
+        for size in range(n):
+            for subset in combinations(others, size):
+                comp = tuple(k for k in others if k not in subset)
+                k1 = 1 + len(subset)
+                k2 = 1 + len(comp)
+                for a in range(0, g + 1):
+                    if not (is_stable(a, k1) and is_stable(g - a, k2)):
+                        continue
+                    term = v.EH(a, k1).embed(n, (m,) + subset) \
+                        * v.EH(g - a, k2).embed(n, (m,) + comp)
+                    total = total + term * (-HALF)
+    return total
+
+
+def per_pair_t4(v, g, n):
+    total = TPolynomial.zero(n)
+    if n < 2:
+        return total
+    base = v.EH(g, n - 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = tuple(k for k in range(n) if k != i and k != j)
+            p_i = base.embed(n, (i,) + rest)
+            p_j = base.embed(n, (j,) + rest)
+            ti = TPolynomial.variable(n, i)
+            tj = TPolynomial.variable(n, j)
+            numer = ti * (F * ti + 1) * (tj - 1) * p_i \
+                - tj * (F * tj + 1) * (ti - 1) * p_j
+            total = total + numer.exact_divide_difference(i, j) * (F + 1) ** -1
+    return total
+
+
+FULL_FORMS = {"lhs": full_lhs, "t1": per_slot_t1, "t2_t3": per_subset_t2_t3,
+              "t4": per_pair_t4}
+
+
+@pytest.fixture(scope="module")
+def table4():
+    return BracketTable.from_json(REFERENCE_CHI4.read_text())
+
+
+@pytest.mark.parametrize("term", list(FULL_FORMS))
+def test_orbit_terms_restrict_the_full_forms(table4, term):
+    v = CutJoinVerifier(table4, PhiTower(6))
+    nonzero = 0
+    for g, n in table4.cells():
+        if 2 * g - 2 + n < 2:
+            continue
+        got = getattr(v, term)(g, n)
+        assert got == restricted(FULL_FORMS[term](v, g, n)), (g, n)
+        nonzero += not got.is_zero
+    assert nonzero >= 3
 
 
 class RandomEH(CutJoinVerifier):
@@ -179,57 +272,41 @@ class RandomEH(CutJoinVerifier):
         return got
 
 
-def per_subset_t2_t3(v, g, n):
-    total = TPolynomial.zero(n)
-    for m in range(n):
-        others = tuple(k for k in range(n) if k != m)
-        for size in range(n):
-            for subset in combinations(others, size):
-                comp = tuple(k for k in others if k not in subset)
-                k1 = 1 + len(subset)
-                k2 = 1 + len(comp)
-                for a in range(0, g + 1):
-                    if not (is_stable(a, k1) and is_stable(g - a, k2)):
-                        continue
-                    term = v.EH(a, k1).embed(n, (m,) + subset) \
-                        * v.EH(g - a, k2).embed(n, (m,) + comp)
-                    total = total + term * (-HALF)
-    return total
-
-
-def per_pair_t4(v, g, n):
-    base = v.EH(g, n - 1)
-    total = TPolynomial.zero(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = tuple(k for k in range(n) if k != i and k != j)
-            p_i = base.embed(n, (i,) + rest)
-            p_j = base.embed(n, (j,) + rest)
-            ti = TPolynomial.variable(n, i)
-            tj = TPolynomial.variable(n, j)
-            numer = ti * (F * ti + 1) * (tj - 1) * p_i \
-                - tj * (F * tj + 1) * (ti - 1) * p_j
-            total = total + numer.exact_divide_difference(i, j) * (F + 1) ** -1
-    return total
-
-
 @pytest.mark.parametrize("cell", [(0, 5), (1, 3), (1, 4), (2, 2)],
                          ids=["0,5", "1,3", "1,4", "2,2"])
 def test_terms_are_relabelled_products_on_asymmetric_input(cell):
+    # the orbit terms read every image of the class product or quotient,
+    # so they restrict the full sums even when EH has no symmetry at all
     g, n = cell
     v = RandomEH(7)
     if n > 2:  # the base of t4 has no slot symmetry
         eh = v.EH(g, n - 1)
         assert eh.embed(n - 1, tuple(reversed(range(n - 1)))) != eh
     t2_t3 = v.t2_t3(g, n)
-    assert t2_t3 == per_subset_t2_t3(v, g, n)
+    assert t2_t3 == restricted(per_subset_t2_t3(v, g, n))
     assert not t2_t3.is_zero
-    assert v.t4(g, n) == per_pair_t4(v, g, n)
+    t4 = v.t4(g, n)
+    assert t4 == restricted(per_pair_t4(v, g, n))
+    assert not t4.is_zero
 
 
-@pytest.fixture(scope="module")
-def table4():
-    return BracketTable.from_json(REFERENCE_CHI4.read_text())
+@pytest.mark.parametrize("cell", [(0, 5), (1, 4), (2, 2)],
+                         ids=["0,5", "1,4", "2,2"])
+def test_assemble_H_is_symmetric_for_any_values(cell):
+    # the premise of checking one coefficient per orbit: H is symmetric
+    # by construction, whatever the table holds
+    g, n = cell
+    bound = support_bound(g, n)
+    rng = random.Random("premise/%d/%d" % cell)
+    table = BracketTable()
+    table.mark_cell(g, n, {
+        key: localised(rng)
+        for key in combinations_with_replacement(range(bound + 1), n)
+        if sum(key) <= bound})
+    h = assemble_H(g, n, table, PhiTower(bound))
+    assert not h.is_zero
+    for perm in permutations(range(n)):
+        assert h.embed(n, perm) == h, perm
 
 
 def test_assemble_H_matches_per_ordering_products(table4):

@@ -1,12 +1,9 @@
 """Deeper cross-validation over the full complexity-5 budget.
 
-Every cell is generated, the cut-and-join identity is verified on the
-large cells the other suites skip, the top-dimension shell of every cell
-is compared against the bare-integral oracle at all genera, and two
-assembled cells are checked for full permutation symmetry.
+Every cell is generated, the cut-and-join identity is verified on every
+complexity-5 cell, and the top-dimension shell of every cell is compared
+against the bare-integral oracle at all genera.
 """
-
-from itertools import permutations
 
 import pytest
 
@@ -30,7 +27,7 @@ def tower():
 
 def test_identity_on_remaining_cells(table5, tower):
     v = CutJoinVerifier(table5, tower)
-    for g, n in [(0, 6), (2, 3), (1, 5)]:
+    for g, n in [(0, 6), (2, 3), (1, 5), (0, 7), (3, 1)]:
         report = v.verify(g, n)
         assert report.passed, (g, n, report.residual_terms)
 
@@ -44,10 +41,3 @@ def test_top_shell_all_genera(table5):
                     FRational.from_fraction(psi_oracle(g, key))
                 assert value == want, (g, key)
 
-
-def test_assembled_cells_fully_symmetric(table5, tower):
-    from framedvertex.engine import assemble_H
-    for g, n in [(2, 2), (1, 4)]:
-        h = assemble_H(g, n, table5, tower)
-        for perm in permutations(range(n)):
-            assert h.embed(n, perm) == h, (g, n, perm)
