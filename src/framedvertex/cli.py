@@ -281,9 +281,11 @@ def _suite_kernels(args, table):
 
 
 def _suite_symmetry(args, table):
-    # the support bound of every cell; the permutation symmetry of the
-    # assembled polynomials holds by construction (``assemble_H`` sums
-    # every ordering of a sorted key), so no row can test it on a table
+    # the support bound of every cell, which ``BracketTable.from_json``
+    # enforces and ``recursion_step`` checks, so these rows restate it for
+    # the table as loaded; the permutation symmetry of the assembled
+    # polynomials holds by construction (``assemble_H`` sums every ordering
+    # of a sorted key), so no row can test it on a table
     results = []
     for g, n in _budget_cells(args, table):
         ok = all(sum(key) <= support_bound(g, n)

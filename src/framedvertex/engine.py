@@ -3,12 +3,18 @@
 The table stores exact values indexed by genus and a sorted tuple of
 descendant indices.  Starting from the three-point and one-point seeds,
 each stable cell (g, n) is produced from strictly lower-complexity cells
-(complexity chi = 2g - 2 + n) by matching coefficients in the phi' basis:
+(complexity chi = 2g - 2 + n) by matching coefficients in the phi' basis,
+in the scale where the brackets carry no power of f(f+1):
 
-    (f(f+1))^{n-1} sum_b bracket(g, b) prod_k phi'_{b_k}(t_k)
-      =   (f(f+1))^n     [genus-reduction sum with pair kernels]
-        - (f(f+1))^{n-1} [stable-splitting sum with pair kernels]
-        - (f(f+1))^{n-2} [point-kernel sum over companion slots]
+    sum_b bracket(g, b) prod_k phi'_{b_k}(t_k)
+      =   f(f+1)       [genus-reduction sum with pair kernels]
+        -              [stable-splitting sum with pair kernels]
+        - (f(f+1))^-1  [point-kernel sum over companion slots]
+
+Each sum walks the stored entries of its lower cell or cells and reads
+every key in each of its distinct orderings, so an absent (zero) bracket
+costs nothing.  The loader refuses an entry past its cell's support
+bound, so every stored entry belongs in the sums.
 
 The right side distinguishes slot 0, so recovering values that are
 symmetric under permutations of all slots is a strong consistency check;
@@ -108,8 +114,9 @@ class BracketTable:
 
         That covers the structure the table relies on: every listed cell is
         stable, and every entry lies in a listed cell under a non-decreasing
-        tuple of non-negative indices.  The support bound is left to the
-        symmetry suite, which reports it.
+        tuple of non-negative indices whose sum is within the cell's support
+        bound.  The recursion reads every stored entry, so an entry past the
+        bound is bad input, refused here.
         """
         obj = json.loads(text)
         if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
@@ -130,13 +137,18 @@ class BracketTable:
         for key, text_value in entries.items():
             g_s, idx = key.split("|")
             indices = tuple(int(x) for x in idx.split(",")) if idx else ()
-            cell = table._cells.get((int(g_s), len(indices)))
+            g, n = int(g_s), len(indices)
+            cell = table._cells.get((g, n))
             if cell is None:
                 raise ValueError("entry %s is outside the listed cells"
                                  % key)
             if list(indices) != sorted(indices) or any(b < 0 for b in indices):
                 raise ValueError("entry %s needs non-decreasing, non-negative "
                                  "indices" % key)
+            if sum(indices) > support_bound(g, n):
+                raise ValueError("entry %s sums past the support bound %d of "
+                                 "cell (%d, %d)"
+                                 % (key, support_bound(g, n), g, n))
             if not isinstance(text_value, str):
                 raise ValueError("bad value %r for %s" % (text_value, key))
             try:
@@ -160,21 +172,18 @@ def seed_initial_data():
     return table
 
 
-def _compositions(slots, bound):
-    """All tuples of ``slots`` non-negative ints with sum <= bound."""
-    if slots == 0:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _compositions(slots - 1, bound - first):
-            yield (first,) + rest
-
-
 def _subsets(items):
     out = [()]
     for x in items:
         out += [s + (x,) for s in out]
     return out
+
+
+def _orderings(entries):
+    """(beta, value) for every distinct ordering beta of each stored key."""
+    for key, value in entries.items():
+        for beta in set(permutations(key)):
+            yield beta, value
 
 
 def recursion_step(g, n, table, workspace):
@@ -191,82 +200,47 @@ def recursion_step(g, n, table, workspace):
     spect = n - 1  # companion slots 1..n-1
 
     # genus reduction: brackets at (g-1, n+1) against pair kernels
-    if g >= 1:
-        bound = support_bound(g - 1, n + 1)
-        pref = _FF1 ** n
-        for bs in _compositions(spect, bound):
-            rem = bound - sum(bs)
-            for a1 in range(rem + 1):
-                for a2 in range(rem - a1 + 1):
-                    br = table.value(g - 1, (a1, a2) + bs)
-                    if br.is_zero:
-                        continue
-                    w = pref * br
+    if is_stable(g - 1, n + 1):
+        for beta, br in _orderings(table.cell_entries(g - 1, n + 1)):
+            w = _FF1 * br
+            for c, dc in workspace.decompose_pair_kernel(*beta[:2]).items():
+                add_term(coeff, (c,) + beta[2:], w * dc)
+
+    # stable splittings: ordered pairs of lower cells against pair kernels;
+    # b_i goes on the subset slots, b_j on the rest
+    for g1 in range(g + 1):
+        for idx in _subsets(tuple(range(spect))):
+            rest = tuple(k for k in range(spect) if k not in idx)
+            if not (is_stable(g1, 1 + len(idx))
+                    and is_stable(g - g1, 1 + len(rest))):
+                continue
+            place = [(idx + rest).index(k) for k in range(spect)]
+            second = list(_orderings(table.cell_entries(g - g1,
+                                                        1 + len(rest))))
+            for (a1, *b_i), br1 in _orderings(
+                    table.cell_entries(g1, 1 + len(idx))):
+                for (a2, *b_j), br2 in second:
+                    b = b_i + b_j
+                    bs = tuple(b[p] for p in place)
+                    w = -(br1 * br2)
                     for c, dc in workspace.decompose_pair_kernel(a1, a2).items():
                         add_term(coeff, (c,) + bs, w * dc)
 
-    # stable splittings: ordered pairs of lower cells against pair kernels
-    if spect >= 0:
-        pref = _FF1 ** (n - 1)
-        splits = []
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for idx in _subsets(tuple(range(spect))):
-                if not is_stable(g1, 1 + len(idx)):
-                    continue
-                if not is_stable(g2, 1 + (spect - len(idx))):
-                    continue
-                splits.append((g1, g2, frozenset(idx)))
-        if splits:
-            for bs in _compositions(spect, max(0, support_bound(g, n) - 2)):
-                for g1, g2, idx in splits:
-                    b_i = tuple(bs[k] for k in range(spect) if k in idx)
-                    b_j = tuple(bs[k] for k in range(spect) if k not in idx)
-                    bound1 = support_bound(g1, 1 + len(b_i)) - sum(b_i)
-                    bound2 = support_bound(g2, 1 + len(b_j)) - sum(b_j)
-                    if bound1 < 0 or bound2 < 0:
-                        continue
-                    for a1 in range(bound1 + 1):
-                        br1 = table.value(g1, (a1,) + b_i)
-                        if br1.is_zero:
-                            continue
-                        for a2 in range(bound2 + 1):
-                            br2 = table.value(g2, (a2,) + b_j)
-                            if br2.is_zero:
-                                continue
-                            w = pref * br1 * br2
-                            for c, dc in workspace.decompose_pair_kernel(a1, a2).items():
-                                add_term(coeff, (c,) + bs, -(w * dc))
+    # companion-slot terms: brackets at (g, n-1) against point kernels,
+    # d on companion slot j and the rest of beta on the other slots
+    if is_stable(g, n - 1):
+        for (b, *bs), br in _orderings(table.cell_entries(g, n - 1)):
+            w = -br / _FF1
+            for (c, d), dc in workspace.decompose_point_kernel(b).items():
+                wdc = w * dc
+                for j in range(1, n):
+                    add_term(coeff, (c, *bs[:j - 1], d, *bs[j - 1:]), wdc)
 
-    # companion-slot terms: brackets at (g, n-1) against point kernels
-    if n >= 2:
-        bound = support_bound(g, n - 1)
-        pref = _FF1 ** (n - 2)
-        for j in range(1, n):
-            for bs in _compositions(n - 2, bound):
-                rem = bound - sum(bs)
-                for b in range(rem + 1):
-                    br = table.value(g, (b,) + bs)
-                    if br.is_zero:
-                        continue
-                    w = pref * br
-                    for (c, d), dc in workspace.decompose_point_kernel(b).items():
-                        beta = [0] * n
-                        beta[0] = c
-                        beta[j] = d
-                        others = iter(bs)
-                        for k in range(1, n):
-                            if k != j:
-                                beta[k] = next(others)
-                        add_term(coeff, tuple(beta), -(w * dc))
-
-    # extraction: divide out the prefactor, check symmetry and support
-    scale = _FF1 ** (n - 1)
+    # extraction: check symmetry and support
     bound_new = support_bound(g, n)
-    values = {beta: v / scale for beta, v in coeff.items()}
     entries = {}
     seen = set()
-    for beta, v in values.items():
+    for beta, v in coeff.items():
         if sum(beta) > bound_new and not v.is_zero:
             raise SupportBoundViolation(
                 "cell (%d,%d): nonzero bracket at %s beyond bound %d"
@@ -276,7 +250,7 @@ def recursion_step(g, n, table, workspace):
             continue
         seen.add(key)
         variants = set(permutations(key))
-        vals = {values.get(p, FR_ZERO) for p in variants}
+        vals = {coeff.get(p, FR_ZERO) for p in variants}
         if len(vals) != 1:
             raise SymmetryViolation(
                 "cell (%d,%d): asymmetric extraction at %s" % (g, n, key))

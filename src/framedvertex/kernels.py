@@ -126,14 +126,18 @@ def kernel_I_via_involution(a, b, curve, tower):
 
     -1/(4 eta_{-1}) (phi_{a+1}(t) phi_{b+1}(s(t)) + phi_{a+1}(s(t)) phi_{b+1}(t))
     times (f+1)/(t(t-1)(ft+1)), polynomial part.
+
+    s(t) is t(v) at -v, so each phi is composed once and phi(s(t)) is that
+    composition at -v.  ``kernel_I`` builds P_{a,b} from the eta series
+    without the involution, so this form stays independent of it.
     """
     pa_t = compose_polynomial(tower.phi_coeffs(a + 1), curve.t_of_v)
-    pa_s = compose_polynomial(tower.phi_coeffs(a + 1), curve.s_t_of_v)
+    pa_s = pa_t.negate_variable()
     if a == b:
         pb_t, pb_s = pa_t, pa_s
     else:
         pb_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
-        pb_s = compose_polynomial(tower.phi_coeffs(b + 1), curve.s_t_of_v)
+        pb_s = pb_t.negate_variable()
     numer = pa_t * pb_s + pa_s * pb_t
     cubic = curve.t_of_v * (curve.t_of_v - VSeries.one(curve.trunc)) \
         * (curve.t_of_v * _F + VSeries.one(curve.trunc))
@@ -157,7 +161,8 @@ def kernel_II(b, curve, tower):
 
     because the deck map v -> -v sends t to s(t) and zbar to z, and
     eta_{-1} is odd.  So phi_{b+1} is composed once and C_k advances by
-    one factor of zbar per k.
+    one factor of zbar per k.  ``kernel_II_symmetrized`` composes through
+    s(t) as well, so it checks this v -> -v shortcut.
 
     Window: phi_{b+1} has degree d = 2b+3 and t(v) lead -1, so Horner at
     t(v) cut to its first d coefficients (through v^{d-2}) gives
@@ -193,6 +198,10 @@ def kernel_II_symmetrized(b, curve, tower):
 
     (phi_{b+1}(t) B(t, t_i) + phi_{b+1}(s(t)) B(s(t), t_i)) / (2 eta_{-1}),
     polynomial part per t_i-coefficient.  Must agree with ``kernel_II``.
+
+    phi_{b+1} is composed through t(v) and through s(t(v)) separately, and
+    not by v -> -v: that substitution is the shortcut of ``kernel_II``
+    which this form checks.
     """
     cap = 2 * b + 6
     phi_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)

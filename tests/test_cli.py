@@ -268,13 +268,15 @@ def table_text(cells, entries):
     (table_text(["0,3", "1,1"], {"2|4": "1"}), "outside the listed cells"),
     (table_text(["0,3", "1,1"], {"0|1,0,0": "1"}), "non-decreasing"),
     (table_text(["0,3", "1,1"], {"1|-1": "1"}), "non-negative"),
+    (table_text(["0,3", "1,1"], {"1|2": "1"}),
+     "entry 1|2 sums past the support bound 1"),
     (table_text(["0,2", "0,3", "1,1"], {}), "(0, 2) is not stable"),
     # a file cut off mid-write
     (table_text(["0,3", "1,1"], {"0|0,0,0": "1", "1|1": "1/24"})[:60],
      "Expecting value"),
 ], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
-        "unlisted-cell", "unsorted-index", "negative-index", "unstable-cell",
-        "cut-mid-file"])
+        "unlisted-cell", "unsorted-index", "negative-index", "past-support",
+        "unstable-cell", "cut-mid-file"])
 def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
                                               reason):
     (tmp_path / "brackets.json").write_text(cache_text)

@@ -1,11 +1,13 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from framedvertex.engine import (BracketTable, assemble_H, budget_cells,
+                                 make_workspace, recursion_step,
                                  run_to_budget, seed_initial_data,
                                  support_bound)
-from framedvertex.errors import MissingDependency
+from framedvertex.errors import MissingDependency, SymmetryViolation
 from framedvertex.curvefun import PhiTower
 from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
@@ -95,6 +97,23 @@ def test_run_is_idempotent(table3):
     again = run_to_budget(3, table=table3)
     assert again is table3
     assert {c: again.cell_entries(*c) for c in again.cells()} == before
+
+
+def test_chi6_table_is_pinned():
+    text = run_to_budget(6).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "12d661edf3284f0bb2078029a762431197f02dda2af7334600e54a1e27d0fb3b"
+
+
+def test_tampered_lower_cell_fails_the_extraction():
+    # the splitting sum puts slot 0 apart, so a wrong (1,2) value feeds an
+    # asymmetric coefficient set into (1,4)
+    table = run_to_budget(4)
+    entries = table.cell_entries(1, 2)
+    entries[(0, 1)] = entries[(0, 1)] + 1
+    table.mark_cell(1, 2, entries)
+    with pytest.raises(SymmetryViolation):
+        recursion_step(1, 4, table, make_workspace(budget_cells(4)))
 
 
 def test_assemble_three_point():
