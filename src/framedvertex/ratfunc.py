@@ -27,7 +27,12 @@ factor prime to f (f+1) is left, so a cache value such as
 ``sum_of_products`` puts a list of products over one common denominator
 N f^J (f+1)^K, sums the integer numerators and reduces once (delayed
 reduction), so series products, multivariate products and sums of slot
-images cost one reduction per output coefficient.
+images cost one reduction per output coefficient.  A sum of at least
+``_PACK_MIN`` products forms each numerator product as one integer
+product of the images at f = 2^B (Kronecker substitution), with B chosen
+per call from a proved bound on the total's coefficients so that the
+total reads back exactly; shorter sums, where packing costs more than it
+saves, keep the schoolbook loop.
 
 A value is built only by ``FRational.from_int``, ``from_fraction``,
 ``poly``, ``from_text`` and arithmetic, so every value is canonical.
@@ -40,6 +45,7 @@ Everything here is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import index
 
@@ -595,6 +601,48 @@ def _reduce(n, d, j, k):
     return FRational._raw(n, d, j, k)
 
 
+# Fewer live products than this and a sum keeps the direct loop.  Of the
+# 19 366 sums of the chi <= 4 cut-and-join check, 92% have under 4 live
+# products, mostly a constant times an 8-term numerator met once, so the
+# images are not reused; packing every sum of two or more made those sums
+# 20% slower.  The series products of the kernels and the curve sum up to
+# 20 products of 4- to 13-term numerators, and there packing wins.
+_PACK_MIN = 8
+
+# The memos of ``_height`` and ``_pack`` keep the numerators that a series
+# product reuses across its coefficients: 2^10 entries hit 94% of lookups
+# on the kernel cross-check (2^14: 96%) and add 1.6 MB of peak memory at
+# chi <= 7 (2^14: 3.6 MB).
+_MEMO = 1 << 10
+
+
+@lru_cache(maxsize=_MEMO)
+def _height(p):
+    """Bit length of the largest |coefficient| of nonzero ``p``."""
+    return max(max(p), -min(p)).bit_length()
+
+
+@lru_cache(maxsize=_MEMO)
+def _pack(p, B):
+    """The integer p(2^B), the Kronecker image of ``p`` with slot width B."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc << B) + c
+    return acc
+
+
+def _unpack(n, B):
+    """The trimmed polynomial p with p(2^B) = n and every coefficient in
+    [-2^(B-1), 2^(B-1)): balanced digits, lowest first."""
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    out = []
+    while n:
+        c = ((n + half) & mask) - half
+        out.append(c)
+        n = (n - c) >> B
+    return tuple(out)
+
+
 def sum_of_products(xs, ys):
     """The sum of ``x * y`` over ``zip(xs, ys)``, two sequences, reduced once.
 
@@ -603,6 +651,31 @@ def sum_of_products(xs, ys):
     denominators and J, K the largest exponents, and their integer
     numerators are summed: first per class of equal exponents (j, k),
     then each class aligned once, by a shift and (f+1)^(K-k).
+
+    A sum of at least ``_PACK_MIN`` live products sums its numerators by
+    Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 8.4): each product s a b, with s = L / (nd_a nd_b), becomes
+    the one integer product s a(2^B) b(2^B); each class is aligned by
+    (f+1)^(K-k) at 2^B and a shift of B (J-j) bits; the total is read
+    back in balanced digits.  Shorter sums keep the direct loop, which
+    costs less there (see ``_PACK_MIN``).
+
+    Why the total reads back exactly.  Evaluation at 2^B is a ring map,
+    so the packed total is T(2^B) for the exact summed numerator T, and
+    it reads back as T when every coefficient of T lies in
+    [-2^(B-1), 2^(B-1)).  Let h(p) be the bit length of the largest
+    |coefficient| of p, so |coefficient| < 2^h(p), and bits(x) that of x.
+    A coefficient of a b sums at most min(len a, len b) terms, each below
+    2^(h(a)+h(b)), and s < 2^bits(s); a factor (f+1)^m multiplies the
+    largest |coefficient| by at most 2^m, the sum of its coefficients;
+    a shift changes none.  So every coefficient of an aligned product is
+    below 2^w with
+
+        w = bits(s) + h(a) + h(b) + bits(min(len a, len b)) + (K - k),
+
+    and n aligned products sum below 2^(max w + bits(n)).  B is that
+    exponent plus one sign bit, rounded up to a multiple of 32 so that
+    the memoised images repeat across calls.
     """
     live = [(a, b) for a, b in zip(xs, ys) if a._np and b._np]
     if not live:
@@ -612,6 +685,8 @@ def sum_of_products(xs, ys):
         return _reduce(_pmul(a._np, b._np), a._nd * b._nd, a._j + b._j,
                        a._k + b._k)
     L = lcm(*[a._nd * b._nd for a, b in live])
+    if len(live) >= _PACK_MIN:
+        return _packed_sum(live, L)
     buckets = {}
     for a, b in live:
         an, bn = a._np, b._np
@@ -637,6 +712,31 @@ def sum_of_products(xs, ys):
     for (j, k), acc in buckets.items():
         total = _padd(total, _align(tuple(acc), J - j, K - k))
     return _reduce(total, L, J, K)
+
+
+def _packed_sum(live, L):
+    """``sum_of_products`` of the ``live`` pairs over the scalar lcm ``L``,
+    by packing."""
+    terms = [(L // (a._nd * b._nd), a._np, b._np, a._j + b._j, a._k + b._k)
+             for a, b in live]
+    J = max(t[3] for t in terms)
+    K = max(t[4] for t in terms)
+    w = max(s.bit_length() + _height(an) + _height(bn)
+            + min(len(an), len(bn)).bit_length() + K - k
+            for s, an, bn, _, k in terms)
+    B = -(-(w + len(terms).bit_length() + 1) // 32) * 32
+    buckets = {}
+    for s, an, bn, j, k in terms:
+        x = _pack(an, B) * _pack(bn, B)
+        if s != 1:
+            x *= s
+        buckets[j, k] = buckets.get((j, k), 0) + x
+    total = 0
+    for (j, k), acc in buckets.items():
+        if k != K:
+            acc *= _pack(_f1_power(K - k), B)
+        total += acc << B * (J - j)
+    return _reduce(_unpack(total, B), L, J, K)
 
 
 def _as_frational(x):

@@ -2,17 +2,46 @@ import random
 
 import pytest
 
-from framedvertex.ratfunc import FRational
+from framedvertex import ratfunc
+from framedvertex.ratfunc import FR_ZERO, FRational
 from framedvertex.tpoly import TPolynomial
 
 
-def localised(rng, scalars=(1, 2, 3, 6, 35), max_deg=5):
-    """A random N / (c f^j (f+1)^k): the form of every value in Q(f) here."""
-    num = [rng.randint(-9, 9) for _ in range(rng.randint(1, max_deg + 1))]
+def localised(rng, scalars=(1, 2, 3, 6, 35), max_deg=5, bits=None):
+    """A random N / (c f^j (f+1)^k): the form of every value in Q(f) here.
+
+    The coefficients of N lie in -9..9, or with ``bits`` they have 100 to
+    ``bits`` bits and either sign.
+    """
+    num = [rng.randint(-9, 9) if bits is None
+           else rng.choice((-1, 1)) * rng.getrandbits(rng.randint(100, bits))
+           for _ in range(rng.randint(1, max_deg + 1))]
     f = FRational.variable()
     den = (rng.choice(scalars) * f ** rng.randint(0, 4)
            * (f + 1) ** rng.randint(0, 4))
     return FRational.poly(num) / den
+
+
+def fold(pairs):
+    """The sum of a * b over ``pairs`` by the left fold of + and *."""
+    total = FR_ZERO
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+@pytest.fixture
+def packed_sums(monkeypatch):
+    """The numbers of live products of the sums that take the packed path."""
+    calls = []
+    packed = ratfunc._packed_sum
+
+    def spy(live, L):
+        calls.append(len(live))
+        return packed(live, L)
+
+    monkeypatch.setattr(ratfunc, "_packed_sum", spy)
+    return calls
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from framedvertex.errors import DivisionByZero, PoleAtFraming
 from framedvertex.ratfunc import (FPolynomial, FRational, FR_ONE, FR_ZERO,
                                   _pmul, _pscale, _reduce, sum_of_products)
 
-from conftest import localised
+from conftest import fold, localised
 
 F = FRational.variable()
 ONE = FR_ONE
@@ -140,18 +140,15 @@ def test_normalization_is_reduced_and_keeps_the_value():
                 == _pmul(tuple(den), np)), (num, den)
 
 
-def fold(pairs):
-    total = FR_ZERO
-    for a, b in pairs:
-        total = total + a * b
-    return total
-
-
 def dot(pairs):
     return sum_of_products([a for a, _ in pairs], [b for _, b in pairs])
 
 
-def test_sum_of_products_is_the_fold():
+# scalar denominators whose lcm is wide: coprime, up to 31 bits
+WIDE_SCALARS = (1, 7, 9, 11, 13, 25, 64, 1009, 65537, 2 ** 31 - 1)
+
+
+def test_sum_of_products_is_the_fold(packed_sums):
     rng = random.Random(11)
     a, b, c = (localised(rng) for _ in range(3))
     cases = {
@@ -173,6 +170,72 @@ def test_sum_of_products_is_the_fold():
         pairs = [(localised(rng, (1, 2, 9)), localised(rng, (1, 4, 5)))
                  for _ in range(rng.randint(1, 6))]
         assert stored(dot(pairs)) == stored(fold(pairs))
+    assert packed_sums == []
+    # sums of 7 products stay on the direct loop, sums of 8 to 20 are
+    # packed: 100- to 300-bit coefficients of both signs, 13-term
+    # numerators, scalars with a wide lcm, (f+1) exponents 0..4 per factor
+    sizes = [7] * 4 + list(range(8, 21)) * 2
+    for n in sizes:
+        pairs = [(localised(rng, WIDE_SCALARS, 12, bits=300),
+                  localised(rng, WIDE_SCALARS, 12, bits=300))
+                 for _ in range(n)]
+        got = dot(pairs)
+        assert stored(got) == stored(fold(pairs)), n
+        assert_canonical(got)
+    assert packed_sums == [n for n in sizes if n >= 8]
+    # a total cancellation across exponent classes: each product comes
+    # back negated, its factors moved by a unit c f^i (f+1)^m / d
+    pairs = []
+    for _ in range(6):
+        a, b = (localised(rng, WIDE_SCALARS, 12, bits=300) for _ in "ab")
+        u = (FRational.from_fraction(Fraction(rng.choice((-3, 5)),
+                                              rng.choice((2, 7))))
+             * F ** rng.randint(0, 2) * (F + 1) ** rng.randint(0, 3))
+        pairs += [(a, b), (-a * u, b / u)]
+    rng.shuffle(pairs)
+    assert stored(dot(pairs)) == stored(FR_ZERO) == stored(fold(pairs))
+    assert packed_sums[-1] == 12
+
+
+@pytest.mark.parametrize("h, K", [(103, 5), (104, 3), (121, 1), (151, 6)])
+def test_packed_sum_at_its_bound(packed_sums, h, K):
+    # the worst case of the slot-width bound: all-positive maximal
+    # numerators c (1 + f + ... + f^14), c = 2^h - 1, fourteen products
+    # aligned by (f+1)^K and over the scalar s = 31, one more over
+    # 31 (f+1)^K; s, the length 15 and the count 15 each sit one below a
+    # power of two.  The middle coefficient then needs every bit of the
+    # width but the sign bit, 2h + 13 + K.  The unrounded width is 1
+    # above a multiple of 32 (2 for K = 6), so a width K bits short, or
+    # but for K = 6 one bit short, rounds down to a slot the total does
+    # not fit.
+    a = FRational.poly([2 ** h - 1] * 15)
+    for sign in (1, -1):
+        pairs = [(a, sign * a)] * 14 + [(a / 31, sign * a / (F + 1) ** K)]
+        got = dot(pairs)
+        assert stored(got) == stored(fold(pairs))
+        assert_canonical(got)
+        assert max(map(abs, got._np)).bit_length() == 2 * h + 13 + K
+    assert packed_sums == [15, 15]
+
+
+@pytest.mark.parametrize("B", [32, 64, 96, 160])
+def test_pack_unpack_round_trip(B):
+    # balanced digits read back every trimmed polynomial whose
+    # coefficients lie in [-2^(B-1), 2^(B-1)), the ends included
+    rng = random.Random(B)
+    lo, hi = -2 ** (B - 1), 2 ** (B - 1) - 1
+    cases = [(lo,), (hi,), (-1,), (lo, hi), (hi, lo), (hi, 0, 0, lo),
+             (0, 0, -5), (1, 0, 0, -1), (lo, 0, 0, 0, hi)]
+    for _ in range(200):
+        p = [rng.choice((lo, hi, 0, rng.randint(lo, hi), rng.randint(-3, 3)))
+             for _ in range(rng.randint(1, 13))]
+        p[-1] = p[-1] or rng.choice((lo, -1))
+        cases.append(tuple(p))
+    for p in cases:
+        n = ratfunc._pack(p, B)
+        assert n == ratfunc._peval_int(p, 2 ** B)
+        assert ratfunc._unpack(n, B) == p
+    assert ratfunc._unpack(0, B) == ()
 
 
 @pytest.mark.parametrize("j", [0, 1, 3])

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from framedvertex.errors import (InsufficientTruncation, InvalidComposition,
                                  NotAUnit, NotInvertible, ZeroDivisor)
-from framedvertex.ratfunc import FR_ONE, FRational
+from framedvertex.ratfunc import FR_ONE, FR_ZERO, FRational
 from framedvertex.vseries import (VSeries, compose_polynomial, exp_of,
                                   log_unit, revert, sqrt_unit)
+
+from conftest import fold, localised
 
 
 def fr(x):
@@ -175,3 +178,45 @@ def test_truncate_below_the_lead_is_zero():
         cut = s.truncate(trunc)
         assert cut == VSeries.zero(trunc), trunc
     assert VSeries.zero(0) + s == VSeries.zero(0)
+
+
+def test_wide_series_take_the_packed_path(packed_sums):
+    # 14 coefficients with 100- to 200-bit numerator coefficients over
+    # c f^j (f+1)^k: the convolution sums reach 14 products and are packed;
+    # each result is checked coefficient by coefficient against folds of
+    # + and * of its defining identity
+    rng = random.Random(14)
+    n = 14
+
+    def wide():
+        return localised(rng, (1, 3, 7, 10, 1009), 4, bits=200)
+
+    a = VSeries(0, [wide() for _ in range(n)], n - 1)
+    b = VSeries(-2, [wide() for _ in range(n)], n - 3)
+    p = a * b
+    assert p.lead == -2 and p.trunc == n - 3
+    for m in range(-2, n - 2):
+        want = fold((a.coeff(i), b.coeff(m - i)) for i in range(m + 3))
+        assert p.coeff(m) == want, m
+    assert max(packed_sums) == n
+
+    # u r = 1 with a unit u_0 = 3 f / (f+1)^2
+    f = FRational.variable()
+    del packed_sums[:]
+    u = VSeries(0, [3 * f / (f + 1) ** 2] + [wide() for _ in range(n - 1)],
+                n - 1)
+    r = u.reciprocal()
+    for m in range(n):
+        got = fold((u.coeff(i), r.coeff(m - i)) for i in range(m + 1))
+        assert got == (FR_ONE if m == 0 else FR_ZERO), m
+    assert max(packed_sums) == n - 1
+
+    # e = exp(a) solves v e' = (v a') e: m e_m = sum_k k a_k e_(m-k)
+    del packed_sums[:]
+    a = VSeries(1, [wide() for _ in range(n)], n)
+    e = exp_of(a)
+    assert e.coeff(0) == FR_ONE
+    for m in range(1, n + 1):
+        want = fold((a.coeff(k) * k, e.coeff(m - k)) for k in range(1, m + 1))
+        assert e.coeff(m) * m == want, m
+    assert max(packed_sums) == n
