@@ -14,8 +14,12 @@ is the chart every downstream computation works in.
 The odd series eta_{-1} = -(1/2)(log(1 + 1/(f t)) - log(1 + 1/(f s(t))))
 lives here too, so the eta family and both kernel forms share one copy.
 
-Everything is built once per truncation order and cached process-wide;
-the cached object is immutable apart from its cache of powers of t(v).
+Everything is built once per truncation order and cached process-wide.
+The cached object is immutable apart from two caches that only grow: the
+powers of t(v), and ``derived``, where other modules keep series they
+build from this curve alone (the kernel cross-check forms keep their phi
+compositions and their pair- and step-independent factors there), so each
+is built once per curve and dropped with it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ class CurveSeries:
     """Series tower for one truncation order, shared read-only."""
 
     __slots__ = ("trunc", "F_of_z", "z_of_v", "t_of_v", "s_t_of_v",
-                 "zbar_of_v", "dt_dv", "sprime", "eta_minus_one", "_t_pows")
+                 "zbar_of_v", "dt_dv", "sprime", "eta_minus_one", "_t_pows",
+                 "_derived")
 
     def __init__(self, trunc):
         if trunc < 4:
@@ -66,6 +71,7 @@ class CurveSeries:
             * FRational.from_fraction("1/2")
         self._t_pows = {0: VSeries.one(self.t_of_v.trunc + self.trunc),
                         1: self.t_of_v}
+        self._derived = {}
 
     def t_power(self, j):
         """t(v)^j, cached; j >= 0."""
@@ -76,6 +82,13 @@ class CurveSeries:
             self._t_pows[have + 1] = self._t_pows[have] * self.t_of_v
             have += 1
         return self._t_pows[j]
+
+    def derived(self, key, build):
+        """``build(self)``, made on the first call for ``key`` and kept."""
+        got = self._derived.get(key)
+        if got is None:
+            got = self._derived[key] = build(self)
+        return got
 
 
 _CACHE = {}

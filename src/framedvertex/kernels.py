@@ -15,8 +15,16 @@ aborts the computation, since the whole bracket extraction relies on it.
 generator kernels cut their factors to the window that reaches v^0 and
 no further; each docstring says why its window is exact.  A window one
 coefficient short leaves a guarantee below v^0, and ``plus_part`` raises
-``InsufficientTruncation`` instead of returning a wrong kernel.  The
-cross-check forms run at the curve's full truncation.
+``InsufficientTruncation`` instead of returning a wrong kernel.
+
+The cross-check forms run at the curve's full truncation, unwindowed.
+Every series in them that depends on the curve alone is built once per
+curve and kept on it (``CurveSeries.derived``): each phi_b(t(v)), which
+the two forms share, each phi_b(s(t(v))), the pair factor and the two
+point factors, so a call pays only for the products that involve its own
+pair or step.  They share nothing with the generator kernels but
+primitive arithmetic, and ``kernel_II_symmetrized`` still composes
+through s(t(v)), so each stays an independent check of its generator.
 """
 
 from __future__ import annotations
@@ -128,23 +136,46 @@ def kernel_I_via_involution(a, b, curve, tower):
     times (f+1)/(t(t-1)(ft+1)), polynomial part.
 
     s(t) is t(v) at -v, so each phi is composed once and phi(s(t)) is that
-    composition at -v.  ``kernel_I`` builds P_{a,b} from the eta series
-    without the involution, so this form stays independent of it.
+    composition at -v.  The compositions and the factor
+    -(f+1)/(4 eta_{-1} t(t-1)(ft+1)) depend on the curve alone and are
+    built once per curve, so a pair costs the two products of its
+    numerator (one, doubled, when a = b) and one by the factor.
+    ``kernel_I`` builds P_{a,b} from the eta series without the
+    involution, so this form stays independent of it.
     """
-    pa_t = compose_polynomial(tower.phi_coeffs(a + 1), curve.t_of_v)
+    pa_t = _phi_composed(a + 1, curve, tower, "t_of_v")
     pa_s = pa_t.negate_variable()
     if a == b:
-        pb_t, pb_s = pa_t, pa_s
+        numer = pa_t * pa_s * 2
     else:
-        pb_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
-        pb_s = pb_t.negate_variable()
-    numer = pa_t * pb_s + pa_s * pb_t
-    cubic = curve.t_of_v * (curve.t_of_v - VSeries.one(curve.trunc)) \
-        * (curve.t_of_v * _F + VSeries.one(curve.trunc))
-    x = numer / (curve.eta_minus_one * cubic)
-    x = x * (-(_F + 1) / 4)
-    poly, _ = plus_part(x, curve)
+        pb_t = _phi_composed(b + 1, curve, tower, "t_of_v")
+        numer = pa_t * pb_t.negate_variable() + pa_s * pb_t
+    poly, _ = plus_part(numer * curve.derived("pair factor", _pair_factor),
+                        curve)
     return poly
+
+
+def _phi_composed(b, curve, tower, inner):
+    """phi_b composed with the curve series named ``inner``, once per curve."""
+    coeffs = tuple(tower.phi_coeffs(b))
+    return curve.derived(
+        ("phi", coeffs, inner),
+        lambda c: compose_polynomial(coeffs, getattr(c, inner)))
+
+
+def _pair_factor(curve):
+    """-(f+1) / (4 eta_{-1} t (t-1) (ft+1)) along the curve."""
+    t = curve.t_of_v
+    one = VSeries.one(curve.trunc)
+    cubic = t * (t - one) * (t * _F + one)
+    return (curve.eta_minus_one * cubic).reciprocal() * (-(_F + 1) / 4)
+
+
+def _point_factors(curve):
+    """z^2 / (2 eta_{-1}) and s' zbar^2 / (2 eta_{-1}) along the curve."""
+    half = (curve.eta_minus_one * 2).reciprocal()
+    return (half * curve.z_of_v ** 2,
+            half * curve.sprime * curve.zbar_of_v ** 2)
 
 
 def kernel_II(b, curve, tower):
@@ -199,21 +230,25 @@ def kernel_II_symmetrized(b, curve, tower):
     (phi_{b+1}(t) B(t, t_i) + phi_{b+1}(s(t)) B(s(t), t_i)) / (2 eta_{-1}),
     polynomial part per t_i-coefficient.  Must agree with ``kernel_II``.
 
+    With the geometric expansions of ``kernel_II`` the t_i^k coefficient
+    is (k+1) times the polynomial part of A_k + B_k, where
+    A_k = phi_{b+1}(t) z^{k+2} / (2 eta_{-1}) and
+    B_k = phi_{b+1}(s(t)) s' zbar^{k+2} / (2 eta_{-1}).  The factors
+    z^2 / (2 eta_{-1}) and s' zbar^2 / (2 eta_{-1}) and both compositions
+    are built once per curve; each step then advances A_k by z and B_k by
+    zbar, two products.
+
     phi_{b+1} is composed through t(v) and through s(t(v)) separately, and
     not by v -> -v: that substitution is the shortcut of ``kernel_II``
     which this form checks.
     """
     cap = 2 * b + 6
-    phi_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
-    phi_s = compose_polynomial(tower.phi_coeffs(b + 1), curve.s_t_of_v)
-    phi_s_sp = phi_s * curve.sprime
-    denom = (curve.eta_minus_one * 2).reciprocal()
-    z_pow = curve.z_of_v ** 2
-    zbar_pow = curve.zbar_of_v ** 2
+    on_t, on_s = curve.derived("point factors", _point_factors)
+    a_k = _phi_composed(b + 1, curve, tower, "t_of_v") * on_t
+    b_k = _phi_composed(b + 1, curve, tower, "s_t_of_v") * on_s
     terms = {}
     for k in range(cap + 1):
-        numer = phi_t * z_pow + phi_s_sp * zbar_pow
-        q, _ = plus_part(numer * denom, curve)
+        q, _ = plus_part(a_k + b_k, curve)
         q = q * FRational.from_int(k + 1)
         if not q.is_zero:
             if k == cap:
@@ -222,6 +257,6 @@ def kernel_II_symmetrized(b, curve, tower):
             for (e,), c in q.terms():
                 terms[(e, k)] = c
         if k < cap:
-            z_pow = z_pow * curve.z_of_v
-            zbar_pow = zbar_pow * curve.zbar_of_v
+            a_k = a_k * curve.z_of_v
+            b_k = b_k * curve.zbar_of_v
     return TPolynomial(2, terms.items())

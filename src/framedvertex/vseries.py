@@ -125,9 +125,19 @@ class VSeries:
     # -- structural helpers ------------------------------------------------------
 
     def truncate(self, trunc):
+        """The series known through ``trunc`` only; a cut below the lead is 0.
+
+        The stored coefficients are already coerced and start nonzero, so
+        the cut slices them and strips the zeros it leaves at the end.
+        """
         if trunc >= self._trunc:
             return self
-        return VSeries(self._lead, list(self._coeffs), trunc)
+        coeffs = self._coeffs[:max(trunc - self._lead + 1, 0)]
+        while coeffs and coeffs[-1].is_zero:
+            coeffs = coeffs[:-1]
+        if not coeffs:
+            return VSeries.zero(trunc)
+        return VSeries._raw(self._lead, coeffs, trunc)
 
     def shift(self, k):
         """Multiply by v^k."""

@@ -6,7 +6,7 @@ import pytest
 
 from framedvertex.cli import build_parser, main
 from framedvertex.curvefun import PhiTower
-from framedvertex.engine import run_to_budget
+from framedvertex.engine import budget_cells, make_workspace, run_to_budget
 from framedvertex.errors import (DegreeCapExceeded, InsufficientTruncation,
                                  MissingDependency)
 from framedvertex.kernels import (KernelWorkspace, kernel_I_via_involution,
@@ -447,3 +447,29 @@ def test_program_faults_exit_3(tmp_path, capsys, monkeypatch, error):
                         "--cache", str(tmp_path)], capsys)
     assert code == 3
     assert err == "internal invariant violation: injected\n"
+
+
+def test_kernels_suite_fails_on_corrupted_compositions_through_s(
+        tmp_path, capsys, monkeypatch):
+    # a fresh curve, so its memo of compositions starts empty and the
+    # corrupted ones leave with it
+    import framedvertex.curve as curve_module
+    import framedvertex.kernels as kernels
+    monkeypatch.setattr(curve_module, "_CACHE", {})
+    s_t = make_workspace(budget_cells(3)).curve.s_t_of_v
+    real = kernels.compose_polynomial
+
+    def corrupted(coeffs, inner):
+        got = real(coeffs, inner)
+        return got * 2 if inner is s_t else got
+
+    monkeypatch.setattr(kernels, "compose_polynomial", corrupted)
+    code, out, _ = run(["verify", "--suite", "kernels", "--chi-max", "3",
+                        "--seed", "3", "--cache", str(tmp_path)], capsys)
+    assert code == 1
+    rows = [(line.split(" ", 2)[0], json.loads(line.split(" ", 2)[2]))
+            for line in out.splitlines()]
+    points = [status for status, row in rows if row["kernel"] == "point"]
+    assert points and set(points) == {"FAIL"}
+    assert {status for status, row in rows if row["kernel"] != "point"} \
+        == {"PASS"}

@@ -1,6 +1,10 @@
+import argparse
+from collections import Counter
+
 import pytest
 
-from framedvertex import kernels
+from framedvertex import cli, kernels
+from framedvertex import curve as curve_module
 from framedvertex.curvefun import (phi_prime_decompose,
                                    phi_prime_decompose_pair, plus_part)
 from framedvertex.engine import budget_cells, make_workspace
@@ -10,7 +14,7 @@ from framedvertex.kernels import (KernelWorkspace, kernel_I,
                                   kernel_II_symmetrized)
 from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
-from framedvertex.vseries import compose_polynomial
+from framedvertex.vseries import VSeries, compose_polynomial
 
 F = FRational.variable()
 
@@ -98,7 +102,6 @@ def test_truncation_stability(monkeypatch):
 def test_integrand_difference_has_no_polynomial_part(ws):
     # the two pair-kernel integrands differ only in strictly positive
     # v-exponents, which is why their polynomial parts agree
-    from framedvertex.vseries import VSeries, compose_polynomial
     curve, tower, eta = ws.curve, ws.tower, ws.eta
     a, b = 1, 1
     x1 = eta.eta(a + 1) * eta.eta(b + 1) / eta.eta(-1)
@@ -193,3 +196,92 @@ def test_one_short_window_raises(ws5, monkeypatch):
     for b in (0, 3, 5):
         with pytest.raises(InsufficientTruncation):
             kernel_II(b, ws5.curve, ws5.tower)
+
+
+# -- cross-check forms: curve-level series built once per curve --------------
+
+def parent_kernel_I_via_involution(a, b, curve, tower):
+    # the pair cross-check form rebuilding every series on each call
+    pa_t = compose_polynomial(tower.phi_coeffs(a + 1), curve.t_of_v)
+    pa_s = pa_t.negate_variable()
+    if a == b:
+        pb_t, pb_s = pa_t, pa_s
+    else:
+        pb_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
+        pb_s = pb_t.negate_variable()
+    numer = pa_t * pb_s + pa_s * pb_t
+    one = VSeries.one(curve.trunc)
+    cubic = curve.t_of_v * (curve.t_of_v - one) * (curve.t_of_v * F + one)
+    x = numer / (curve.eta_minus_one * cubic)
+    x = x * (-(F + 1) / 4)
+    poly, _ = plus_part(x, curve)
+    return poly
+
+
+def parent_kernel_II_symmetrized(b, curve, tower):
+    # the point cross-check form with five full-length products per step
+    phi_t = compose_polynomial(tower.phi_coeffs(b + 1), curve.t_of_v)
+    phi_s = compose_polynomial(tower.phi_coeffs(b + 1), curve.s_t_of_v)
+    phi_s_sp = phi_s * curve.sprime
+    denom = (curve.eta_minus_one * 2).reciprocal()
+    z_pow = curve.z_of_v ** 2
+    zbar_pow = curve.zbar_of_v ** 2
+    terms = {}
+    for k in range(2 * b + 7):
+        numer = phi_t * z_pow + phi_s_sp * zbar_pow
+        q, _ = plus_part(numer * denom, curve)
+        q = q * FRational.from_int(k + 1)
+        for (e,), c in q.terms():
+            terms[(e, k)] = c
+        z_pow = z_pow * curve.z_of_v
+        zbar_pow = zbar_pow * curve.zbar_of_v
+    return TPolynomial(2, terms.items())
+
+
+def test_cross_check_forms_equal_their_parent_bodies(ws5):
+    for a, b in CHI5_PAIRS:
+        assert (kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
+                == parent_kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
+                ), (a, b)
+    for b in range(6):
+        assert (kernel_II_symmetrized(b, ws5.curve, ws5.tower)
+                == parent_kernel_II_symmetrized(b, ws5.curve, ws5.tower)), b
+
+
+def test_cross_check_compositions_made_once_per_curve(monkeypatch):
+    # the kernels suite on a fresh curve, so no earlier test's memo counts
+    monkeypatch.setattr(curve_module, "_CACHE", {})
+    form = [None]
+    calls = []
+
+    def spy(coeffs, inner):
+        calls.append((form[0], tuple(coeffs), inner))
+        return compose_polynomial(coeffs, inner)
+
+    def tagged(name):
+        real = getattr(cli, name)
+
+        def run(*args):
+            form[0] = name
+            try:
+                return real(*args)
+            finally:
+                form[0] = None
+        return run
+
+    monkeypatch.setattr(kernels, "compose_polynomial", spy)
+    for name in ("kernel_I_via_involution", "kernel_II_symmetrized"):
+        monkeypatch.setattr(cli, name, tagged(name))
+    rows = cli._suite_kernels(argparse.Namespace(chi_max=4, seed=1), None)
+    assert all(row["passed"] for row in rows)
+    (curve,) = curve_module._CACHE.values()
+
+    made = Counter((c, inner) for _, c, inner in calls)
+    assert set(made.values()) == {1}
+    # phi_1..phi_4 through t(v), phi_1..phi_3 through s(t(v)), and the
+    # three windowed compositions of the generator kernel_II
+    assert len(calls) == 10
+    by_form = Counter((f, inner is curve.s_t_of_v) for f, _, inner in calls)
+    assert by_form == {("kernel_I_via_involution", False): 4,
+                       ("kernel_II_symmetrized", True): 3,
+                       (None, False): 3}

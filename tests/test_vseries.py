@@ -180,6 +180,25 @@ def test_truncate_below_the_lead_is_zero():
     assert VSeries.zero(0) + s == VSeries.zero(0)
 
 
+def test_truncate_equals_the_constructor_cut():
+    # internal and trailing zeros, a negative lead and the zero series;
+    # cuts below the lead, at it, on a zero and inside; a cut at or past
+    # the guarantee changes nothing
+    cases = [series({-2: 1, 0: 5, 1: 0, 3: 2}, 6),
+             series({1: 3, 2: 0, 3: 0, 4: -1}, 9),
+             series({0: 7}, 4),
+             VSeries.zero(5)]
+    for s in cases:
+        assert s.truncate(s.trunc) is s and s.truncate(s.trunc + 1) is s
+        for trunc in range(-4, s.trunc):
+            want = VSeries(s.lead or 0, list(s._coeffs), trunc)
+            got = s.truncate(trunc)
+            assert got == want, (s, trunc)
+            assert (got.lead, got._coeffs, got.trunc) == \
+                (want.lead, want._coeffs, want.trunc), (s, trunc)
+            assert not got._coeffs or not got._coeffs[-1].is_zero
+
+
 def test_wide_series_take_the_packed_path(packed_sums):
     # 14 coefficients with 100- to 200-bit numerator coefficients over
     # c f^j (f+1)^k: the convolution sums reach 14 products and are packed;
