@@ -173,9 +173,8 @@ def _pair_factor(curve):
 
 def _point_factors(curve):
     """z^2 / (2 eta_{-1}) and s' zbar^2 / (2 eta_{-1}) along the curve."""
-    half = (curve.eta_minus_one * 2).reciprocal()
-    return (half * curve.z_of_v ** 2,
-            half * curve.sprime * curve.zbar_of_v ** 2)
+    inv = (curve.eta_minus_one * 2).reciprocal()
+    return (inv * curve.z_of_v ** 2, inv * curve.sprime * curve.zbar_of_v ** 2)
 
 
 def kernel_II(b, curve, tower):
