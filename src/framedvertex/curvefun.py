@@ -13,21 +13,26 @@ from __future__ import annotations
 
 from .errors import InsufficientTruncation, NotInSpan
 from .ratfunc import FR_ONE, FRational
-from .tpoly import TPolynomial
+from .tpoly import TPolynomial, gather, sum_gathered
 
 _F = FRational.variable()
 _INV_F1 = FR_ONE / (_F + 1)
 
+# E = c(t) d/dt with c(t) = t(t-1)(ft+1)/(f+1), as {power of t: coefficient}
+_E = {1: -_INV_F1, 2: (1 - _F) * _INV_F1, 3: _F * _INV_F1}
+
 
 def euler_field(p, slot):
-    """Apply E = t(t-1)(ft+1)/(f+1) d/dt in one variable slot."""
-    dp = p.partial_derivative(slot)
-    if dp.is_zero:
-        return dp
-    arity = p.arity
-    t = TPolynomial.variable(arity, slot)
-    cubic = (_F * t ** 3 + (1 - _F) * t ** 2 - t) * _INV_F1
-    return cubic * dp
+    """Apply E = t(t-1)(ft+1)/(f+1) d/dt in one variable slot.
+
+    Each term of dp/dt_slot is gathered against the three terms of c(t).
+    """
+    groups = {}
+    for exps, c in p.partial_derivative(slot).terms():
+        for i, ci in _E.items():
+            gather(groups, exps[:slot] + (exps[slot] + i,) + exps[slot + 1:],
+                   c, ci)
+    return TPolynomial._raw(p.arity, sum_gathered(groups))
 
 
 class PhiTower:

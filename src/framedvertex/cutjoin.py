@@ -19,10 +19,12 @@ comes from the assembly and from the verifier's own sums, never from the
 values under test.  Each term reads its coefficient at a representative:
 the left side from H, the genus-reduction term from E_n H(g-1, n+1), the
 splitting and divided-difference terms from one product or quotient per
-class of the verifier's slot maps, through every map of the class.  Each
-term covers every representative its full expansion would touch, so a
-report's ``residual_terms`` counts the nonzero orbit representatives of
-the residual (zero exactly when the identity holds).
+class of the verifier's slot maps, through every map of the class.  The
+reads at a representative are gathered (``tpoly.gather``) and summed
+with one ``sum_of_products`` by ``tpoly.sum_gathered``.  Each term covers
+every representative its full expansion would touch, so a report's
+``residual_terms`` counts the nonzero orbit representatives of the
+residual (zero exactly when the identity holds).
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
@@ -36,11 +38,11 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
-from .curvefun import euler_field
+from .curvefun import _E, euler_field
 from .engine import _subsets, assemble_H, is_stable
 from .errors import OutsideVerifiableSet, UnstableDependency
-from .ratfunc import FR_ONE, FRational, sum_of_products
-from .tpoly import TPolynomial
+from .ratfunc import FR_ONE, FRational
+from .tpoly import TPolynomial, gather, sum_gathered
 
 _F = FRational.variable()
 _HALF = FRational.from_fraction("1/2")
@@ -162,7 +164,7 @@ class CutJoinVerifier:
     """Caches assembled polynomials across cell verifications.
 
     Each term holds its coefficients at the orbit representatives it
-    touches, one ``sum_of_products`` each (see the module docstring).
+    touches, one gathered sum each (see the module docstring).
     """
 
     def __init__(self, table, tower):
@@ -200,14 +202,12 @@ class CutJoinVerifier:
                 reps.update(_rep(_bump(r, l, 1)) for l in range(n))
         reads = {}
         for e in reps:
-            xs, ys = reads[e] = [], []
             c = h.get(e)
             if c is not None:
-                xs.append(c.derivative())
-                ys.append(FR_ONE)
+                gather(reads, e, c.derivative(), FR_ONE)
             for slot in range(n):
-                _field_reads(h, e, slot, _V, xs, ys)
-        return _sum_reads(n, reads)
+                _field_reads(h, e, slot, _V, reads, e)
+        return TPolynomial._raw(n, sum_gathered(reads))
 
     def t1(self, g, n):
         """-1/2 sum over the slots l of E_l E_n H(g-1, n+1) with t_n set to t_l.
@@ -231,12 +231,11 @@ class CutJoinVerifier:
                     reps.update(_rep(_bump(merged, l, j)) for j in range(3))
         reads = {}
         for e in reps:
-            xs, ys = reads[e] = [], []
             for l, x in enumerate(e):
                 for p in range(x + 1):
                     _field_reads(inner, e[:l] + (p,) + e[l + 1:] + (x - p,),
-                                 l, _E, xs, ys)
-        return _sum_reads(n, reads) * (-_HALF)
+                                 l, _E, reads, e)
+        return TPolynomial._raw(n, sum_gathered(reads)) * (-_HALF)
 
     def t2_t3(self, g, n):
         """-1/2 over the joining slot m and ordered stable splits.
@@ -266,7 +265,7 @@ class CutJoinVerifier:
                 product = self.EH(a, 1 + s).embed(n, range(1 + s)) \
                     * self.EH(g - a, n - s).embed(n, (0,) + second)
                 _image_reads(dict(product.terms()), slot_maps, reads)
-        return _sum_reads(n, reads) * (-_HALF)
+        return TPolynomial._raw(n, sum_gathered(reads)) * (-_HALF)
 
     def t4(self, g, n):
         """Divided differences over the slot pairs i < j.
@@ -294,7 +293,7 @@ class CutJoinVerifier:
         _image_reads(dict(numer.exact_divide_difference(0, 1).terms()), [
             (i, j) + tuple(k for k in range(n) if k != i and k != j)
             for i in range(n) for j in range(i + 1, n)], reads)
-        return _sum_reads(n, reads) * _INV_F1
+        return TPolynomial._raw(n, sum_gathered(reads)) * _INV_F1
 
     def verify(self, g, n):
         if 2 * g - 2 + n < 2:
@@ -309,10 +308,9 @@ class CutJoinVerifier:
 # reading a term at orbit representatives
 # ---------------------------------------------------------------------------
 
-# c(t) of the fields c(t) d/dt, as {power of t: coefficient}: the left
-# side's t(t-1)/(f+1) and E = t(t-1)(ft+1)/(f+1)
+# the left side's field t(t-1)/(f+1) d/dt, as {power of t: coefficient},
+# like curvefun's E
 _V = {1: -_INV_F1, 2: _INV_F1}
-_E = {1: -_INV_F1, 2: (1 - _F) * _INV_F1, 3: _F * _INV_F1}
 
 
 def _rep(key):
@@ -328,18 +326,17 @@ def _bump(key, slot, by):
     return key[:slot] + (key[slot] + by,) + key[slot + 1:]
 
 
-def _field_reads(terms, key, slot, field, xs, ys):
-    """Append the factors whose sum of products is the coefficient at
-    ``key`` of c(t) d/dt_slot applied to the polynomial with ``terms``:
-    each c_i t^i d/dt reads the key i - 1 lower in ``slot``."""
+def _field_reads(terms, key, slot, field, reads, e):
+    """Gather at ``e`` the products whose sum is the coefficient at ``key``
+    of c(t) d/dt_slot applied to the polynomial with ``terms``: each
+    c_i t^i d/dt reads the key i - 1 lower in ``slot``."""
     x = key[slot]
     for i, c in field.items():
         m = x - i + 1
         if m > 0:
             v = terms.get(_bump(key, slot, 1 - i))
             if v is not None:
-                xs.append(v)
-                ys.append(c * m)
+                gather(reads, e, v, c * m)
 
 
 def _image_reads(terms, slot_maps, reads):
@@ -351,16 +348,8 @@ def _image_reads(terms, slot_maps, reads):
     representatives of the keys of ``terms`` are all it touches.
     """
     for e in {_rep(k) for k in terms}:
-        xs, ys = reads.setdefault(e, ([], []))
         for key, count in Counter(tuple(e[i] for i in m)
                                   for m in slot_maps).items():
             v = terms.get(key)
             if v is not None:
-                xs.append(v)
-                ys.append(FRational.from_int(count))
-
-
-def _sum_reads(n, reads):
-    """The polynomial with one ``sum_of_products`` per representative."""
-    return TPolynomial(n, [(e, sum_of_products(xs, ys))
-                           for e, (xs, ys) in reads.items()])
+                gather(reads, e, v, FRational.from_int(count))

@@ -12,9 +12,14 @@ in the scale where the brackets carry no power of f(f+1):
         - (f(f+1))^-1  [point-kernel sum over companion slots]
 
 Each sum walks the stored entries of its lower cell or cells and reads
-every key in each of its distinct orderings, so an absent (zero) bracket
+every key in each of its distinct orderings (``orderings``: the multiset
+permutations, each once, never all n!), so an absent (zero) bracket
 costs nothing.  The loader refuses an entry past its cell's support
-bound, so every stored entry belongs in the sums.
+bound, so every stored entry belongs in the sums.  Every contribution
+w * dc is gathered unreduced (``tpoly.gather``) and each coefficient is
+reduced once, by ``tpoly.sum_gathered``, before the extraction; a key
+that gathers many is folded into one sum every ``tpoly._FOLD`` products,
+which bounds the memory the unreduced factors hold.
 
 The right side distinguishes slot 0, so recovering values that are
 symmetric under permutations of all slots is a strong consistency check;
@@ -25,13 +30,12 @@ sum(b) <= 3g - 3 + n.
 from __future__ import annotations
 
 import json
-from itertools import permutations
 
 from .errors import (DivisionByZero, MissingDependency,
                      SupportBoundViolation, SymmetryViolation)
 from .kernels import KernelWorkspace
 from .ratfunc import FR_ZERO, FRational
-from .tpoly import TPolynomial, add_term
+from .tpoly import TPolynomial, gather, sum_gathered
 
 _F = FRational.variable()
 _FF1 = _F * (_F + 1)  # f (f + 1)
@@ -179,16 +183,41 @@ def _subsets(items):
     return out
 
 
+def orderings(key):
+    """Each distinct ordering of the sorted tuple ``key``, once.
+
+    The multiset permutations in lexicographic order, each step the next
+    permutation (Knuth, TAOCP 7.2.1.2, Algorithm L), so a key with
+    repeated indices costs its distinct orderings, not n!.
+    """
+    a = list(key)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
 def _orderings(entries):
     """(beta, value) for every distinct ordering beta of each stored key."""
-    for key, value in entries.items():
-        for beta in set(permutations(key)):
-            yield beta, value
+    return ((beta, value) for key, value in entries.items()
+            for beta in orderings(key))
 
 
 def recursion_step(g, n, table, workspace):
     """Compute all bracket values of one stable cell from lower cells.
 
+    Each contribution w * dc to the coefficient at an ordered beta is
+    gathered as the pair (w, dc), with no product formed and no sum
+    reduced per contribution; ``sum_gathered`` reduces each coefficient
+    once, and the extraction then checks every ordering of each key.
     Returns a dict keyed by sorted index tuples.  Raises
     ``SymmetryViolation`` / ``SupportBoundViolation`` if the extracted
     coefficients fail the consistency checks, and ``MissingDependency``
@@ -204,7 +233,7 @@ def recursion_step(g, n, table, workspace):
         for beta, br in _orderings(table.cell_entries(g - 1, n + 1)):
             w = _FF1 * br
             for c, dc in workspace.decompose_pair_kernel(*beta[:2]).items():
-                add_term(coeff, (c,) + beta[2:], w * dc)
+                gather(coeff, (c,) + beta[2:], w, dc)
 
     # stable splittings: ordered pairs of lower cells against pair kernels;
     # b_i goes on the subset slots, b_j on the rest
@@ -224,7 +253,7 @@ def recursion_step(g, n, table, workspace):
                     bs = tuple(b[p] for p in place)
                     w = -(br1 * br2)
                     for c, dc in workspace.decompose_pair_kernel(a1, a2).items():
-                        add_term(coeff, (c,) + bs, w * dc)
+                        gather(coeff, (c,) + bs, w, dc)
 
     # companion-slot terms: brackets at (g, n-1) against point kernels,
     # d on companion slot j and the rest of beta on the other slots
@@ -232,16 +261,16 @@ def recursion_step(g, n, table, workspace):
         for (b, *bs), br in _orderings(table.cell_entries(g, n - 1)):
             w = -br / _FF1
             for (c, d), dc in workspace.decompose_point_kernel(b).items():
-                wdc = w * dc
                 for j in range(1, n):
-                    add_term(coeff, (c, *bs[:j - 1], d, *bs[j - 1:]), wdc)
+                    gather(coeff, (c, *bs[:j - 1], d, *bs[j - 1:]), w, dc)
 
     # extraction: check symmetry and support
+    coeff = sum_gathered(coeff)
     bound_new = support_bound(g, n)
     entries = {}
     seen = set()
-    for beta, v in coeff.items():
-        if sum(beta) > bound_new and not v.is_zero:
+    for beta in coeff:
+        if sum(beta) > bound_new:
             raise SupportBoundViolation(
                 "cell (%d,%d): nonzero bracket at %s beyond bound %d"
                 % (g, n, beta, bound_new))
@@ -249,8 +278,7 @@ def recursion_step(g, n, table, workspace):
         if key in seen:
             continue
         seen.add(key)
-        variants = set(permutations(key))
-        vals = {coeff.get(p, FR_ZERO) for p in variants}
+        vals = {coeff.get(p, FR_ZERO) for p in orderings(key)}
         if len(vals) != 1:
             raise SymmetryViolation(
                 "cell (%d,%d): asymmetric extraction at %s" % (g, n, key))
@@ -279,7 +307,7 @@ def assemble_H(g, n, table, tower):
             term = term * tower.phi(b).embed(n, [slot])
         out = out + term.embed_sum(n, [
             sorted(range(n), key=lambda s: (beta[s], s))
-            for beta in set(permutations(key))])
+            for beta in orderings(key)])
     return out
 
 

@@ -235,7 +235,10 @@ def kernel_II_symmetrized(b, curve, tower):
     B_k = phi_{b+1}(s(t)) s' zbar^{k+2} / (2 eta_{-1}).  The factors
     z^2 / (2 eta_{-1}) and s' zbar^2 / (2 eta_{-1}) and both compositions
     are built once per curve; each step then advances A_k by z and B_k by
-    zbar, two products.
+    zbar, two products.  z and zbar have lead 1, so once A_k and B_k both
+    have positive lead every later step has polynomial part 0, and the
+    loop stops there; a step ``cap`` that is reached and has a polynomial
+    part still raises.
 
     phi_{b+1} is composed through t(v) and through s(t(v)) separately, and
     not by v -> -v: that substitution is the shortcut of ``kernel_II``
@@ -247,6 +250,8 @@ def kernel_II_symmetrized(b, curve, tower):
     b_k = _phi_composed(b + 1, curve, tower, "s_t_of_v") * on_s
     terms = {}
     for k in range(cap + 1):
+        if a_k.lead > 0 and b_k.lead > 0:
+            break
         q, _ = plus_part(a_k + b_k, curve)
         q = q * FRational.from_int(k + 1)
         if not q.is_zero:

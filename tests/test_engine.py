@@ -1,16 +1,18 @@
 import hashlib
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from framedvertex.engine import (BracketTable, assemble_H, budget_cells,
-                                 make_workspace, recursion_step,
-                                 run_to_budget, seed_initial_data,
-                                 support_bound)
+import framedvertex.tpoly as tpoly
+from framedvertex.engine import (BracketTable, _subsets, assemble_H,
+                                 budget_cells, is_stable, make_workspace,
+                                 orderings, recursion_step, run_to_budget,
+                                 seed_initial_data, support_bound)
 from framedvertex.errors import MissingDependency, SymmetryViolation
 from framedvertex.curvefun import PhiTower
-from framedvertex.ratfunc import FRational
-from framedvertex.tpoly import TPolynomial
+from framedvertex.ratfunc import FR_ZERO, FRational
+from framedvertex.tpoly import TPolynomial, add_term
 
 F = FRational.variable()
 
@@ -100,14 +102,116 @@ def test_run_is_idempotent(table3):
 
 
 def test_chi6_table_is_pinned():
-    text = run_to_budget(6).to_json()
+    table = run_to_budget(6)
+    text = table.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "12d661edf3284f0bb2078029a762431197f02dda2af7334600e54a1e27d0fb3b"
+    # the same table continued to chi <= 7
+    text = run_to_budget(7, table=table).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2d62cc3f02b4810d119a7a1efb32bd335c77e39eb9f643be6564be805f5533ff"
 
 
-def test_tampered_lower_cell_fails_the_extraction():
+@pytest.mark.parametrize("key", [(), (3,), (0, 0, 0), (0, 0, 1, 1, 2),
+                                 (0, 0, 1, 1, 1, 2, 3, 3, 4)])
+def test_orderings_lists_each_distinct_ordering_once(key):
+    got = list(orderings(key))
+    assert len(got) == len(set(got))
+    assert set(got) == set(permutations(key))
+
+
+def parent_recursion_step(g, n, table, workspace):
+    # the recursion with a reduced product and a reduced sum per
+    # contribution, and the orderings found among all n! permutations
+    def all_orderings(entries):
+        for key, value in entries.items():
+            for beta in set(permutations(key)):
+                yield beta, value
+
+    ff1 = F * (F + 1)
+    coeff = {}
+    spect = n - 1
+    if is_stable(g - 1, n + 1):
+        for beta, br in all_orderings(table.cell_entries(g - 1, n + 1)):
+            w = ff1 * br
+            for c, dc in workspace.decompose_pair_kernel(*beta[:2]).items():
+                add_term(coeff, (c,) + beta[2:], w * dc)
+    for g1 in range(g + 1):
+        for idx in _subsets(tuple(range(spect))):
+            rest = tuple(k for k in range(spect) if k not in idx)
+            if not (is_stable(g1, 1 + len(idx))
+                    and is_stable(g - g1, 1 + len(rest))):
+                continue
+            place = [(idx + rest).index(k) for k in range(spect)]
+            second = list(all_orderings(table.cell_entries(g - g1,
+                                                           1 + len(rest))))
+            for (a1, *b_i), br1 in all_orderings(
+                    table.cell_entries(g1, 1 + len(idx))):
+                for (a2, *b_j), br2 in second:
+                    b = b_i + b_j
+                    bs = tuple(b[p] for p in place)
+                    w = -(br1 * br2)
+                    for c, dc in workspace.decompose_pair_kernel(a1, a2).items():
+                        add_term(coeff, (c,) + bs, w * dc)
+    if is_stable(g, n - 1):
+        for (b, *bs), br in all_orderings(table.cell_entries(g, n - 1)):
+            w = -br / ff1
+            for (c, d), dc in workspace.decompose_point_kernel(b).items():
+                wdc = w * dc
+                for j in range(1, n):
+                    add_term(coeff, (c, *bs[:j - 1], d, *bs[j - 1:]), wdc)
+    bound_new = support_bound(g, n)
+    entries = {}
+    seen = set()
+    for beta, v in coeff.items():
+        assert sum(beta) <= bound_new or v.is_zero
+        key = tuple(sorted(beta))
+        if key in seen:
+            continue
+        seen.add(key)
+        vals = {coeff.get(p, FR_ZERO) for p in set(permutations(key))}
+        assert len(vals) == 1
+        value = vals.pop()
+        if not value.is_zero:
+            entries[key] = value
+    return entries
+
+
+@pytest.fixture(scope="module")
+def table5():
+    workspace = make_workspace(budget_cells(5))
+    return run_to_budget(5, workspace=workspace), workspace
+
+
+@pytest.mark.parametrize("fold,folds", [(tpoly._FOLD, 207), (2, 6379)])
+def test_recursion_step_equals_its_parent_body(table5, monkeypatch, fold,
+                                               folds):
+    # every chi <= 5 cell from the stored lower cells; a sum of exactly
+    # _FOLD products is a fold, since sum_gathered sees fewer
+    table, workspace = table5
+    monkeypatch.setattr(tpoly, "_FOLD", fold)
+    sizes = []
+    real = tpoly.sum_of_products
+
+    def counting(xs, ys):
+        sizes.append(len(xs))
+        return real(xs, ys)
+
+    monkeypatch.setattr(tpoly, "sum_of_products", counting)
+    for g, n in budget_cells(5):
+        if 2 * g - 2 + n < 2:
+            continue  # seeds
+        assert recursion_step(g, n, table, workspace) == \
+            parent_recursion_step(g, n, table, workspace), (g, n)
+    assert sizes.count(fold) == folds
+    assert max(sizes) == fold
+
+
+@pytest.mark.parametrize("fold", [tpoly._FOLD, 2])
+def test_tampered_lower_cell_fails_the_extraction(monkeypatch, fold):
     # the splitting sum puts slot 0 apart, so a wrong (1,2) value feeds an
     # asymmetric coefficient set into (1,4)
+    monkeypatch.setattr(tpoly, "_FOLD", fold)
     table = run_to_budget(4)
     entries = table.cell_entries(1, 2)
     entries[(0, 1)] = entries[(0, 1)] + 1

@@ -8,7 +8,7 @@ from framedvertex import curve as curve_module
 from framedvertex.curvefun import (phi_prime_decompose,
                                    phi_prime_decompose_pair, plus_part)
 from framedvertex.engine import budget_cells, make_workspace
-from framedvertex.errors import InsufficientTruncation
+from framedvertex.errors import DegreeCapExceeded, InsufficientTruncation
 from framedvertex.kernels import (KernelWorkspace, kernel_I,
                                   kernel_I_via_involution, kernel_II,
                                   kernel_II_symmetrized)
@@ -77,6 +77,37 @@ def test_point_kernel_degree_bound(ws):
 def test_point_kernel_symmetrized_variant(ws):
     for b in range(4):
         assert ws.kernel_II(b) == kernel_II_symmetrized(b, ws.curve, ws.tower), b
+
+
+def test_symmetrized_point_kernel_stops_at_positive_leads(ws, monkeypatch):
+    # A_k and B_k reach positive lead at k = 2b+3, and z, zbar have lead
+    # 1, so steps 2b+3 .. 2b+6 are not run: crosscheck-chi4's b = 0, 1, 2
+    # take 15 steps where 27 were run before
+    leads = []
+
+    def spy(series, curve):
+        leads.append(series.lead)
+        return plus_part(series, curve)
+
+    monkeypatch.setattr(kernels, "plus_part", spy)
+    steps = []
+    for b in range(3):
+        del leads[:]
+        assert kernel_II_symmetrized(b, ws.curve, ws.tower) == ws.kernel_II(b)
+        steps.append(len(leads))
+        assert max(leads) <= 0
+    assert steps == [3, 5, 7]
+
+
+def test_symmetrized_point_kernel_cap_still_raises(ws):
+    # phi_{b+3} in place of phi_{b+1}: step cap = 2b+6 still has lead 0,
+    # so it is run, and its polynomial part is not zero
+    class Shifted:
+        def phi_coeffs(self, b):
+            return ws.tower.phi_coeffs(b + 2)
+
+    with pytest.raises(DegreeCapExceeded):
+        kernel_II_symmetrized(0, ws.curve, Shifted())
 
 
 def test_point_kernel_decomposes(ws):
