@@ -207,17 +207,18 @@ def test_recursion_step_equals_its_parent_body(table5, monkeypatch, fold,
     assert max(sizes) == fold
 
 
-@pytest.mark.parametrize("fold", [tpoly._FOLD, 2])
-def test_tampered_lower_cell_fails_the_extraction(monkeypatch, fold):
+def test_tampered_lower_cell_fails_the_extraction(monkeypatch):
     # the splitting sum puts slot 0 apart, so a wrong (1,2) value feeds an
-    # asymmetric coefficient set into (1,4)
-    monkeypatch.setattr(tpoly, "_FOLD", fold)
+    # asymmetric coefficient set into (1,4); at either fold size
     table = run_to_budget(4)
     entries = table.cell_entries(1, 2)
     entries[(0, 1)] = entries[(0, 1)] + 1
     table.mark_cell(1, 2, entries)
-    with pytest.raises(SymmetryViolation):
-        recursion_step(1, 4, table, make_workspace(budget_cells(4)))
+    workspace = make_workspace(budget_cells(4))
+    for fold in (tpoly._FOLD, 2):
+        monkeypatch.setattr(tpoly, "_FOLD", fold)
+        with pytest.raises(SymmetryViolation):
+            recursion_step(1, 4, table, workspace)
 
 
 def test_assemble_three_point():
