@@ -26,6 +26,17 @@ every representative its full expansion would touch, so a report's
 ``residual_terms`` counts the nonzero orbit representatives of the
 residual (zero exactly when the identity holds).
 
+The operands are built only as far as the reads reach.  ``assemble_H``
+does its arithmetic at the representatives and copies each value across
+its orbit, so H is still the full symmetric polynomial.  ``EH`` applies
+E to the slot-0 slice of H only, the keys whose slots 1..n-1 are
+non-increasing.  That is exact for any EH, symmetric or not: the
+splitting and divided-difference terms change slots 1..n-1 of a factor
+only by relabelling them, and every slot map they read through sends
+those slots, in increasing order, to slots where a representative is
+non-increasing; so every key they read lies in the slice.  Their
+products, numerator and quotient are built from the slice alone.
+
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
 recursion), used to pin the genus-0 cells and the one-point seed.
@@ -181,10 +192,25 @@ class CutJoinVerifier:
         return got
 
     def EH(self, g, n):
-        """H with the vector field E applied in slot 0."""
+        """E applied in slot 0 to the slot-0 slice of H.
+
+        The slice is the keys whose slots 1..n-1 are non-increasing; E in
+        slot 0 keeps slots 1..n-1, so this is that slice of the full E_0 H.
+        It holds every key ``t2_t3`` and ``t4`` read, whatever EH holds:
+        - ``t4`` reads its quotient at (e_i, e_j, rest in slot order), so
+          at keys whose slots 2.. are non-increasing; the factor and the
+          division by t_0 - t_1 touch slots 0 and 1 alone, so those keys
+          come only from keys of EH whose slots 1.. are non-increasing;
+        - ``t2_t3`` reads its class product through (m,) + subset + comp,
+          both increasing, so at keys that are non-increasing on the
+          slots of each factor but the joining one; the product adds
+          slot 0 only, so it reads each factor only in the slice.
+        """
         got = self._eh.get((g, n))
         if got is None:
-            got = euler_field(self.H(g, n), 0)
+            h = self.H(g, n)
+            got = euler_field(TPolynomial._raw(n, {
+                k: c for k, c in h.terms() if _is_rep(k[1:])}), 0)
             self._eh[(g, n)] = got
         return got
 

@@ -14,8 +14,10 @@ in the scale where the brackets carry no power of f(f+1):
 Each sum walks the stored entries of its lower cell or cells and reads
 every key in each of its distinct orderings (``orderings``: the multiset
 permutations, each once, never all n!), so an absent (zero) bracket
-costs nothing.  The loader refuses an entry past its cell's support
-bound, so every stored entry belongs in the sums.  Every contribution
+costs nothing.  The weight of a key, or in the splitting sum of a pair of
+keys, is formed once and serves every ordering.  The loader refuses an
+entry past its cell's support bound, so every stored entry belongs in the
+sums.  Every contribution
 w * dc is gathered unreduced (``tpoly.gather``) and each coefficient is
 reduced once, by ``tpoly.sum_gathered``, before the extraction; a key
 that gathers many is folded into one sum every ``tpoly._FOLD`` products,
@@ -34,7 +36,7 @@ import json
 from .errors import (DivisionByZero, MissingDependency,
                      SupportBoundViolation, SymmetryViolation)
 from .kernels import KernelWorkspace
-from .ratfunc import FR_ZERO, FRational
+from .ratfunc import FR_ONE, FR_ZERO, FRational
 from .tpoly import TPolynomial, gather, sum_gathered
 
 _F = FRational.variable()
@@ -205,10 +207,9 @@ def orderings(key):
         a[i + 1:] = a[:i:-1]
 
 
-def _orderings(entries):
-    """(beta, value) for every distinct ordering beta of each stored key."""
-    return ((beta, value) for key, value in entries.items()
-            for beta in orderings(key))
+def _by_key(entries):
+    """(value, every distinct ordering of the key) for each stored key."""
+    return [(value, list(orderings(key))) for key, value in entries.items()]
 
 
 def recursion_step(g, n, table, workspace):
@@ -230,13 +231,15 @@ def recursion_step(g, n, table, workspace):
 
     # genus reduction: brackets at (g-1, n+1) against pair kernels
     if is_stable(g - 1, n + 1):
-        for beta, br in _orderings(table.cell_entries(g - 1, n + 1)):
+        for key, br in table.cell_entries(g - 1, n + 1).items():
             w = _FF1 * br
-            for c, dc in workspace.decompose_pair_kernel(*beta[:2]).items():
-                gather(coeff, (c,) + beta[2:], w, dc)
+            for beta in orderings(key):
+                for c, dc in workspace.decompose_pair_kernel(*beta[:2]).items():
+                    gather(coeff, (c,) + beta[2:], w, dc)
 
     # stable splittings: ordered pairs of lower cells against pair kernels;
-    # b_i goes on the subset slots, b_j on the rest
+    # b_i goes on the subset slots, b_j on the rest.  The weight depends on
+    # the pair of stored keys only, so it is formed once per pair.
     for g1 in range(g + 1):
         for idx in _subsets(tuple(range(spect))):
             rest = tuple(k for k in range(spect) if k not in idx)
@@ -244,25 +247,29 @@ def recursion_step(g, n, table, workspace):
                     and is_stable(g - g1, 1 + len(rest))):
                 continue
             place = [(idx + rest).index(k) for k in range(spect)]
-            second = list(_orderings(table.cell_entries(g - g1,
-                                                        1 + len(rest))))
-            for (a1, *b_i), br1 in _orderings(
+            second = _by_key(table.cell_entries(g - g1, 1 + len(rest)))
+            for br1, first in _by_key(
                     table.cell_entries(g1, 1 + len(idx))):
-                for (a2, *b_j), br2 in second:
-                    b = b_i + b_j
-                    bs = tuple(b[p] for p in place)
+                for br2, others in second:
                     w = -(br1 * br2)
-                    for c, dc in workspace.decompose_pair_kernel(a1, a2).items():
-                        gather(coeff, (c,) + bs, w, dc)
+                    for a1, *b_i in first:
+                        for a2, *b_j in others:
+                            b = b_i + b_j
+                            bs = tuple(b[p] for p in place)
+                            for c, dc in workspace.decompose_pair_kernel(
+                                    a1, a2).items():
+                                gather(coeff, (c,) + bs, w, dc)
 
     # companion-slot terms: brackets at (g, n-1) against point kernels,
     # d on companion slot j and the rest of beta on the other slots
     if is_stable(g, n - 1):
-        for (b, *bs), br in _orderings(table.cell_entries(g, n - 1)):
+        for key, br in table.cell_entries(g, n - 1).items():
             w = -br / _FF1
-            for (c, d), dc in workspace.decompose_point_kernel(b).items():
-                for j in range(1, n):
-                    gather(coeff, (c, *bs[:j - 1], d, *bs[j - 1:]), w, dc)
+            for b, *bs in orderings(key):
+                for (c, d), dc in workspace.decompose_point_kernel(b).items():
+                    for j in range(1, n):
+                        gather(coeff, (c, *bs[:j - 1], d, *bs[j - 1:]),
+                               w, dc)
 
     # extraction: check symmetry and support
     coeff = sum_gathered(coeff)
@@ -293,22 +300,61 @@ def assemble_H(g, n, table, tower):
 
     -(f(f+1))^{n-1} sum over all orderings of bracket(g, b) prod_i phi_{b_i}(t_i).
 
-    The ordering beta of a sorted key contributes the image of the key's
-    own product value * prod_k phi_{key[k]}(t_k) under the slot map
-    m = slots sorted by (beta[s], s): beta[m[k]] = key[k], so the image
-    puts phi_{beta[s]} on t_s.  One product per key, every ordering a
-    relabelled copy of it.
+    H is symmetric, so its arithmetic is done only at the orbit
+    representatives, the non-increasing exponent vectors e, and each value
+    is copied to every distinct ordering of e (``orderings``).  At e the
+    sum over orderings beta of prod_s phi_{beta_s}[e_s] is taken slot by
+    slot: after slots 0..s-1 a state is the sorted multiset of the indices
+    placed there, holding the sum over its orderings of the product so
+    far.  A state is kept only while it is a sub-multiset of a stored key,
+    so an absent bracket costs nothing, and each layer is one gathered sum.
+    The vectors e are walked depth first, so a prefix that many
+    representatives share is summed once.  The full multisets are the
+    stored keys, each weighted by its bracket times -(f(f+1))^{n-1}.
     """
-    out = TPolynomial.zero(n)
+    entries = table.cell_entries(g, n)
+    if not entries:
+        return TPolynomial.zero(n)
     scale = -(_FF1 ** (n - 1))
-    for key, value in table.cell_entries(g, n).items():
-        term = TPolynomial.constant(n, value * scale)
-        for slot, b in enumerate(key):
-            term = term * tower.phi(b).embed(n, [slot])
-        out = out + term.embed_sum(n, [
-            sorted(range(n), key=lambda s: (beta[s], s))
-            for beta in orderings(key)])
-    return out
+    weight = {key: value * scale for key, value in entries.items()}
+    b_top = max(key[-1] for key in entries)
+    phis = [tower.phi_coeffs(b) for b in range(b_top + 1)]
+    # children[sub]: (coefficients of phi_b, sub + {b}) for each sub-multiset
+    # sub + {b} of a stored key
+    children = {}
+    level = set(entries)
+    for _ in range(n):
+        below = set()
+        for sub in level:
+            for i, b in enumerate(sub):
+                if i == 0 or sub[i - 1] != b:
+                    parent = sub[:i] + sub[i + 1:]
+                    below.add(parent)
+                    children.setdefault(parent, []).append((phis[b], sub))
+        level = below
+    reps = {}
+
+    def walk(e, states):
+        if len(e) == n:
+            for key, v in states.items():
+                gather(reps, e, weight[key], v)
+            return
+        for x in range(e[-1] + 1 if e else 2 * b_top + 2):
+            layer = {}
+            for sub, v in states.items():
+                for phi, nxt in children[sub]:
+                    if x < len(phi) and phi[x]:
+                        gather(layer, nxt, phi[x], v)
+            layer = sum_gathered(layer)
+            if layer:
+                walk(e + (x,), layer)
+
+    walk((), {(): FR_ONE})
+    terms = {}
+    for e, c in sum_gathered(reps).items():
+        for beta in orderings(e[::-1]):
+            terms[beta] = c
+    return TPolynomial._raw(n, terms)
 
 
 def budget_cells(chi_max):

@@ -11,8 +11,9 @@ appends each unreduced pair of factors to its key's list, and
 one Q(f) reduction per key, none for a key holding a single coefficient.
 A list is folded into its sum once it holds ``_FOLD`` products, so a key
 that gathers many keeps one reduced value and a short tail, not every
-factor it was handed.  Products, ``embed_sum``, ``curvefun.euler_field``,
-the recursion and the cut-and-join reads all take this route.
+factor it was handed.  Products, ``curvefun.euler_field``, the recursion,
+``engine.assemble_H``'s orbit sums and the cut-and-join reads all take
+this route.
 """
 
 from __future__ import annotations
@@ -256,19 +257,6 @@ class TPolynomial:
                 e[slot_map[k]] = v
             out[tuple(e)] = c
         return TPolynomial._raw(arity, out)
-
-    def embed_sum(self, arity, slot_maps):
-        """The sum of ``self.embed(arity, m)`` over the maps ``m``.
-
-        Each map goes through ``embed`` and its checks; the coefficients
-        landing on one monomial are summed with one reduction, and a
-        monomial with one image keeps that coefficient as it is.
-        """
-        images = {}
-        for slot_map in slot_maps:
-            for exps, c in self.embed(arity, slot_map)._terms.items():
-                gather(images, exps, c, FR_ONE)
-        return TPolynomial._raw(arity, sum_gathered(images))
 
     def map_coefficients(self, fn):
         out = {}

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -93,7 +94,7 @@ def test_lhs_hand_value_three_point(tower):
     # one coefficient per orbit; the hand value is symmetric, so its
     # restriction determines it
     assert got == restricted(want)
-    assert got == restricted(full_lhs(v, 0, 3))
+    assert got == restricted(full_lhs(v.H, None, 0, 3))
 
 
 def test_t1_vanishes_at_genus0(table3, tower):
@@ -159,15 +160,35 @@ REFERENCE_CHI4 = (Path(__file__).resolve().parents[1]
 HALF = FRational.from_fraction("1/2")
 
 
+def non_increasing(e):
+    return all(a >= b for a, b in zip(e, e[1:]))
+
+
 def restricted(p):
     """The terms of ``p`` at non-increasing exponent vectors, one per S_n
     orbit of monomials: what an orbit term holds."""
     return TPolynomial(p.arity, [(e, c) for e, c in p.terms()
-                                 if all(a >= b for a, b in zip(e, e[1:]))])
+                                 if non_increasing(e)])
 
 
-def full_lhs(v, g, n):
-    h = v.H(g, n)
+def sliced(p):
+    """The terms of ``p`` whose slots 1.. are non-increasing: what
+    ``CutJoinVerifier.EH`` holds."""
+    return TPolynomial(p.arity, [(e, c) for e, c in p.terms()
+                                 if non_increasing(e[1:])])
+
+
+def unsliced_EH(v):
+    """E in slot 0 on the full H, once per cell: the operand of the full
+    forms, built without ``CutJoinVerifier.EH`` and its slice."""
+    return functools.lru_cache(maxsize=None)(
+        lambda g, n: euler_field(v.H(g, n), 0))
+
+
+# The full forms read H and E_0 H only through the callables H and EH.
+
+def full_lhs(H, EH, g, n):
+    h = H(g, n)
     total = h.map_coefficients(lambda c: c.derivative())
     for slot in range(n):
         t = TPolynomial.variable(n, slot)
@@ -176,17 +197,17 @@ def full_lhs(v, g, n):
     return total
 
 
-def per_slot_t1(v, g, n):
+def per_slot_t1(H, EH, g, n):
     if g == 0:
         return TPolynomial.zero(n)
-    inner = euler_field(v.H(g - 1, n + 1), n)
+    inner = euler_field(H(g - 1, n + 1), n)
     total = TPolynomial.zero(n)
     for slot in range(n):
         total = total + substitute(euler_field(inner, slot), n, slot)
     return total * (-HALF)
 
 
-def per_subset_t2_t3(v, g, n):
+def per_subset_t2_t3(H, EH, g, n):
     total = TPolynomial.zero(n)
     for m in range(n):
         others = tuple(k for k in range(n) if k != m)
@@ -198,17 +219,17 @@ def per_subset_t2_t3(v, g, n):
                 for a in range(0, g + 1):
                     if not (is_stable(a, k1) and is_stable(g - a, k2)):
                         continue
-                    term = v.EH(a, k1).embed(n, (m,) + subset) \
-                        * v.EH(g - a, k2).embed(n, (m,) + comp)
+                    term = EH(a, k1).embed(n, (m,) + subset) \
+                        * EH(g - a, k2).embed(n, (m,) + comp)
                     total = total + term * (-HALF)
     return total
 
 
-def per_pair_t4(v, g, n):
+def per_pair_t4(H, EH, g, n):
     total = TPolynomial.zero(n)
     if n < 2:
         return total
-    base = v.EH(g, n - 1)
+    base = EH(g, n - 1)
     for i in range(n):
         for j in range(i + 1, n):
             rest = tuple(k for k in range(n) if k != i and k != j)
@@ -234,14 +255,19 @@ def table4():
 @pytest.mark.parametrize("term", list(FULL_FORMS))
 def test_orbit_terms_restrict_the_full_forms(table4, term):
     v = CutJoinVerifier(table4, PhiTower(6))
+    eh = unsliced_EH(v)
     nonzero = 0
     for g, n in table4.cells():
         if 2 * g - 2 + n < 2:
             continue
         got = getattr(v, term)(g, n)
-        assert got == restricted(FULL_FORMS[term](v, g, n)), (g, n)
+        assert got == restricted(FULL_FORMS[term](v.H, eh, g, n)), (g, n)
         nonzero += not got.is_zero
     assert nonzero >= 3
+    # the operands the terms read: the slot-0 slice of the full E_0 H
+    assert bool(v._eh) == (term in ("t2_t3", "t4"))
+    for (g, n), got in v._eh.items():
+        assert got == sliced(eh(g, n)), (g, n)
 
 
 class RandomEH(CutJoinVerifier):
@@ -283,10 +309,10 @@ def test_terms_are_relabelled_products_on_asymmetric_input(cell):
         eh = v.EH(g, n - 1)
         assert eh.embed(n - 1, tuple(reversed(range(n - 1)))) != eh
     t2_t3 = v.t2_t3(g, n)
-    assert t2_t3 == restricted(per_subset_t2_t3(v, g, n))
+    assert t2_t3 == restricted(per_subset_t2_t3(v.H, v.EH, g, n))
     assert not t2_t3.is_zero
     t4 = v.t4(g, n)
-    assert t4 == restricted(per_pair_t4(v, g, n))
+    assert t4 == restricted(per_pair_t4(v.H, v.EH, g, n))
     assert not t4.is_zero
 
 
@@ -303,21 +329,31 @@ def test_assemble_H_is_symmetric_for_any_values(cell):
         key: localised(rng)
         for key in combinations_with_replacement(range(bound + 1), n)
         if sum(key) <= bound})
-    h = assemble_H(g, n, table, PhiTower(bound))
+    tower = PhiTower(bound)
+    h = assemble_H(g, n, table, tower)
     assert not h.is_zero
     for perm in permutations(range(n)):
         assert h.embed(n, perm) == h, perm
+    # symmetry alone would hold for any values copied across each orbit;
+    # the orbit sums must also be the sums over every ordering
+    assert h == per_ordering_H(table, tower, g, n)
+
+
+def per_ordering_H(table, tower, g, n):
+    """-(f(f+1))^{n-1} sum over every ordering beta of each stored key of
+    bracket * prod_s phi_{beta_s}(t_s), one full product per ordering."""
+    want = TPolynomial.zero(n)
+    for key, value in table.cell_entries(g, n).items():
+        for beta in set(permutations(key)):
+            term = TPolynomial.constant(n, value)
+            for slot, b in enumerate(beta):
+                term = term * tower.phi(b).embed(n, [slot])
+            want = want + term
+    return want * (-(F * (F + 1)) ** (n - 1))
 
 
 def test_assemble_H_matches_per_ordering_products(table4):
     tower = PhiTower(6)
     for g, n in table4.cells():
-        want = TPolynomial.zero(n)
-        for key, value in table4.cell_entries(g, n).items():
-            for beta in set(permutations(key)):
-                term = TPolynomial.constant(n, value)
-                for slot, b in enumerate(beta):
-                    term = term * tower.phi(b).embed(n, [slot])
-                want = want + term
-        want = want * (-(F * (F + 1)) ** (n - 1))
-        assert assemble_H(g, n, table4, tower) == want, (g, n)
+        assert assemble_H(g, n, table4, tower) == \
+            per_ordering_H(table4, tower, g, n), (g, n)

@@ -137,51 +137,6 @@ def test_embed():
         p.embed(2, [0, 5])
 
 
-def test_embed_sum_is_the_sum_of_embeds(rng):
-    p = rand_tpoly(rng, 2)
-    maps = [(0, 1), (1, 0), (2, 0), (0, 2), (3, 1), (1, 2)]
-    total = TPolynomial.zero(4)
-    for m in maps:
-        total = total + p.embed(4, m)
-    assert p.embed_sum(4, maps) == total
-    # images that cancel leave no zero entries behind
-    q = var(2, 0) - var(2, 1)
-    assert q.embed_sum(3, [(0, 2), (2, 0)]).is_zero
-    assert q.embed_sum(3, []) == TPolynomial.zero(3)
-    # every map keeps embed's checks
-    with pytest.raises(ValueError):
-        p.embed_sum(4, [(0, 1), (2, 2)])
-    with pytest.raises(IndexOutOfRange):
-        p.embed_sum(4, [(0, 1), (0, 4)])
-
-
-def test_embed_sum_keeps_a_single_image(rng, monkeypatch):
-    # disjoint images: every monomial receives one coefficient, which is
-    # kept as it is, so no sum is formed
-    import framedvertex.tpoly as tpoly
-    p = rand_tpoly(rng, 1) * var(1, 0)  # no constant term, so no overlap
-    q = var(2, 0) + var(2, 1)
-    double = 2 * q
-    want = p.embed(3, (0,)) + p.embed(3, (1,)) + p.embed(3, (2,))
-    calls = []
-    real = tpoly.sum_of_products
-
-    def counting(xs, ys):
-        calls.append(len(xs))
-        return real(xs, ys)
-
-    monkeypatch.setattr(tpoly, "sum_of_products", counting)
-    maps = [(0,), (1,), (2,)]
-    got = p.embed_sum(3, maps)
-    assert calls == []
-    assert got == want
-    assert all(got.coefficient(e) is c
-               for m in maps for e, c in p.embed(3, m).terms())
-    # overlapping images still go through one sum per shared monomial
-    assert q.embed_sum(2, [(0, 1), (1, 0)]) == double
-    assert calls == [2, 2]
-
-
 def test_render_lines_sorted():
     p = var(2, 0) ** 2 + var(2, 1) + TPolynomial.constant(2, FR_ONE)
     assert p.render_lines() == ["0,0 : 1", "0,1 : 1", "2,0 : 1"]
