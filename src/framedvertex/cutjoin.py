@@ -29,13 +29,11 @@ residual (zero exactly when the identity holds).
 The operands are built only as far as the reads reach.  ``assemble_H``
 does its arithmetic at the representatives and copies each value across
 its orbit, so H is still the full symmetric polynomial.  ``EH`` applies
-E to the slot-0 slice of H only, the keys whose slots 1..n-1 are
-non-increasing.  That is exact for any EH, symmetric or not: the
-splitting and divided-difference terms change slots 1..n-1 of a factor
-only by relabelling them, and every slot map they read through sends
-those slots, in increasing order, to slots where a representative is
-non-increasing; so every key they read lies in the slice.  Their
-products, numerator and quotient are built from the slice alone.
+E only to the slot-0 slice of H, the keys whose slots 1..n-1 are
+non-increasing, so the splitting products and the divided-difference
+numerator and quotient are built from that slice.  The slice is exact
+for any EH, symmetric or not, because those two terms read only keys
+that come from it (see ``EH``).
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type

@@ -234,7 +234,8 @@ def recursion_step(g, n, table, workspace):
         for key, br in table.cell_entries(g - 1, n + 1).items():
             w = _FF1 * br
             for beta in orderings(key):
-                for c, dc in workspace.decompose_pair_kernel(*beta[:2]).items():
+                for c, dc in workspace.decompose_pair_kernel(
+                        *beta[:2]).items():
                     gather(coeff, (c,) + beta[2:], w, dc)
 
     # stable splittings: ordered pairs of lower cells against pair kernels;
