@@ -285,7 +285,8 @@ def _suite_symmetry(args, table):
     # enforces and ``recursion_step`` checks, so these rows restate it for
     # the table as loaded; the permutation symmetry of the assembled
     # polynomials holds by construction (``assemble_H`` sums every ordering
-    # of a sorted key), so no row can test it on a table
+    # of a sorted key at each orbit representative, the only keys it
+    # returns), so no row can test it on a table
     results = []
     for g, n in _budget_cells(args, table):
         ok = all(sum(key) <= support_bound(g, n)

@@ -26,14 +26,20 @@ every representative its full expansion would touch, so a report's
 ``residual_terms`` counts the nonzero orbit representatives of the
 residual (zero exactly when the identity holds).
 
-The operands are built only as far as the reads reach.  ``assemble_H``
-does its arithmetic at the representatives and copies each value across
-its orbit, so H is still the full symmetric polynomial.  ``EH`` applies
-E only to the slot-0 slice of H, the keys whose slots 1..n-1 are
-non-increasing, so the splitting products and the divided-difference
-numerator and quotient are built from that slice.  The slice is exact
-for any EH, symmetric or not, because those two terms read only keys
-that come from it (see ``EH``).
+H is held by orbit: ``assemble_H`` returns it only at the
+representatives, and no operand is built at every ordering.  That is
+exact whatever the table holds, because H is symmetric by construction
+(it sums every ordering at each representative), and E_n leaves slots
+0..n-1 alone, so E_n H(g-1, n+1) is symmetric in those slots.  So the
+left side reads H at the representative of each key, and ``t1`` reads
+E_n H(g-1, n+1) at the representative of a key's first n slots
+(``_field_reads``).  An operand with one slot free is built from a slice
+(``_slice``), the keys non-increasing on every slot but that one: ``t1``
+applies E_n to the slot-n slice of H(g-1, n+1), and ``EH`` applies E_0
+to the slot-0 slice of H, so the splitting products and the
+divided-difference numerator and quotient are built from that slice.
+The slot-0 slice is exact for any EH, symmetric or not, because those
+two terms read only keys that come from it (see ``EH``).
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
@@ -192,8 +198,9 @@ class CutJoinVerifier:
     def EH(self, g, n):
         """E applied in slot 0 to the slot-0 slice of H.
 
-        The slice is the keys whose slots 1..n-1 are non-increasing; E in
-        slot 0 keeps slots 1..n-1, so this is that slice of the full E_0 H.
+        The slice (``_slice``) is the keys whose slots 1..n-1 are
+        non-increasing, listed from the representatives H holds; E in slot
+        0 keeps slots 1..n-1, so this is that slice of the full E_0 H.
         It holds every key ``t2_t3`` and ``t4`` read, whatever EH holds:
         - ``t4`` reads its quotient at (e_i, e_j, rest in slot order), so
           at keys whose slots 2.. are non-increasing; the factor and the
@@ -206,24 +213,20 @@ class CutJoinVerifier:
         """
         got = self._eh.get((g, n))
         if got is None:
-            h = self.H(g, n)
-            got = euler_field(TPolynomial._raw(n, {
-                k: c for k, c in h.terms() if _is_rep(k[1:])}), 0)
-            self._eh[(g, n)] = got
+            got = self._eh[(g, n)] = euler_field(_slice(self.H(g, n), 0), 0)
         return got
 
     def lhs(self, g, n):
         """(d/df + sum_l t_l(t_l-1)/(f+1) d/dt_l) H.
 
-        At e it reads H at e and at each e - 1_l.  H is symmetric, so the
-        representatives touched are those of its support and one step above.
+        At e it reads H at e and at each e - 1_l, each at its
+        representative.  H is symmetric and held at its representatives, so
+        those touched are its keys and the representatives one step above.
         """
         h = dict(self.H(g, n).terms())
-        reps = set()
+        reps = set(h)
         for r in h:
-            if _is_rep(r):
-                reps.add(r)
-                reps.update(_rep(_bump(r, l, 1)) for l in range(n))
+            reps.update(_rep(_bump(r, l, 1)) for l in range(n))
         reads = {}
         for e in reps:
             c = h.get(e)
@@ -238,7 +241,9 @@ class CutJoinVerifier:
 
         The coefficient at e sums the (E_l G)(e with e_l split as p + q, the
         q on t_n) over l and p, with G = E_n H(g-1, n+1).  G is symmetric in
-        t_0..t_{n-1}, so the keys of G non-increasing there reach every
+        t_0..t_{n-1}, so it is built only at the keys non-increasing there,
+        by E_n on the slot-n slice of H(g-1, n+1), and each read is taken
+        at the representative of its first n slots.  Those keys reach every
         orbit: E_l moves a key by 0, 1 or 2 in slot l.
         """
         if g == 0:
@@ -246,13 +251,12 @@ class CutJoinVerifier:
         if not is_stable(g - 1, n + 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g - 1, n + 1))
-        inner = dict(euler_field(self.H(g - 1, n + 1), n).terms())
+        inner = dict(euler_field(_slice(self.H(g - 1, n + 1), n), n).terms())
         reps = set()
         for k in inner:
-            if _is_rep(k[:n]):
-                for l in range(n):
-                    merged = _bump(k[:n], l, k[n])
-                    reps.update(_rep(_bump(merged, l, j)) for j in range(3))
+            for l in range(n):
+                merged = _bump(k[:n], l, k[n])
+                reps.update(_rep(_bump(merged, l, j)) for j in range(3))
         reads = {}
         for e in reps:
             for l, x in enumerate(e):
@@ -342,8 +346,20 @@ def _rep(key):
     return tuple(sorted(key, reverse=True))
 
 
-def _is_rep(key):
-    return all(a >= b for a, b in zip(key, key[1:]))
+def _slice(p, slot):
+    """The keys of the orbit-held ``p`` that are non-increasing on every
+    slot but ``slot``, each with the coefficient of its representative.
+
+    A representative r gives one such key per distinct value x in r: x on
+    ``slot``, the other entries of r in order on the other slots.
+    """
+    terms = {}
+    for r, c in p.terms():
+        for i, x in enumerate(r):
+            if i == 0 or r[i - 1] != x:
+                rest = r[:i] + r[i + 1:]
+                terms[rest[:slot] + (x,) + rest[slot:]] = c
+    return TPolynomial._raw(p.arity, terms)
 
 
 def _bump(key, slot, by):
@@ -353,12 +369,18 @@ def _bump(key, slot, by):
 def _field_reads(terms, key, slot, field, reads, e):
     """Gather at ``e`` the products whose sum is the coefficient at ``key``
     of c(t) d/dt_slot applied to the polynomial with ``terms``: each
-    c_i t^i d/dt reads the key i - 1 lower in ``slot``."""
+    c_i t^i d/dt reads the key i - 1 lower in ``slot``.
+
+    The polynomial is symmetric in its first len(e) slots and ``terms``
+    holds it where those are non-increasing, so a key is read at its
+    representative there."""
+    n = len(e)
     x = key[slot]
     for i, c in field.items():
         m = x - i + 1
         if m > 0:
-            v = terms.get(_bump(key, slot, 1 - i))
+            k = _bump(key, slot, 1 - i)
+            v = terms.get(_rep(k[:n]) + k[n:])
             if v is not None:
                 gather(reads, e, v, c * m)
 
@@ -369,11 +391,20 @@ def _image_reads(terms, slot_maps, reads):
 
     The image under m puts variable k on slot m[k], so its coefficient at
     e is ``terms[e o m]``; an image only permutes a key, so the
-    representatives of the keys of ``terms`` are all it touches.
+    representatives of the keys of ``terms`` are all it touches.  Which
+    maps read the same key depends only on which entries of e are equal,
+    so the maps are counted once per equality pattern p of e (p[i] the
+    first slot holding e[i]), as the slot tuples p o m that e then reads.
     """
+    counted = {}
     for e in {_rep(k) for k in terms}:
-        for key, count in Counter(tuple(e[i] for i in m)
-                                  for m in slot_maps).items():
-            v = terms.get(key)
+        pattern = tuple(e.index(x) for x in e)
+        if pattern not in counted:
+            counted[pattern] = [
+                (idx, FRational.from_int(count)) for idx, count in
+                Counter(tuple(pattern[i] for i in m)
+                        for m in slot_maps).items()]
+        for idx, count in counted[pattern]:
+            v = terms.get(tuple(e[i] for i in idx))
             if v is not None:
-                gather(reads, e, v, FRational.from_int(count))
+                gather(reads, e, v, count)

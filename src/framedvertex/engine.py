@@ -297,14 +297,16 @@ def recursion_step(g, n, table, workspace):
 
 
 def assemble_H(g, n, table, tower):
-    """The n-variable polynomial generating one cell.
+    """The n-variable polynomial generating one cell, held by orbit.
 
     -(f(f+1))^{n-1} sum over all orderings of bracket(g, b) prod_i phi_{b_i}(t_i).
 
-    H is symmetric, so its arithmetic is done only at the orbit
-    representatives, the non-increasing exponent vectors e, and each value
-    is copied to every distinct ordering of e (``orderings``).  At e the
-    sum over orderings beta of prod_s phi_{beta_s}[e_s] is taken slot by
+    H is symmetric, so it is returned only at the orbit representatives,
+    the non-increasing exponent vectors e: its coefficient at any other
+    vector is the one at that vector's representative, sorted in
+    decreasing order.  The symmetry holds whatever the table holds,
+    because every ordering of each stored key is summed at each e.  At e
+    the sum over orderings beta of prod_s phi_{beta_s}[e_s] is taken slot by
     slot: after slots 0..s-1 a state is the sorted multiset of the indices
     placed there, holding the sum over its orderings of the product so
     far.  A state is kept only while it is a sub-multiset of a stored key,
@@ -351,11 +353,7 @@ def assemble_H(g, n, table, tower):
                 walk(e + (x,), layer)
 
     walk((), {(): FR_ONE})
-    terms = {}
-    for e, c in sum_gathered(reps).items():
-        for beta in orderings(e[::-1]):
-            terms[beta] = c
-    return TPolynomial._raw(n, terms)
+    return TPolynomial._raw(n, sum_gathered(reps))
 
 
 def budget_cells(chi_max):

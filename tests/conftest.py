@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -61,3 +62,29 @@ def substitute(p, slot, target):
         rest[t_new] += exps[slot]
         terms.append((rest, c))
     return TPolynomial(p.arity - 1, terms)
+
+
+def non_increasing(e):
+    return all(a >= b for a, b in zip(e, e[1:]))
+
+
+def restricted(p):
+    """The terms of ``p`` at non-increasing exponent vectors, one per S_n
+    orbit of monomials: what an orbit-held polynomial holds."""
+    return TPolynomial(p.arity, [(e, c) for e, c in p.terms()
+                                 if non_increasing(e)])
+
+
+def per_ordering_H(table, tower, g, n):
+    """-(f(f+1))^{n-1} sum over every ordering beta of each stored key of
+    bracket * prod_s phi_{beta_s}(t_s), one full product per ordering: H
+    at every exponent vector, built without ``engine.assemble_H``."""
+    f = FRational.variable()
+    want = TPolynomial.zero(n)
+    for key, value in table.cell_entries(g, n).items():
+        for beta in set(permutations(key)):
+            term = TPolynomial.constant(n, value)
+            for slot, b in enumerate(beta):
+                term = term * tower.phi(b).embed(n, [slot])
+            want = want + term
+    return want * (-(f * (f + 1)) ** (n - 1))

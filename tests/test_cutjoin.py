@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from framedvertex.curvefun import PhiTower, euler_field
-from framedvertex.cutjoin import CutJoinVerifier, psi_oracle
+from framedvertex.cutjoin import CutJoinVerifier, _slice, psi_oracle
 from framedvertex.engine import (BracketTable, assemble_H, is_stable,
                                  run_to_budget, seed_initial_data,
                                  support_bound)
@@ -15,7 +15,8 @@ from framedvertex.errors import OutsideVerifiableSet
 from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
 
-from conftest import localised, substitute
+from conftest import (localised, non_increasing, per_ordering_H,
+                      restricted, substitute)
 
 F = FRational.variable()
 
@@ -94,7 +95,7 @@ def test_lhs_hand_value_three_point(tower):
     # one coefficient per orbit; the hand value is symmetric, so its
     # restriction determines it
     assert got == restricted(want)
-    assert got == restricted(full_lhs(v.H, None, 0, 3))
+    assert got == restricted(full_lhs(full_H(table, tower), None, 0, 3))
 
 
 def test_t1_vanishes_at_genus0(table3, tower):
@@ -160,29 +161,25 @@ REFERENCE_CHI4 = (Path(__file__).resolve().parents[1]
 HALF = FRational.from_fraction("1/2")
 
 
-def non_increasing(e):
-    return all(a >= b for a, b in zip(e, e[1:]))
-
-
-def restricted(p):
-    """The terms of ``p`` at non-increasing exponent vectors, one per S_n
-    orbit of monomials: what an orbit term holds."""
+def sliced(p, slot=0):
+    """The terms of ``p`` that are non-increasing on every slot but
+    ``slot``: with slot 0, what ``CutJoinVerifier.EH`` holds."""
     return TPolynomial(p.arity, [(e, c) for e, c in p.terms()
-                                 if non_increasing(e)])
+                                 if non_increasing(e[:slot] + e[slot + 1:])])
 
 
-def sliced(p):
-    """The terms of ``p`` whose slots 1.. are non-increasing: what
-    ``CutJoinVerifier.EH`` holds."""
-    return TPolynomial(p.arity, [(e, c) for e, c in p.terms()
-                                 if non_increasing(e[1:])])
+def full_H(table, tower):
+    """H at every exponent vector, once per cell: the operand of the full
+    forms, built by ``per_ordering_H``, not by ``assemble_H``."""
+    return functools.lru_cache(maxsize=None)(
+        lambda g, n: per_ordering_H(table, tower, g, n))
 
 
-def unsliced_EH(v):
+def unsliced_EH(H):
     """E in slot 0 on the full H, once per cell: the operand of the full
     forms, built without ``CutJoinVerifier.EH`` and its slice."""
     return functools.lru_cache(maxsize=None)(
-        lambda g, n: euler_field(v.H(g, n), 0))
+        lambda g, n: euler_field(H(g, n), 0))
 
 
 # The full forms read H and E_0 H only through the callables H and EH.
@@ -252,19 +249,28 @@ def table4():
     return BracketTable.from_json(REFERENCE_CHI4.read_text())
 
 
+@pytest.fixture(scope="module")
+def H4(table4):
+    return full_H(table4, PhiTower(6))
+
+
 @pytest.mark.parametrize("term", list(FULL_FORMS))
-def test_orbit_terms_restrict_the_full_forms(table4, term):
+def test_orbit_terms_restrict_the_full_forms(table4, H4, term):
     v = CutJoinVerifier(table4, PhiTower(6))
-    eh = unsliced_EH(v)
+    eh = unsliced_EH(H4)
     nonzero = 0
     for g, n in table4.cells():
         if 2 * g - 2 + n < 2:
             continue
         got = getattr(v, term)(g, n)
-        assert got == restricted(FULL_FORMS[term](v.H, eh, g, n)), (g, n)
+        assert got == restricted(FULL_FORMS[term](H4, eh, g, n)), (g, n)
         nonzero += not got.is_zero
     assert nonzero >= 3
-    # the operands the terms read: the slot-0 slice of the full E_0 H
+    # the operands the terms read: H by orbit and the slot-0 slice of the
+    # full E_0 H
+    assert v._h
+    for (g, n), got in v._h.items():
+        assert got == restricted(H4(g, n)), (g, n)
     assert bool(v._eh) == (term in ("t2_t3", "t4"))
     for (g, n), got in v._eh.items():
         assert got == sliced(eh(g, n)), (g, n)
@@ -316,11 +322,14 @@ def test_terms_are_relabelled_products_on_asymmetric_input(cell):
     assert not t4.is_zero
 
 
-@pytest.mark.parametrize("cell", [(0, 5), (1, 4), (2, 2)],
-                         ids=["0,5", "1,4", "2,2"])
-def test_assemble_H_is_symmetric_for_any_values(cell):
-    # the premise of checking one coefficient per orbit: H is symmetric
-    # by construction, whatever the table holds
+PREMISE_CELLS = pytest.mark.parametrize(
+    "cell", [(0, 5), (1, 4), (2, 2)], ids=["0,5", "1,4", "2,2"])
+
+
+@functools.lru_cache(maxsize=None)
+def random_cell(cell):
+    """A table with random values on every key within the support bound of
+    ``cell``, a tower for it, and the cell's full H by ``per_ordering_H``."""
     g, n = cell
     bound = support_bound(g, n)
     rng = random.Random("premise/%d/%d" % cell)
@@ -330,30 +339,38 @@ def test_assemble_H_is_symmetric_for_any_values(cell):
         for key in combinations_with_replacement(range(bound + 1), n)
         if sum(key) <= bound})
     tower = PhiTower(bound)
-    h = assemble_H(g, n, table, tower)
-    assert not h.is_zero
+    return table, tower, per_ordering_H(table, tower, g, n)
+
+
+@PREMISE_CELLS
+def test_assemble_H_is_symmetric_for_any_values(cell):
+    # the premise of checking one coefficient per orbit: H is symmetric
+    # whatever the table holds, because every ordering of each key is
+    # summed, so its representatives determine it
+    g, n = cell
+    table, tower, full = random_cell(cell)
+    assert not full.is_zero
     for perm in permutations(range(n)):
-        assert h.embed(n, perm) == h, perm
-    # symmetry alone would hold for any values copied across each orbit;
-    # the orbit sums must also be the sums over every ordering
-    assert h == per_ordering_H(table, tower, g, n)
+        assert full.embed(n, perm) == full, perm
+    # the orbit sums must be the sums over every ordering, held only at
+    # the representatives
+    assert assemble_H(g, n, table, tower) == restricted(full)
 
 
-def per_ordering_H(table, tower, g, n):
-    """-(f(f+1))^{n-1} sum over every ordering beta of each stored key of
-    bracket * prod_s phi_{beta_s}(t_s), one full product per ordering."""
-    want = TPolynomial.zero(n)
-    for key, value in table.cell_entries(g, n).items():
-        for beta in set(permutations(key)):
-            term = TPolynomial.constant(n, value)
-            for slot, b in enumerate(beta):
-                term = term * tower.phi(b).embed(n, [slot])
-            want = want + term
-    return want * (-(F * (F + 1)) ** (n - 1))
+@PREMISE_CELLS
+def test_slice_of_orbit_H_is_the_slice_of_the_full_H(cell):
+    # the operands of EH (free slot 0) and of t1 (free last slot)
+    g, n = cell
+    table, tower, full = random_cell(cell)
+    h = assemble_H(g, n, table, tower)
+    for slot in (0, n - 1):
+        got = _slice(h, slot)
+        assert got == sliced(full, slot), slot
+        assert len(got) > len(h)
 
 
-def test_assemble_H_matches_per_ordering_products(table4):
+def test_assemble_H_matches_per_ordering_products(table4, H4):
     tower = PhiTower(6)
     for g, n in table4.cells():
-        assert assemble_H(g, n, table4, tower) == \
-            per_ordering_H(table4, tower, g, n), (g, n)
+        assert assemble_H(g, n, table4, tower) == restricted(H4(g, n)), \
+            (g, n)

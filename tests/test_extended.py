@@ -1,8 +1,9 @@
-"""Deeper cross-validation over the full complexity-5 budget.
+"""Deeper cross-validation over the complexity-5 and -6 budgets.
 
 Every cell is generated, the cut-and-join identity is verified on every
-complexity-5 cell, and the top-dimension shell of every cell is compared
-against the bare-integral oracle at all genera.
+complexity-5 and complexity-6 cell, and the top-dimension shell of every
+complexity-5 budget cell is compared against the bare-integral oracle at
+all genera.
 """
 
 import pytest
@@ -41,3 +42,13 @@ def test_top_shell_all_genera(table5):
                     FRational.from_fraction(psi_oracle(g, key))
                 assert value == want, (g, key)
 
+
+
+def test_identity_on_chi6_cells():
+    table6 = run_to_budget(6)
+    cells = [(3, 2), (2, 4), (1, 6), (0, 8)]
+    v = CutJoinVerifier(table6, PhiTower(
+        max(support_bound(g, n) for g, n in cells) + 1))
+    for g, n in cells:
+        report = v.verify(g, n)
+        assert report.passed, (g, n, report.residual_terms)
