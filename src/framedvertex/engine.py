@@ -302,15 +302,15 @@ def assemble_H(g, n, table, tower):
     -(f(f+1))^{n-1} sum over all orderings of bracket(g, b) prod_i phi_{b_i}(t_i).
 
     H is symmetric, so it is returned only at the orbit representatives,
-    the non-increasing exponent vectors e: its coefficient at any other
-    vector is the one at that vector's representative, sorted in
-    decreasing order.  The symmetry holds whatever the table holds,
-    because every ordering of each stored key is summed at each e.  At e
-    the sum over orderings beta of prod_s phi_{beta_s}[e_s] is taken slot by
-    slot: after slots 0..s-1 a state is the sorted multiset of the indices
-    placed there, holding the sum over its orderings of the product so
-    far.  A state is kept only while it is a sub-multiset of a stored key,
-    so an absent bracket costs nothing, and each layer is one gathered sum.
+    the non-increasing exponent vectors e: its coefficient at any vector
+    is the one at that vector sorted in decreasing order.  The symmetry
+    holds whatever the table holds, because every ordering of each stored
+    key is summed at each e.  At e the sum over orderings beta of
+    prod_s phi_{beta_s}[e_s] is taken slot by slot: after slots 0..s-1 a
+    state is the sorted multiset of the indices placed there, holding the
+    sum over its orderings of the product so far.  A state is kept only
+    while it is a sub-multiset of a stored key, so an absent bracket costs
+    nothing, and each layer is one gathered sum.
     The vectors e are walked depth first, so a prefix that many
     representatives share is summed once.  The full multisets are the
     stored keys, each weighted by its bracket times -(f(f+1))^{n-1}.

@@ -43,7 +43,6 @@ def test_top_shell_all_genera(table5):
                 assert value == want, (g, key)
 
 
-
 def test_identity_on_chi6_cells():
     table6 = run_to_budget(6)
     cells = [(3, 2), (2, 4), (1, 6), (0, 8)]
