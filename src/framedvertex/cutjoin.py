@@ -17,12 +17,18 @@ every joining slot and subset, the divided-difference term over every
 pair i < j (its summand is unchanged when i and j swap).  The symmetry
 comes from the assembly and from the verifier's own sums, never from the
 values under test.  Each term reads its coefficient at a representative:
-the left side from H, the genus-reduction term from E_n H(g-1, n+1), the
-splitting and divided-difference terms from one product or quotient per
-class of the verifier's slot maps, through every map of the class.  The
-reads at a representative are gathered (``tpoly.gather``) and summed
-with one ``sum_of_products`` by ``tpoly.sum_gathered``.  Each term covers
-every representative its full expansion would touch, so a report's
+the left side from H, the genus-reduction term from E_n H(g-1, n+1).
+The splitting and divided-difference terms build no n-variable product
+or quotient.  They go over pairs of operand terms, a term of each factor
+of a split or a slice term of EH and a term of the two-variable
+quotient Q_m (see ``t4``), and gather each pair at the one
+representative e it lands on, keyed by (e, w): w is the number of the
+term's slot maps (joining slot and subset, or slot pair) that read that
+pair at e, a count of choices of slots of e holding given values
+(``_choices``).  ``_weighted_sum`` then sums w times each (e, w) sum.
+The reads at a key are gathered (``tpoly.gather``) and summed with one
+``sum_of_products`` by ``tpoly.sum_gathered``.  Each term covers every
+representative its full expansion would touch, so a report's
 ``residual_terms`` counts the nonzero orbit representatives of the
 residual (zero exactly when the identity holds).
 
@@ -36,10 +42,10 @@ E_n H(g-1, n+1) at the representative of a key's first n slots
 (``_field_reads``).  An operand with one slot free is built from a slice
 (``_slice``), the keys non-increasing on every slot but that one: ``t1``
 applies E_n to the slot-n slice of H(g-1, n+1), and ``EH`` applies E_0
-to the slot-0 slice of H, so the splitting products and the
-divided-difference numerator and quotient are built from that slice.
-The slot-0 slice is exact for any EH, symmetric or not, because those
-two terms read only keys that come from it (see ``EH``).
+to the slot-0 slice of H, the operand of the splitting and
+divided-difference terms.  Those two terms read only slice keys of EH,
+and ``_by_rest`` keeps only those, so the slice is exact for any EH,
+symmetric or not (see ``EH``).
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
@@ -51,10 +57,11 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 
 from .curvefun import _E, euler_field
-from .engine import _subsets, assemble_H, is_stable
+from .engine import assemble_H, is_stable
 from .errors import OutsideVerifiableSet, UnstableDependency
 from .ratfunc import FR_ONE, FRational
 from .tpoly import TPolynomial, gather, sum_gathered
@@ -191,8 +198,7 @@ class CutJoinVerifier:
     def H(self, g, n):
         got = self._h.get((g, n))
         if got is None:
-            got = assemble_H(g, n, self.table, self.tower)
-            self._h[(g, n)] = got
+            got = self._h[(g, n)] = assemble_H(g, n, self.table, self.tower)
         return got
 
     def EH(self, g, n):
@@ -201,15 +207,18 @@ class CutJoinVerifier:
         The slice (``_slice``) is the keys whose slots 1..n-1 are
         non-increasing, listed from the representatives H holds; E in slot
         0 keeps slots 1..n-1, so this is that slice of the full E_0 H.
-        It holds every key ``t2_t3`` and ``t4`` read, whatever EH holds:
-        - ``t4`` reads its quotient at (e_i, e_j, rest in slot order), so
-          at keys whose slots 2.. are non-increasing; the factor and the
-          division by t_0 - t_1 touch slots 0 and 1 alone, so those keys
-          come only from keys of EH whose slots 1.. are non-increasing;
-        - ``t2_t3`` reads its class product through (m,) + subset + comp,
-          both increasing, so at keys that are non-increasing on the
-          slots of each factor but the joining one; the product adds
-          slot 0 only, so it reads each factor only in the slice.
+        It holds every key ``t2_t3`` and ``t4`` read, whatever EH holds.
+        At a representative e a slot map reads EH at the joining slot or
+        slot i, then the other slots it places, in increasing slot order:
+        - ``t2_t3`` reads each factor at (p, e[subset]) or (q, e[comp]),
+          subset and comp increasing;
+        - ``t4`` reads EH(g, n-1) at (m, e[rest]), rest the slots other
+          than i and j in order; the factor t_i(f t_i+1)(t_j-1) and the
+          division by t_i - t_j touch slots i and j alone.
+        e is non-increasing, so every read key is non-increasing from slot
+        1 on: a slice key.  ``_by_rest`` lists only those, so a term put
+        together from any other key of EH would be a read the full term
+        never makes.
         """
         got = self._eh.get((g, n))
         if got is None:
@@ -269,59 +278,65 @@ class CutJoinVerifier:
         """-1/2 over the joining slot m and ordered stable splits.
 
         The (m, subset, a) term is EH(a, 1+s) on t_m + subset times
-        EH(g-a, n-s) on t_m + comp, s = len(subset): both factors carry
-        the joining variable, like the diagonal slot in t1 and the slot
-        pairs in t4.  For g1 != g2 the two orders combine to the familiar
-        unordered terms.  ``_subsets`` lists subset and comp in increasing
-        order, so the term is the image of the class product (first
-        factor on slots 0..s, second on 0 and s+1..n-1) under the slot map
-        (m,) + subset + comp: one product per class (s, a), read at each
-        representative through every map of its class.
+        EH(g-a, n-s) on t_m + comp, s = len(subset), subset and comp the
+        other slots in increasing order: both factors carry the joining
+        variable, like the diagonal slot in t1 and the slot pairs in t4.
+        For g1 != g2 the two orders combine to the familiar unordered
+        terms.  No product is built.  At a representative e the (m, subset)
+        term reads EH(a, 1+s) at (p, e[subset]) and EH(g-a, n-s) at
+        (q, e[comp]) with p + q = e_m.  So a pair of slice terms (p, u),
+        (q, w) is read at e = rep((p+q,) + u + w) once per slot map that
+        puts p+q on the joining slot and the multiset u on the subset (the
+        complement then holds w, in order, as e is non-increasing):
+        mult_e(p+q) joining slots, times the subsets of the other slots,
+        rest = rep(u + w), holding u, prod_v C(mult_rest(v), mult_u(v))
+        (``_choices``).  The weight counts maps, not keys, because each
+        map adds its own copy of the pair's product at e.
         """
-        maps = {}
-        for m in range(n):
-            others = tuple(k for k in range(n) if k != m)
-            for subset in _subsets(others):
-                comp = tuple(k for k in others if k not in subset)
-                maps.setdefault(len(subset), []).append((m,) + subset + comp)
         reads = {}
-        for s, slot_maps in maps.items():
-            second = tuple(range(1 + s, n))
-            for a in range(0, g + 1):
-                if not (is_stable(a, 1 + s) and is_stable(g - a, n - s)):
-                    continue
-                product = self.EH(a, 1 + s).embed(n, range(1 + s)) \
-                    * self.EH(g - a, n - s).embed(n, (0,) + second)
-                _image_reads(dict(product.terms()), slot_maps, reads)
-        return TPolynomial._raw(n, sum_gathered(reads)) * (-_HALF)
+        for s, a in product(range(n), range(g + 1)):
+            if not (is_stable(a, 1 + s) and is_stable(g - a, n - s)):
+                continue
+            first = _by_rest(self.EH(a, 1 + s)).items()
+            second = _by_rest(self.EH(g - a, n - s)).items()
+            for (u, ps), (w, qs) in product(first, second):
+                rest = _rep(u + w)
+                subsets = _choices(rest, u)
+                for (p, c1), (q, c2) in product(ps, qs):
+                    e = _rep((p + q,) + rest)
+                    gather(reads, (e, e.count(p + q) * subsets), c1, c2)
+        return TPolynomial._raw(n, _weighted_sum(reads)) * (-_HALF)
 
     def t4(self, g, n):
         """Divided differences over the slot pairs i < j.
 
         The (i, j) term embeds EH(g, n-1) along (i,) + rest and (j,) + rest,
-        rest the other slots in order, and divides by t_i - t_j.  That is
-        the image of the (0, 1) term under the slot map (i, j) + rest, and
-        relabelling commutes with the exact division, so one numerator and
-        one division serve all C(n, 2) pairs.
+        rest the other slots in order, multiplies by t_i(f t_i+1)(t_j-1)
+        and t_j(f t_j+1)(t_i-1), subtracts and divides by t_i - t_j.  A
+        slice term c t_0^m t^r of EH(g, n-1) so gives c Q_m(t_i, t_j) t^r
+        on the rest, with Q_m = (A_m(t0, t1) - A_m(t1, t0)) / (t0 - t1) and
+        A_m = t0^(m+1)(f t0+1)(t1-1) (``_quotient``).  Q_m is exact: its
+        numerator is antisymmetric, so it vanishes on t0 = t1, and
+        ``exact_divide_difference`` would refuse a remainder.  Q_m is
+        symmetric (both numerator and divisor change sign under the swap),
+        so the pair (i, j) reads the same coefficient at (e_i, e_j) and
+        (e_j, e_i), and only its terms t0^a t1^b with a >= b are listed.
+        Each is read at e = rep((a, b) + r) once per slot pair holding the
+        values {a, b}: C(mult_e(a), 2) pairs when a = b, mult_e(a)
+        mult_e(b) otherwise (``_choices``).
         """
         if n < 2:
             return TPolynomial.zero(n)
         if not is_stable(g, n - 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g, n - 1))
-        base = self.EH(g, n - 1)
-        rest = tuple(range(2, n))
-        p_0 = base.embed(n, (0,) + rest)
-        p_1 = base.embed(n, (1,) + rest)
-        t0 = TPolynomial.variable(n, 0)
-        t1 = TPolynomial.variable(n, 1)
-        numer = t0 * (_F * t0 + 1) * (t1 - 1) * p_0 \
-            - t1 * (_F * t1 + 1) * (t0 - 1) * p_1
         reads = {}
-        _image_reads(dict(numer.exact_divide_difference(0, 1).terms()), [
-            (i, j) + tuple(k for k in range(n) if k != i and k != j)
-            for i in range(n) for j in range(i + 1, n)], reads)
-        return TPolynomial._raw(n, sum_gathered(reads)) * _INV_F1
+        for r, ms in _by_rest(self.EH(g, n - 1)).items():
+            for m, c in ms:
+                for (a, b), qc in _quotient(m):
+                    e = _rep((a, b) + r)
+                    gather(reads, (e, _choices(e, (a, b))), c, qc)
+        return TPolynomial._raw(n, _weighted_sum(reads)) * _INV_F1
 
     def verify(self, g, n):
         if 2 * g - 2 + n < 2:
@@ -385,26 +400,38 @@ def _field_reads(terms, key, slot, field, reads, e):
                 gather(reads, e, v, c * m)
 
 
-def _image_reads(terms, slot_maps, reads):
-    """Add the reads of the sum of the images of ``terms`` under the slot
-    maps at every representative those images touch.
+def _by_rest(p):
+    """The slice terms of ``p`` (slots 1.. non-increasing) as
+    {slots 1..: [(slot 0, coefficient)]}: the keys ``t2_t3`` and ``t4``
+    read, whatever else ``p`` holds."""
+    out = {}
+    for k, c in p.terms():
+        if all(x >= y for x, y in zip(k[1:], k[2:])):
+            out.setdefault(k[1:], []).append((k[0], c))
+    return out
 
-    The image under m puts variable k on slot m[k], so its coefficient at
-    e is ``terms[e o m]``; an image only permutes a key, so the
-    representatives of the keys of ``terms`` are all it touches.  Which
-    maps read the same key depends only on which entries of e are equal,
-    so the maps are counted once per equality pattern p of e (p[i] the
-    first slot holding e[i]), as the slot tuples p o m that e then reads.
-    """
-    counted = {}
-    for e in {_rep(k) for k in terms}:
-        pattern = tuple(e.index(x) for x in e)
-        if pattern not in counted:
-            counted[pattern] = [
-                (idx, FRational.from_int(count)) for idx, count in
-                Counter(tuple(pattern[i] for i in m)
-                        for m in slot_maps).items()]
-        for idx, count in counted[pattern]:
-            v = terms.get(tuple(e[i] for i in idx))
-            if v is not None:
-                gather(reads, e, v, count)
+
+def _choices(e, u):
+    """The number of sets of slots of ``e`` that hold the multiset ``u``:
+    prod over the values v of u of C(mult_e(v), mult_u(v))."""
+    return prod(comb(e.count(v), u.count(v)) for v in set(u))
+
+
+def _weighted_sum(reads):
+    """{e: the sum over w of w times the products gathered at (e, w)}, zero
+    sums dropped: w counts the slot maps through which each product is
+    read at e."""
+    out = {}
+    for (e, w), c in sum_gathered(reads).items():
+        gather(out, e, c, FRational.from_int(w))
+    return sum_gathered(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _quotient(m):
+    """The terms t0^a t1^b with a >= b of the symmetric
+    (A(t0, t1) - A(t1, t0)) / (t0 - t1), A = t0^(m+1)(f t0+1)(t1-1)."""
+    t0, t1 = TPolynomial.variable(2, 0), TPolynomial.variable(2, 1)
+    a = t0 ** (m + 1) * (_F * t0 + 1) * (t1 - 1)
+    q = (a - a.embed(2, (1, 0))).exact_divide_difference(0, 1)
+    return tuple((k, c) for k, c in q.terms() if k[0] >= k[1])

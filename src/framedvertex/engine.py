@@ -122,7 +122,9 @@ class BracketTable:
         stable, and every entry lies in a listed cell under a non-decreasing
         tuple of non-negative indices whose sum is within the cell's support
         bound.  The recursion reads every stored entry, so an entry past the
-        bound is bad input, refused here.
+        bound is bad input, refused here.  A table stores no zero value
+        (``mark_cell`` drops them), so a zero entry is refused too: kept,
+        it would be written back and exported.
         """
         obj = json.loads(text)
         if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
@@ -163,6 +165,8 @@ class BracketTable:
                 raise ValueError("zero denominator in %s" % key)
             except ValueError as exc:
                 raise ValueError("bad value for %s: %s" % (key, exc))
+            if not value:
+                raise ValueError("entry %s is zero" % key)
             cell[indices] = value
         return table
 

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from framedvertex import ratfunc
+from framedvertex.engine import run_to_budget
 from framedvertex.ratfunc import FR_ZERO, FRational
 from framedvertex.tpoly import TPolynomial
 
@@ -48,6 +49,13 @@ def packed_sums(monkeypatch):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@pytest.fixture(scope="session")
+def table6():
+    """The chi <= 6 table, built once for the session.  A test that
+    continues it works on a copy, so every user sees the same table."""
+    return run_to_budget(6)
 
 
 def substitute(p, slot, target):

@@ -271,12 +271,14 @@ def table_text(cells, entries):
     (table_text(["0,3", "1,1"], {"1|2": "1"}),
      "entry 1|2 sums past the support bound 1"),
     (table_text(["0,2", "0,3", "1,1"], {}), "(0, 2) is not stable"),
+    # a table never stores zero, so compute would write it back
+    (table_text(["0,3", "1,1"], {"0|0,0,0": "0"}), "entry 0|0,0,0 is zero"),
     # a file cut off mid-write
     (table_text(["0,3", "1,1"], {"0|0,0,0": "1", "1|1": "1/24"})[:60],
      "Expecting value"),
 ], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
         "unlisted-cell", "unsorted-index", "negative-index", "past-support",
-        "unstable-cell", "cut-mid-file"])
+        "unstable-cell", "zero-entry", "cut-mid-file"])
 def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
                                               reason):
     (tmp_path / "brackets.json").write_text(cache_text)

@@ -103,13 +103,13 @@ def test_run_is_idempotent(table3):
     assert {c: again.cell_entries(*c) for c in again.cells()} == before
 
 
-def test_chi6_table_is_pinned():
-    table = run_to_budget(6)
-    text = table.to_json()
+def test_chi6_table_is_pinned(table6):
+    text = table6.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "12d661edf3284f0bb2078029a762431197f02dda2af7334600e54a1e27d0fb3b"
-    # the same table continued to chi <= 7
-    text = run_to_budget(7, table=table).to_json()
+    # the same table continued to chi <= 7, on a copy read back from its
+    # text: the session's table6 stays at chi <= 6
+    text = run_to_budget(7, table=BracketTable.from_json(text)).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "2d62cc3f02b4810d119a7a1efb32bd335c77e39eb9f643be6564be805f5533ff"
 
