@@ -430,7 +430,9 @@ def _weighted_sum(reads):
 @functools.lru_cache(maxsize=None)
 def _quotient(m):
     """The terms t0^a t1^b with a >= b of the symmetric
-    (A(t0, t1) - A(t1, t0)) / (t0 - t1), A = t0^(m+1)(f t0+1)(t1-1)."""
+    (A(t0, t1) - A(t1, t0)) / (t0 - t1), A = t0^(m+1)(f t0+1)(t1-1).
+
+    Built once per m; m is at most the largest support bound checked."""
     t0, t1 = TPolynomial.variable(2, 0), TPolynomial.variable(2, 1)
     a = t0 ** (m + 1) * (_F * t0 + 1) * (t1 - 1)
     q = (a - a.embed(2, (1, 0))).exact_divide_difference(0, 1)

@@ -307,8 +307,9 @@ class RandomEH(CutJoinVerifier):
 @pytest.mark.parametrize("cell", [(0, 5), (1, 3), (1, 4), (2, 2)],
                          ids=["0,5", "1,3", "1,4", "2,2"])
 def test_terms_are_relabelled_products_on_asymmetric_input(cell):
-    # the orbit terms read every image of the class product or quotient,
-    # so they restrict the full sums even when EH has no symmetry at all
+    # the orbit terms weight each pair of operand terms by the slot maps
+    # that read it, so they restrict the full sums even when EH has no
+    # symmetry at all (and only its slice keys are read)
     g, n = cell
     v = RandomEH(7)
     if n > 2:  # the base of t4 has no slot symmetry
