@@ -7,25 +7,41 @@ z = 1/t the exponential local coordinate v satisfies
         = z^2 (1 + sum_{k>=1} c_k z^k),
     c_k = 2 (f^{k+1} - (-1)^{k+1}) / ((k+2) f^k (f+1)),
 
-so v = z F(z) for the unique square root F with F(0) = 1.  Reverting
-gives z = v G(v), the deck transformation is v -> -v, and t = 1/(v G(v))
-is the chart every downstream computation works in.
+so z = v G(v) is the inverse of v = z sqrt(1 + sum c_k z^k), the deck
+transformation is v -> -v, and t = 1/(v G(v)) is the chart every
+downstream computation works in.
+
+z(v) is not found by reverting that square root.  Differentiating the
+first line in v gives z z' = v (1 + z/f)(1 - z), and with y = z^2 the
+coefficients follow from two recurrences,
+
+    (k+1) y_{k+1} = 2 [k = 1] + 2 (1/f - 1) z_{k-1} - (2/f) y_{k-1},
+    z_k = (y_{k+1} - sum_{i=2}^{k-1} z_i z_{k+1-i}) / 2,
+
+from z_1 = 1 and y_2 = 1.  They fix every z_k once z_1 = 1 is chosen,
+and the inverse of the square root solves the same ODE with z_1 = 1, so
+the two agree coefficient by coefficient; the tests pin them equal.
 
 The odd series eta_{-1} = -(1/2)(log(1 + 1/(f t)) - log(1 + 1/(f s(t))))
 lives here too, so the eta family and both kernel forms share one copy.
+Its second logarithm is the first at -v, since s(t(v)) = t(-v).
 
 Everything is built once per truncation order and cached process-wide.
-The cached object is immutable apart from two caches that only grow: the
-powers of t(v), and ``derived``, where other modules keep series they
-build from this curve alone (the kernel cross-check forms keep their phi
-compositions and their pair- and step-independent factors there), so each
-is built once per curve and dropped with it.
+The cached object is immutable apart from two caches that only grow:
+the rows [v^-j] t(v)^k that ``curvefun.plus_part`` solves against, and
+``derived``, where other modules keep series they build from this curve
+alone (the generator kernels keep their factors there, the cross-check
+forms their phi compositions and their pair- and step-independent
+factors), so each is built once per curve and dropped with it.
+Nothing is built at import.
 """
 
 from __future__ import annotations
 
-from .ratfunc import FR_ONE, FRational
-from .vseries import VSeries, log_unit, revert, sqrt_unit
+from fractions import Fraction
+
+from .ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
+from .vseries import VSeries, log_unit
 
 
 def square_ratio_coefficient(k):
@@ -42,22 +58,39 @@ def square_ratio_coefficient(k):
     return FRational.poly(num) / FRational.poly(den)
 
 
+def z_of_v(trunc):
+    """z(v) through v^trunc, from the recurrences of the module docstring.
+
+    Each z_k is one reduction of its convolution sum, after the two-term
+    sum that gives y_{k+1}; ``low`` holds -z_i/2, so no product is scaled
+    inside the convolution.
+    """
+    f = FRational.variable()
+    up_z, up_y = 2 * (1 - f) / f, -2 / f
+    half = FRational.from_fraction("1/2")
+    z = [FR_ZERO, FR_ONE]
+    low = [FR_ZERO, -half]
+    y = [FR_ZERO, FR_ZERO, FR_ONE]
+    for k in range(2, trunc + 1):
+        y.append(sum_of_products((z[k - 1], y[k - 1]), (up_z, up_y))
+                 * Fraction(1, k + 1))
+        z.append(sum_of_products((y[k + 1], *z[2:k]),
+                                 (half, *low[k - 1:1:-1])))
+        low.append(-z[k] * half)
+    return VSeries(0, z, trunc)
+
+
 class CurveSeries:
     """Series tower for one truncation order, shared read-only."""
 
-    __slots__ = ("trunc", "F_of_z", "z_of_v", "t_of_v", "s_t_of_v",
-                 "zbar_of_v", "dt_dv", "sprime", "eta_minus_one", "_t_pows",
-                 "_derived")
+    __slots__ = ("trunc", "z_of_v", "t_of_v", "s_t_of_v", "zbar_of_v",
+                 "dt_dv", "sprime", "eta_minus_one", "_t_rows", "_derived")
 
     def __init__(self, trunc):
         if trunc < 4:
             raise ValueError("curve series need truncation order >= 4")
         self.trunc = trunc
-        ratio = VSeries(0, [square_ratio_coefficient(k) for k in range(trunc + 1)],
-                        trunc)
-        self.F_of_z = sqrt_unit(ratio)
-        v_of_z = self.F_of_z.shift(1)           # v = z F(z)
-        self.z_of_v = revert(v_of_z)            # z = v G(v)
+        self.z_of_v = z_of_v(trunc + 1)         # z = v G(v)
         self.t_of_v = self.z_of_v.reciprocal()  # t = 1/(v G(v)), lead -1
         self.s_t_of_v = self.t_of_v.negate_variable()
         self.zbar_of_v = self.z_of_v.negate_variable()
@@ -65,23 +98,49 @@ class CurveSeries:
         self.sprime = self.s_t_of_v.derivative() / self.dt_dv
         one = VSeries.one(trunc)
         inv_f = FR_ONE / FRational.variable()
-        log_plus = log_unit(one + self.z_of_v * inv_f)      # log(1 + 1/(f t))
-        log_minus = log_unit(one + self.zbar_of_v * inv_f)  # log(1 + 1/(f s(t)))
+        log_plus = log_unit(one + self.z_of_v * inv_f)  # log(1 + 1/(f t))
+        log_minus = log_plus.negate_variable()          # log(1 + 1/(f s(t)))
         self.eta_minus_one = (log_minus - log_plus) \
             * FRational.from_fraction("1/2")
-        self._t_pows = {0: VSeries.one(self.t_of_v.trunc + self.trunc),
-                        1: self.t_of_v}
+        self._t_rows = []
         self._derived = {}
 
     def t_power(self, j):
-        """t(v)^j, cached; j >= 0."""
+        """t(v)^j through v^0; j >= 0.
+
+        u = v t(v) has constant term 1 and t^j = v^-j u^j, so only the
+        coefficients w_0 .. w_j of u^j are wanted, and they follow from u
+        alone by J. C. P. Miller's recurrence for the powers of a series:
+        w_0 = 1, m w_m = sum_{i=1}^m (j i - (m - i)) u_i w_{m-i}.  Each w_m
+        is one ``sum_of_products``; no power is built from another, and
+        none past v^0.  A power the curve does not know through v^0
+        (j > trunc) raises ``InsufficientTruncation``.
+        """
         if j < 0:
             raise ValueError("negative power of t")
-        have = max(self._t_pows)
-        while have < j:
-            self._t_pows[have + 1] = self._t_pows[have] * self.t_of_v
-            have += 1
-        return self._t_pows[j]
+        u = [self.t_of_v.coeff(i - 1) for i in range(j + 1)]
+        ju = [x * (j * i) for i, x in enumerate(u)]
+        w = [FR_ONE]
+        lw = [FR_ZERO]                      # -l w_l
+        for m in range(1, j + 1):
+            w.append(sum_of_products((*ju[1:m + 1], *u[1:m + 1]),
+                                     (*w[::-1], *lw[::-1]))
+                     * Fraction(1, m))
+            lw.append(w[m] * -m)
+        return VSeries(-j, w, 0)
+
+    def t_rows(self, top):
+        """The rows of [v^-j] t(v)^k, row k listed for j = 0 .. k, at least
+        through k = top.
+
+        Built on demand, row k from ``t_power(k)``, and kept.  A row whose
+        power is not known through v^0 raises ``InsufficientTruncation``.
+        """
+        rows = self._t_rows
+        for k in range(len(rows), top + 1):
+            power = self.t_power(k)
+            rows.append(tuple(power.coeff(-j) for j in range(k + 1)))
+        return rows
 
     def derived(self, key, build):
         """``build(self)``, made on the first call for ``key`` and kept."""

@@ -5,14 +5,16 @@
 * the odd Laurent series eta_n(v), n >= -1, generated from the curve's
   eta_{-1} = -(1/2)(log(1+1/(f t)) - log(1+1/(f s(t)))) by the operator
   -(f/(f+1)) (1/v) d/dv, which matches E along the curve;
-* extraction of the polynomial-in-t part of a v-series (``plus_part``);
+* extraction of the polynomial-in-t part of a v-series (``plus_part``),
+  a triangular solve against the rows [v^-j] t(v)^k that the curve keeps,
+  exact because t(v)^k has lead -k and leading coefficient 1;
 * triangular decomposition in the phi'_b basis.
 """
 
 from __future__ import annotations
 
 from .errors import InsufficientTruncation, NotInSpan
-from .ratfunc import FR_ONE, FRational
+from .ratfunc import FR_ONE, FRational, sum_of_products
 from .tpoly import TPolynomial, gather, sum_gathered
 
 _F = FRational.variable()
@@ -94,32 +96,39 @@ class EtaFamily:
 
 
 def plus_part(series, curve):
-    """Polynomial-in-t part of a v-Laurent series.
+    """Polynomial-in-t part of a v-Laurent series: the p(t) with
+    series - p(t(v)) free of every exponent <= 0.
 
-    Peels the most negative v-exponent against the matching power of
-    t(v) = v^-1 (1 + ...), descending, then reads the constant from the
-    v^0 coefficient.  Each cached power of t(v) is cut to the remainder's
-    own guarantee before it is scaled, so the work follows the input's
-    window, not the length of the cached power.  Returns
-    ``(poly, remainder_lead)`` where ``remainder_lead`` is the lowest
-    exponent of the discarded strictly positive tail (None when the tail
-    vanishes).  An input known only below v^0 raises
+    t(v)^k has lead -k and leading coefficient 1, so [v^-j] p(t(v)) is
+    p_j plus sum_{k>j} p_k [v^-j] t^k, and matching it to x_{-j} is a
+    triangular solve from the top: with L the input's most negative
+    exponent, p_L = x_{-L} and, for j = L-1 down to 0,
+
+        p_j = x_{-j} - sum_{k=j+1}^{L} p_k [v^-j] t^k,
+
+    one ``sum_of_products`` per coefficient.  The rows [v^-j] t^k depend
+    on the curve alone and are kept on it (``CurveSeries.t_rows``).  Only
+    the input's coefficients through v^0 are read, and the solve is exact
+    when they are known; an input known only below v^0 raises
     ``InsufficientTruncation``.
     """
     if series.is_zero:
-        return TPolynomial.zero(1), None
+        return TPolynomial.zero(1)
     if series.trunc < 0:
         raise InsufficientTruncation(
             "plus-part needs coefficients through v^0, trunc=%d" % series.trunc)
-    coeffs = {}
-    rest = series
-    while not rest.is_zero and rest.lead <= 0:
-        j = -rest.lead
-        c = rest.leading_coefficient()
-        coeffs[j] = c
-        rest = rest - curve.t_power(j).truncate(rest.trunc) * c
-    poly = TPolynomial(1, [((j,), c) for j, c in coeffs.items()])
-    return poly, (rest.lead if not rest.is_zero else None)
+    top = -series.lead
+    if top < 0:
+        return TPolynomial.zero(1)
+    rows = curve.t_rows(top)
+    p = [series.leading_coefficient()]    # p_top, p_{top-1}, ...
+    minus = [-p[0]]
+    for j in range(top - 1, -1, -1):
+        p.append(sum_of_products(
+            (series.coeff(-j), *minus),
+            (FR_ONE, *(rows[k][j] for k in range(top, j, -1)))))
+        minus.append(-p[-1])
+    return TPolynomial(1, [((top - i,), c) for i, c in enumerate(p)])
 
 
 def phi_prime_decompose(poly, tower):

@@ -15,7 +15,14 @@ aborts the computation, since the whole bracket extraction relies on it.
 generator kernels cut their factors to the window that reaches v^0 and
 no further; each docstring says why its window is exact.  A window one
 coefficient short leaves a guarantee below v^0, and ``plus_part`` raises
-``InsufficientTruncation`` instead of returning a wrong kernel.
+``InsufficientTruncation`` instead of returning a wrong kernel.  Each
+generator's factor that depends on the curve alone (the pair kernel's
+-(1/2)((f+1)/f) v/(eta_{-1} dt/dv), the point kernel's
+zbar^2/(-2 eta_{-1})) is built once per curve at full length and cut to
+the window like the rest: the first W coefficients of a product or a
+reciprocal depend only on the first W of its factors, so the cut factor
+equals the one built from cut factors.  A later kernel on the same curve
+inverts no series.
 
 The cross-check forms run at the curve's full truncation, unwindowed.
 Every series in them that depends on the curve alone is built once per
@@ -23,7 +30,8 @@ curve and kept on it (``CurveSeries.derived``): each phi_b(t(v)), which
 the two forms share, each phi_b(s(t(v))), the pair factor and the two
 point factors, so a call pays only for the products that involve its own
 pair or step.  They share nothing with the generator kernels but
-primitive arithmetic, and ``kernel_II_symmetrized`` still composes
+primitive arithmetic and ``plus_part`` (neither side reads the other's
+keys of ``derived``), and ``kernel_II_symmetrized`` still composes
 through s(t(v)), so each stays an independent check of its generator.
 """
 
@@ -38,7 +46,6 @@ from .tpoly import TPolynomial
 from .vseries import VSeries, compose_polynomial
 
 _F = FRational.variable()
-_HALF = FRational.from_fraction("1/2")
 
 
 def default_trunc(pair_budget):
@@ -110,23 +117,36 @@ def kernel_I(a, b, eta, curve):
 
     Expand eta_{a+1} eta_{b+1} / eta_{-1} * ((f+1)/f) v as a one-form in
     v dv, convert to the t chart by dividing by dt/dv, and keep the
-    polynomial part, times -1/2.
+    polynomial part, times -1/2.  Every factor but the two eta_n depends
+    on the curve alone, so
 
-    Window: eta_n has lead -(2n+1), eta_{-1} lead 1 and dt/dv lead -2, so
-    x has lead -(2a+2b+4) and ``plus_part`` reads its W = 2a+2b+5
-    coefficients through v^0.  Products, reciprocals, shifts and scalar
-    multiples of series known to W coefficients from their leads are
-    known to W coefficients from their own leads, so with each of the
-    four factors cut to its first W coefficients x is known through v^0
-    exactly.
+        G = -(1/2) ((f+1)/f) v / (eta_{-1} dt/dv)
+
+    is built once per curve, at full length (``_pair_generator_factor``),
+    and a pair costs the two products eta_{a+1} eta_{b+1} G.
+
+    Window: eta_n has lead -(2n+1) and G lead 2, so x has lead
+    -(2a+2b+4) and ``plus_part`` reads its W = 2a+2b+5 coefficients
+    through v^0.  A product of series known to W coefficients from their
+    leads is known to W coefficients from its own lead, so with the three
+    factors cut to their first W coefficients x is known through v^0
+    exactly.  The first W coefficients of G are those of the same
+    expression with eta_{-1} and dt/dv cut to W coefficients, since the
+    first W coefficients of a reciprocal depend only on the first W of
+    its argument; so the full-length G cut to W reads no coefficient the
+    window leaves out.
     """
     w = 2 * a + 2 * b + 5
     x = (_window(eta.eta(a + 1), w) * _window(eta.eta(b + 1), w)
-         / _window(eta.eta(-1), w))
-    x = x.shift(1) * ((_F + 1) / _F)
-    x = x / _window(curve.dt_dv, w)
-    poly, _ = plus_part(x * (-_HALF), curve)
-    return poly
+         * _window(curve.derived("kernel_I factor", _pair_generator_factor),
+                   w))
+    return plus_part(x, curve)
+
+
+def _pair_generator_factor(curve):
+    """-(1/2) ((f+1)/f) v / (eta_{-1} dt/dv) along the curve."""
+    return ((curve.eta_minus_one * curve.dt_dv).reciprocal().shift(1)
+            * (-(_F + 1) / (2 * _F)))
 
 
 def kernel_I_via_involution(a, b, curve, tower):
@@ -150,9 +170,7 @@ def kernel_I_via_involution(a, b, curve, tower):
     else:
         pb_t = _phi_composed(b + 1, curve, tower, "t_of_v")
         numer = pa_t * pb_t.negate_variable() + pa_s * pb_t
-    poly, _ = plus_part(numer * curve.derived("pair factor", _pair_factor),
-                        curve)
-    return poly
+    return plus_part(numer * curve.derived("pair factor", _pair_factor), curve)
 
 
 def _phi_composed(b, curve, tower, inner):
@@ -191,26 +209,31 @@ def kernel_II(b, curve, tower):
 
     because the deck map v -> -v sends t to s(t) and zbar to z, and
     eta_{-1} is odd.  So phi_{b+1} is composed once and C_k advances by
-    one factor of zbar per k.  ``kernel_II_symmetrized`` composes through
-    s(t) as well, so it checks this v -> -v shortcut.
+    one factor of zbar per k.  The factor zbar^2 / (-2 eta_{-1}) of C_0
+    depends on the curve alone and is built once per curve, at full
+    length (``_point_generator_factor``).  ``kernel_II_symmetrized``
+    composes through s(t) as well, so it checks this v -> -v shortcut.
 
     Window: phi_{b+1} has degree d = 2b+3 and t(v) lead -1, so Horner at
     t(v) cut to its first d coefficients (through v^{d-2}) gives
     phi_{b+1}(t), of lead -d, through v^{-1}.  zbar^2/eta_{-1} has lead 1,
-    so C_0, with zbar and eta_{-1} cut to their first d coefficients too,
-    is known through v^0.  Each advance by zbar is cut back to v^0, and
-    s' (lead 0) times C_k is then known through v^0 by the product's own
-    guarantee: exactly the coefficients ``plus_part`` reads.
+    so C_0, with that factor cut to its first d coefficients, is known
+    through v^0; those d coefficients are the ones zbar and eta_{-1} cut
+    to d coefficients give, because the first d coefficients of a
+    product or a reciprocal depend only on the first d of its factors.
+    Each advance by zbar is cut back to v^0, and s' (lead 0) times C_k
+    is then known through v^0 by the product's own guarantee: exactly
+    the coefficients ``plus_part`` reads.
     """
     cap = 2 * b + 6
     d = 2 * b + 3
     phi_t = compose_polynomial(tower.phi_coeffs(b + 1),
                                _window(curve.t_of_v, d))
-    c_k = (phi_t * _window(curve.zbar_of_v, d) ** 2
-           / (_window(curve.eta_minus_one, d) * (-2)))
+    c_k = phi_t * _window(
+        curve.derived("kernel_II factor", _point_generator_factor), d)
     terms = {}
     for k in range(cap + 1):
-        q, _ = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
+        q = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
         q = q * FRational.from_int(k + 1)
         if not q.is_zero:
             if k == cap:
@@ -221,6 +244,11 @@ def kernel_II(b, curve, tower):
         if k < cap:
             c_k = (c_k * curve.zbar_of_v).truncate(0)
     return TPolynomial(2, terms.items())
+
+
+def _point_generator_factor(curve):
+    """zbar^2 / (-2 eta_{-1}) along the curve."""
+    return curve.zbar_of_v ** 2 * (curve.eta_minus_one * (-2)).reciprocal()
 
 
 def kernel_II_symmetrized(b, curve, tower):
@@ -252,7 +280,7 @@ def kernel_II_symmetrized(b, curve, tower):
     for k in range(cap + 1):
         if a_k.lead > 0 and b_k.lead > 0:
             break
-        q, _ = plus_part(a_k + b_k, curve)
+        q = plus_part(a_k + b_k, curve)
         q = q * FRational.from_int(k + 1)
         if not q.is_zero:
             if k == cap:

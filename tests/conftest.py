@@ -4,9 +4,11 @@ from itertools import permutations
 import pytest
 
 from framedvertex import ratfunc
+from framedvertex.curve import square_ratio_coefficient
 from framedvertex.engine import run_to_budget
 from framedvertex.ratfunc import FR_ZERO, FRational
 from framedvertex.tpoly import TPolynomial
+from framedvertex.vseries import VSeries, sqrt_unit
 
 
 def localised(rng, scalars=(1, 2, 3, 6, 35), max_deg=5, bits=None):
@@ -96,3 +98,24 @@ def per_ordering_H(table, tower, g, n):
                 term = term * tower.phi(b).embed(n, [slot])
             want = want + term
     return want * (-(f * (f + 1)) ** (n - 1))
+
+
+def F_of_z(trunc):
+    """F(z) = sqrt(1 + sum_k c_k z^k) through z^trunc, so v = z F(z): the
+    square root that z(v) inverts, built without the curve's own route."""
+    return sqrt_unit(VSeries(0, [square_ratio_coefficient(k)
+                                 for k in range(trunc + 1)], trunc))
+
+
+def peeled_plus_part(series, curve):
+    """The polynomial part by peeling: subtract t(v)^j times the lowest
+    coefficient, at exponent -j, until nothing at or below v^0 is left.
+    Each power is cut to the remainder's guarantee before it is scaled."""
+    coeffs = {}
+    rest = series
+    while not rest.is_zero and rest.lead <= 0:
+        j = -rest.lead
+        c = rest.leading_coefficient()
+        coeffs[j] = c
+        rest = rest - curve.t_power(j).truncate(rest.trunc) * c
+    return TPolynomial(1, [((j,), c) for j, c in coeffs.items()])

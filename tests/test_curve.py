@@ -1,6 +1,10 @@
+import pytest
+
+from conftest import F_of_z
 from framedvertex.curve import build_curve_series, square_ratio_coefficient
+from framedvertex.errors import InsufficientTruncation
 from framedvertex.ratfunc import FR_ONE, FRational
-from framedvertex.vseries import VSeries, log_unit
+from framedvertex.vseries import VSeries, log_unit, revert
 
 F = FRational.variable()
 
@@ -25,8 +29,8 @@ def test_square_ratio_against_log_expansion():
 
 def test_sqrt_coefficient_recursion():
     # sum_{i=0}^k a_i a_{k-i} must reproduce c_k
-    curve = build_curve_series(10)
-    a = [curve.F_of_z.coeff(k) for k in range(11)]
+    F_z = F_of_z(10)
+    a = [F_z.coeff(k) for k in range(11)]
     for k in range(1, 9):
         s = sum((a[i] * a[k - i] for i in range(k + 1)),
                 start=FRational.from_int(0))
@@ -42,9 +46,17 @@ def test_t_of_v_leading():
 
 
 def test_reversion_round_trip():
+    # z(v) comes from the curve's ODE; v(z) = z F(z) from the square root
     curve = build_curve_series(12)
-    v_of_z = curve.F_of_z.shift(1)
+    v_of_z = F_of_z(12).shift(1)
     assert v_of_z.compose(curve.z_of_v).agrees_with(VSeries.v(12))
+
+
+@pytest.mark.parametrize("trunc", [12, 22, 30])
+def test_z_of_v_equals_reversion(trunc):
+    # the ODE route and Lagrange inversion of v = z F(z), truncation
+    # included; 22 is the chi <= 5 curve
+    assert build_curve_series(trunc).z_of_v == revert(F_of_z(trunc).shift(1))
 
 
 def test_involution_fixes_x():
@@ -65,8 +77,21 @@ def test_t_plus_st_is_even():
 def test_truncation_monotonicity():
     small = build_curve_series(8)
     big = build_curve_series(14)
-    for name in ("F_of_z", "z_of_v", "t_of_v", "s_t_of_v"):
+    assert F_of_z(14).agrees_with(F_of_z(8))
+    for name in ("z_of_v", "t_of_v", "s_t_of_v", "eta_minus_one"):
         assert getattr(big, name).agrees_with(getattr(small, name))
+
+
+def test_t_power_is_the_power_through_v0():
+    # Miller's recurrence against repeated products, through v^0; the
+    # curve at trunc 12 knows t^12 through v^0 and no higher power
+    curve = build_curve_series(12)
+    power = VSeries.one(12)
+    for k in range(13):
+        assert curve.t_power(k) == power.truncate(0), k
+        power = power * curve.t_of_v
+    with pytest.raises(InsufficientTruncation):
+        curve.t_power(13)
 
 
 def test_cache_returns_same_object():

@@ -6,7 +6,7 @@ from framedvertex.curve import build_curve_series
 from framedvertex.curvefun import (EtaFamily, PhiTower, euler_field,
                                    phi_prime_decompose,
                                    phi_prime_decompose_pair, plus_part)
-from framedvertex.errors import NotInSpan
+from framedvertex.errors import InsufficientTruncation, NotInSpan
 from framedvertex.ratfunc import FR_ONE, FRational
 from framedvertex.tpoly import TPolynomial
 from framedvertex.vseries import VSeries, compose_polynomial
@@ -104,21 +104,29 @@ def test_eta_remainder_even_and_regular(curve, tower, eta):
         assert rem.is_zero or rem.lead >= 0
 
 
+def assert_plus_part(series, poly, curve):
+    # composed back along the curve, the polynomial leaves no exponent <= 0
+    coeffs = [poly.coefficient((k,)) for k in range(poly.degree_in(0) + 1)]
+    rest = series - compose_polynomial(coeffs, curve.t_of_v)
+    assert rest.is_zero or rest.lead > 0
+
+
 def test_plus_part_tautological(curve):
-    poly, tail = plus_part(curve.t_of_v, curve)
+    poly = plus_part(curve.t_of_v, curve)
     assert poly == T
-    assert tail is None or tail > 0
+    assert_plus_part(curve.t_of_v, poly, curve)
 
 
 def test_plus_part_discards_positive_powers(curve):
-    poly, tail = plus_part(VSeries.monomial(2, FR_ONE, curve.trunc), curve)
+    series = VSeries.monomial(2, FR_ONE, curve.trunc)
+    poly = plus_part(series, curve)
     assert poly.is_zero
-    assert tail == 2
+    assert_plus_part(series, poly, curve)
 
 
 def test_plus_part_of_inverse_v(curve):
     # 1/v = t - h_1 + (positive exponents); h_1 = (f-1)/(3f)
-    poly, _ = plus_part(VSeries.monomial(-1, FR_ONE, curve.trunc), curve)
+    poly = plus_part(VSeries.monomial(-1, FR_ONE, curve.trunc), curve)
     h1 = (F - 1) / (3 * F)
     assert poly == T - TPolynomial.constant(1, h1)
 
@@ -128,15 +136,40 @@ def test_plus_part_is_projection(curve, rng):
     from conftest import localised
     coeffs = [localised(rng, max_deg=2) for _ in range(6)]
     series = compose_polynomial(coeffs, curve.t_of_v)
-    poly, tail = plus_part(series, curve)
+    poly = plus_part(series, curve)
     want = TPolynomial(1, [((k,), c) for k, c in enumerate(coeffs)])
     assert poly == want
-    assert tail is None
+    assert_plus_part(series, poly, curve)
 
 
 def test_plus_part_zero(curve):
-    poly, tail = plus_part(VSeries.zero(10), curve)
-    assert poly.is_zero and tail is None
+    poly = plus_part(VSeries.zero(10), curve)
+    assert poly.is_zero
+    assert_plus_part(VSeries.zero(10), poly, curve)
+
+
+def test_plus_part_equals_peeling_on_random_laurent_series(curve, rng):
+    # leads -12 .. 1, guarantees v^0 .. v^3, coefficients in the localised
+    # ring, some of them zero; the top power t^12 is known through v^3
+    from conftest import localised, peeled_plus_part
+    for _ in range(40):
+        lead = rng.randint(-12, 1)
+        trunc = rng.randint(max(lead, 0), 3)
+        coeffs = [localised(rng) if rng.random() < 0.8 else 0
+                  for _ in range(trunc - lead + 1)]
+        series = VSeries(lead, coeffs, trunc)
+        poly = plus_part(series, curve)
+        assert poly == peeled_plus_part(series, curve)
+        assert_plus_part(series, poly, curve)
+
+
+def test_plus_part_needs_v0(curve):
+    # an input known only below v^0, and a power of t(v) the curve does
+    # not know through v^0 (t^k is known through v^{16-k} here)
+    with pytest.raises(InsufficientTruncation):
+        plus_part(VSeries.monomial(-3, FR_ONE, -1), curve)
+    with pytest.raises(InsufficientTruncation):
+        plus_part(VSeries.monomial(-17, FR_ONE, 0), curve)
 
 
 def test_decompose_phi_prime_itself(tower):

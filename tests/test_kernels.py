@@ -169,8 +169,7 @@ def full_kernel_I(a, b, eta, curve):
     x = eta.eta(a + 1) * eta.eta(b + 1) / eta.eta(-1)
     x = x.shift(1) * ((F + 1) / F)
     x = x / curve.dt_dv
-    poly, _ = plus_part(x * FRational.from_fraction("-1/2"), curve)
-    return poly
+    return plus_part(x * FRational.from_fraction("-1/2"), curve)
 
 
 def full_kernel_II(b, curve, tower):
@@ -179,7 +178,7 @@ def full_kernel_II(b, curve, tower):
     c_k = phi_t * curve.zbar_of_v ** 2 / (curve.eta_minus_one * (-2))
     terms = {}
     for k in range(2 * b + 7):
-        q, _ = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
+        q = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
         q = q * FRational.from_int(k + 1)
         for (e,), c in q.terms():
             terms[(e, k)] = c
@@ -229,6 +228,53 @@ def test_one_short_window_raises(ws5, monkeypatch):
             kernel_II(b, ws5.curve, ws5.tower)
 
 
+def test_plus_part_equals_peeling_on_kernel_inputs(ws5, monkeypatch):
+    # every series the generator kernels and the cross-check forms hand to
+    # plus_part at chi <= 5, solved against the rows and peeled
+    from conftest import peeled_plus_part
+    seen = []
+
+    def recording(series, curve):
+        seen.append(series)
+        return plus_part(series, curve)
+
+    monkeypatch.setattr(kernels, "plus_part", recording)
+    for a, b in CHI5_PAIRS:
+        kernel_I(a, b, ws5.eta, ws5.curve)
+        kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
+    for b in range(6):
+        kernel_II(b, ws5.curve, ws5.tower)
+        kernel_II_symmetrized(b, ws5.curve, ws5.tower)
+    assert len(seen) == 2 * len(CHI5_PAIRS) + sum(4 * b + 10 for b in range(6))
+    for series in seen:
+        assert (plus_part(series, ws5.curve)
+                == peeled_plus_part(series, ws5.curve)), series
+
+
+def test_generator_factors_made_once_per_curve(monkeypatch):
+    # the first kernel_I and kernel_II on a fresh curve build their
+    # factors; every later call on that curve inverts no series
+    monkeypatch.setattr(curve_module, "_CACHE", {})
+    ws = KernelWorkspace(pair_budget=3, point_budget=2, b_max=6)
+    calls = []
+    reciprocal = VSeries.reciprocal
+
+    def spy(series):
+        calls.append(series.lead)
+        return reciprocal(series)
+
+    monkeypatch.setattr(VSeries, "reciprocal", spy)
+    kernel_I(0, 0, ws.eta, ws.curve)
+    kernel_II(0, ws.curve, ws.tower)
+    assert len(calls) == 2
+    del calls[:]
+    for a, b in [(0, 0), (0, 1), (1, 2), (0, 3)]:
+        kernel_I(a, b, ws.eta, ws.curve)
+    for b in range(3):
+        kernel_II(b, ws.curve, ws.tower)
+    assert calls == []
+
+
 # -- cross-check forms: curve-level series built once per curve --------------
 
 def parent_kernel_I_via_involution(a, b, curve, tower):
@@ -245,8 +291,7 @@ def parent_kernel_I_via_involution(a, b, curve, tower):
     cubic = curve.t_of_v * (curve.t_of_v - one) * (curve.t_of_v * F + one)
     x = numer / (curve.eta_minus_one * cubic)
     x = x * (-(F + 1) / 4)
-    poly, _ = plus_part(x, curve)
-    return poly
+    return plus_part(x, curve)
 
 
 def parent_kernel_II_symmetrized(b, curve, tower):
@@ -260,7 +305,7 @@ def parent_kernel_II_symmetrized(b, curve, tower):
     terms = {}
     for k in range(2 * b + 7):
         numer = phi_t * z_pow + phi_s_sp * zbar_pow
-        q, _ = plus_part(numer * denom, curve)
+        q = plus_part(numer * denom, curve)
         q = q * FRational.from_int(k + 1)
         for (e,), c in q.terms():
             terms[(e, k)] = c
