@@ -150,7 +150,7 @@ def test_plus_part_zero(curve):
 
 def test_plus_part_equals_peeling_on_random_laurent_series(curve, rng):
     # leads -12 .. 1, guarantees v^0 .. v^3, coefficients in the localised
-    # ring, some of them zero; the top power t^12 is known through v^3
+    # ring, some of them zero
     from conftest import localised, peeled_plus_part
     for _ in range(40):
         lead = rng.randint(-12, 1)

@@ -260,7 +260,7 @@ def test_generator_factors_made_once_per_curve(monkeypatch):
     reciprocal = VSeries.reciprocal
 
     def spy(series):
-        calls.append(series.lead)
+        calls.append(series)
         return reciprocal(series)
 
     monkeypatch.setattr(VSeries, "reciprocal", spy)
