@@ -11,27 +11,32 @@ in the scale where the brackets carry no power of f(f+1):
         -              [stable-splitting sum with pair kernels]
         - (f(f+1))^-1  [point-kernel sum over companion slots]
 
-Each sum walks the stored entries of its lower cell or cells and reads
-every key in each of its distinct orderings (``orderings``: the multiset
-permutations, each once, never all n!), so an absent (zero) bracket
-costs nothing.  The weight of a key, or in the splitting sum of a pair of
-keys, is formed once and serves every ordering.  The loader refuses an
-entry past its cell's support bound, so every stored entry belongs in the
-sums.  Every contribution
-w * dc is gathered unreduced (``tpoly.gather``) and each coefficient is
-reduced once, by ``tpoly.sum_gathered``, before the extraction; a key
-that gathers many is folded into one sum every ``tpoly._FOLD`` products,
-which bounds the memory the unreduced factors hold.
+The right side is symmetric in slots 1..n-1 by construction, whatever
+the table holds: the genus-reduction sum reads every ordering of each
+stored key, the splitting sum covers every subset of companion slots and
+the companion sum every companion slot.  So each sum is formed only on
+the slot-0 slice, at the keys (c,) + r with r sorted, and a contribution
+carries the number of orderings that land there.  Each sum walks the
+stored entries of its lower cell or cells once per distinct first entry,
+so an absent (zero) bracket costs nothing; the loader refuses an entry
+past its cell's support bound, so every stored entry belongs in the sums.
+Every contribution w * dc is gathered unreduced (``tpoly.gather``) and
+each coefficient is reduced once, by ``tpoly.sum_gathered``, before the
+extraction; a key that gathers many is folded into one sum every
+``tpoly._FOLD`` products, which bounds the memory the unreduced factors
+hold.
 
 The right side distinguishes slot 0, so recovering values that are
-symmetric under permutations of all slots is a strong consistency check;
-it is verified on every extraction, as is the dimension bound
-sum(b) <= 3g - 3 + n.
+symmetric under permutations of all slots is a strong consistency check:
+with slots 1..n-1 symmetric, comparing the coefficients at (x, key - x)
+over the distinct x of each key is full symmetry.  It is verified on
+every extraction, as is the dimension bound sum(b) <= 3g - 3 + n.
 """
 
 from __future__ import annotations
 
 import json
+from math import comb
 
 from .errors import (DivisionByZero, MissingDependency,
                      SupportBoundViolation, SymmetryViolation)
@@ -182,121 +187,109 @@ def seed_initial_data():
     return table
 
 
-def _subsets(items):
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return out
+def _firsts(key):
+    """(x, key without one x) for each distinct value x of the sorted key."""
+    return [(x, key[:i] + key[i + 1:]) for i, x in enumerate(key)
+            if i == 0 or key[i - 1] != x]
 
 
-def orderings(key):
-    """Each distinct ordering of the sorted tuple ``key``, once.
-
-    The multiset permutations in lexicographic order, each step the next
-    permutation (Knuth, TAOCP 7.2.1.2, Algorithm L), so a key with
-    repeated indices costs its distinct orderings, not n!.
-    """
-    a = list(key)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = a[:i:-1]
-
-
-def _by_key(entries):
-    """(value, every distinct ordering of the key) for each stored key."""
-    return [(value, list(orderings(key))) for key, value in entries.items()]
+def _interleavings(u, v):
+    """The number of ways to lay the sorted tuples u and v on the slots of
+    sorted(u + v), each read in order: for each value x, which of its
+    slots hold u's copies."""
+    count = 1
+    for x in set(u):
+        k = u.count(x)
+        count *= comb(k + v.count(x), k)
+    return count
 
 
 def recursion_step(g, n, table, workspace):
     """Compute all bracket values of one stable cell from lower cells.
 
-    Each contribution w * dc to the coefficient at an ordered beta is
-    gathered as the pair (w, dc), with no product formed and no sum
-    reduced per contribution; ``sum_gathered`` reduces each coefficient
-    once, and the extraction then checks every ordering of each key.
-    Returns a dict keyed by sorted index tuples.  Raises
-    ``SymmetryViolation`` / ``SupportBoundViolation`` if the extracted
-    coefficients fail the consistency checks, and ``MissingDependency``
-    when a required lower cell is absent.
+    The coefficients are formed only at the slot-0 slice keys (c,) + r,
+    r sorted, each standing for every ordering of r, since the right side
+    is symmetric in slots 1..n-1 (see the module docstring).  A
+    contribution counts the orderings that land on its key:
+
+    * genus reduction: 1 per distinct ordered pair (b0, b1) of a key, the
+      rest sorted;
+    * splitting: per distinct first entries a1, a2 of a pair of keys, with
+      rests u and v, the interleavings of u and v in r = sorted(u + v);
+    * companion: the multiplicity in r = sorted(rest + d) of the point
+      kernel's index d, one per companion slot d can take.
+
+    Each contribution w * dc is gathered as the pair (w, dc), with no
+    product formed and no sum reduced per contribution; ``sum_gathered``
+    reduces each coefficient once.  Returns a dict keyed by sorted index
+    tuples.  Raises ``SymmetryViolation`` / ``SupportBoundViolation`` if
+    the extracted coefficients fail the consistency checks, and
+    ``MissingDependency`` when a required lower cell is absent.
     """
     if not is_stable(g, n):
         raise ValueError("cell (%d, %d) is not stable" % (g, n))
     coeff = {}
-    spect = n - 1  # companion slots 1..n-1
 
     # genus reduction: brackets at (g-1, n+1) against pair kernels
     if is_stable(g - 1, n + 1):
         for key, br in table.cell_entries(g - 1, n + 1).items():
             w = _FF1 * br
-            for beta in orderings(key):
-                for c, dc in workspace.decompose_pair_kernel(
-                        *beta[:2]).items():
-                    gather(coeff, (c,) + beta[2:], w, dc)
+            for b0, rest in _firsts(key):
+                for b1, r in _firsts(rest):
+                    for c, dc in workspace.decompose_pair_kernel(
+                            b0, b1).items():
+                        gather(coeff, (c,) + r, w, dc)
 
-    # stable splittings: ordered pairs of lower cells against pair kernels;
-    # b_i goes on the subset slots, b_j on the rest.  The weight depends on
-    # the pair of stored keys only, so it is formed once per pair.
+    # stable splittings: pairs of lower cells against pair kernels, the
+    # first on s of the n-1 companion slots and the second on the rest.
+    # The weight depends on the pair of stored keys only, so it is formed
+    # once per pair, and scaled by the interleavings of each pair of rests.
     for g1 in range(g + 1):
-        for idx in _subsets(tuple(range(spect))):
-            rest = tuple(k for k in range(spect) if k not in idx)
-            if not (is_stable(g1, 1 + len(idx))
-                    and is_stable(g - g1, 1 + len(rest))):
+        for s in range(n):
+            if not (is_stable(g1, 1 + s) and is_stable(g - g1, n - s)):
                 continue
-            place = [(idx + rest).index(k) for k in range(spect)]
-            second = _by_key(table.cell_entries(g - g1, 1 + len(rest)))
-            for br1, first in _by_key(
-                    table.cell_entries(g1, 1 + len(idx))):
+            second = [(br, _firsts(key)) for key, br
+                      in table.cell_entries(g - g1, n - s).items()]
+            for key, br1 in table.cell_entries(g1, 1 + s).items():
+                first = _firsts(key)
                 for br2, others in second:
                     w = -(br1 * br2)
-                    for a1, *b_i in first:
-                        for a2, *b_j in others:
-                            b = b_i + b_j
-                            bs = tuple(b[p] for p in place)
+                    for a1, u in first:
+                        for a2, v in others:
+                            r = tuple(sorted(u + v))
+                            wr = w * _interleavings(u, v)
                             for c, dc in workspace.decompose_pair_kernel(
                                     a1, a2).items():
-                                gather(coeff, (c,) + bs, w, dc)
+                                gather(coeff, (c,) + r, wr, dc)
 
     # companion-slot terms: brackets at (g, n-1) against point kernels,
-    # d on companion slot j and the rest of beta on the other slots
+    # d on one companion slot and the rest of the key on the others
     if is_stable(g, n - 1):
         for key, br in table.cell_entries(g, n - 1).items():
             w = -br / _FF1
-            for b, *bs in orderings(key):
+            for b, rest in _firsts(key):
                 for (c, d), dc in workspace.decompose_point_kernel(b).items():
-                    for j in range(1, n):
-                        gather(coeff, (c, *bs[:j - 1], d, *bs[j - 1:]),
-                               w, dc)
+                    r = tuple(sorted(rest + (d,)))
+                    gather(coeff, (c,) + r, w * r.count(d), dc)
 
     # extraction: check symmetry and support
     coeff = sum_gathered(coeff)
     bound_new = support_bound(g, n)
     entries = {}
-    seen = set()
     for beta in coeff:
         if sum(beta) > bound_new:
             raise SupportBoundViolation(
                 "cell (%d,%d): nonzero bracket at %s beyond bound %d"
                 % (g, n, beta, bound_new))
         key = tuple(sorted(beta))
-        if key in seen:
+        if key in entries:
             continue
-        seen.add(key)
-        vals = {coeff.get(p, FR_ZERO) for p in orderings(key)}
+        # beta is one of these slice keys, so the value is nonzero
+        vals = {coeff.get((x,) + rest, FR_ZERO) for x, rest in _firsts(key)}
         if len(vals) != 1:
             raise SymmetryViolation(
                 "cell (%d,%d): asymmetric extraction at %s" % (g, n, key))
-        value = vals.pop()
-        if not value.is_zero:
-            entries[key] = value
+        entries[key] = vals.pop()
     return entries
 
 

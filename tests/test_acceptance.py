@@ -184,14 +184,14 @@ def test_criterion_7_truncation_stability(workspace, table, workspace_long,
 def test_criterion_8_symmetry_and_support(table, workspace):
     for g, n in all_cells():
         if 2 * g - 2 + n >= 2:
-            # re-extraction exercises the permutation-invariance and
-            # support checks built into the step (they raise on failure)
+            # re-extraction exercises the slot-0 comparison and the
+            # support check built into the step (they raise on failure)
             fresh = recursion_step(g, n, table, workspace)
             assert fresh == table.cell_entries(g, n), (g, n)
         for key in table.cell_entries(g, n):
             assert sum(key) <= support_bound(g, n)
-    print("PASS criterion 8: unsorted extraction permutation-invariant and "
-          "support bound exact on all cells")
+    print("PASS criterion 8: extraction equal at every first entry of each "
+          "key and support bound exact on all cells")
 
 
 def test_criterion_9_specialization_commutes(table, tower):

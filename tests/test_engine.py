@@ -1,14 +1,14 @@
 import hashlib
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 import framedvertex.tpoly as tpoly
-from framedvertex.engine import (BracketTable, _subsets, assemble_H,
-                                 budget_cells, is_stable, make_workspace,
-                                 orderings, recursion_step, run_to_budget,
-                                 seed_initial_data, support_bound)
+from framedvertex.engine import (BracketTable, assemble_H, budget_cells,
+                                 is_stable, make_workspace, recursion_step,
+                                 run_to_budget, seed_initial_data,
+                                 support_bound)
 from framedvertex.errors import MissingDependency, SymmetryViolation
 from framedvertex.curvefun import PhiTower
 from framedvertex.ratfunc import FR_ZERO, FRational
@@ -107,24 +107,21 @@ def test_chi6_table_is_pinned(table6):
     text = table6.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "12d661edf3284f0bb2078029a762431197f02dda2af7334600e54a1e27d0fb3b"
-    # the same table continued to chi <= 7, on a copy read back from its
-    # text: the session's table6 stays at chi <= 6
-    text = run_to_budget(7, table=BracketTable.from_json(text)).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "2d62cc3f02b4810d119a7a1efb32bd335c77e39eb9f643be6564be805f5533ff"
-
-
-@pytest.mark.parametrize("key", [(), (3,), (0, 0, 0), (0, 0, 1, 1, 2),
-                                 (0, 0, 1, 1, 1, 2, 3, 3, 4)])
-def test_orderings_lists_each_distinct_ordering_once(key):
-    got = list(orderings(key))
-    assert len(got) == len(set(got))
-    assert set(got) == set(permutations(key))
+    # the same table continued to chi <= 7 and 8, on a copy read back from
+    # its text: the session's table6 stays at chi <= 6
+    table = BracketTable.from_json(text)
+    workspace = make_workspace(budget_cells(8))
+    for chi, digest in [
+            (7, "2d62cc3f02b4810d119a7a1efb32bd335c77e39eb9f643be6564be805f5533ff"),
+            (8, "74c6105a0c228633923c0cd7f88e0e8c9c3e12167f00fa97beaf6c41df2a1841")]:
+        text = run_to_budget(chi, table=table, workspace=workspace).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, chi
 
 
 def parent_recursion_step(g, n, table, workspace):
-    # the recursion with a reduced product and a reduced sum per
-    # contribution, and the orderings found among all n! permutations
+    # the recursion at every ordered beta, with a reduced product and a
+    # reduced sum per contribution, the orderings found among all n!
+    # permutations and the companion-slot subsets listed by size
     def all_orderings(entries):
         for key, value in entries.items():
             for beta in set(permutations(key)):
@@ -139,7 +136,8 @@ def parent_recursion_step(g, n, table, workspace):
             for c, dc in workspace.decompose_pair_kernel(*beta[:2]).items():
                 add_term(coeff, (c,) + beta[2:], w * dc)
     for g1 in range(g + 1):
-        for idx in _subsets(tuple(range(spect))):
+        for idx in [idx for s in range(n)
+                    for idx in combinations(range(spect), s)]:
             rest = tuple(k for k in range(spect) if k not in idx)
             if not (is_stable(g1, 1 + len(idx))
                     and is_stable(g - g1, 1 + len(rest))):
@@ -179,18 +177,24 @@ def parent_recursion_step(g, n, table, workspace):
     return entries
 
 
+_STEPPED = [(g, n) for g, n in budget_cells(6) if 2 * g - 2 + n >= 2]
+
+
 @pytest.fixture(scope="module")
-def table5():
-    workspace = make_workspace(budget_cells(5))
-    return run_to_budget(5, workspace=workspace), workspace
+def parent_cells(table6):
+    # every non-seed chi <= 6 cell by the parent body, from the stored lower
+    # cells; this also builds every kernel the cells read
+    workspace = make_workspace(budget_cells(6))
+    return {(g, n): parent_recursion_step(g, n, table6, workspace)
+            for g, n in _STEPPED}, workspace
 
 
-@pytest.mark.parametrize("fold,folds", [(tpoly._FOLD, 207), (2, 6379)])
-def test_recursion_step_equals_its_parent_body(table5, monkeypatch, fold,
-                                               folds):
-    # every chi <= 5 cell from the stored lower cells; a sum of exactly
-    # _FOLD products is a fold, since sum_gathered sees fewer
-    table, workspace = table5
+@pytest.mark.parametrize("fold,folds", [(tpoly._FOLD, 166), (2, 4261)])
+def test_recursion_step_equals_its_parent_body(table6, parent_cells,
+                                               monkeypatch, fold, folds):
+    # a sum of exactly _FOLD products is a fold, since sum_gathered sees
+    # fewer
+    want, workspace = parent_cells
     monkeypatch.setattr(tpoly, "_FOLD", fold)
     sizes = []
     real = tpoly.sum_of_products
@@ -200,18 +204,16 @@ def test_recursion_step_equals_its_parent_body(table5, monkeypatch, fold,
         return real(xs, ys)
 
     monkeypatch.setattr(tpoly, "sum_of_products", counting)
-    for g, n in budget_cells(5):
-        if 2 * g - 2 + n < 2:
-            continue  # seeds
-        assert recursion_step(g, n, table, workspace) == \
-            parent_recursion_step(g, n, table, workspace), (g, n)
+    for g, n in _STEPPED:
+        assert recursion_step(g, n, table6, workspace) == want[g, n], (g, n)
     assert sizes.count(fold) == folds
     assert max(sizes) == fold
 
 
 def test_tampered_lower_cell_fails_the_extraction(monkeypatch):
-    # the splitting sum puts slot 0 apart, so a wrong (1,2) value feeds an
-    # asymmetric coefficient set into (1,4); at either fold size
+    # the splitting sum puts slot 0 apart, so a wrong (1,2) value feeds
+    # (1,4) coefficients that differ across the first entries of a key,
+    # which the extraction's slot-0 comparison refuses; at either fold size
     table = run_to_budget(4)
     entries = table.cell_entries(1, 2)
     entries[(0, 1)] = entries[(0, 1)] + 1
