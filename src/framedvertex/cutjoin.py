@@ -16,36 +16,35 @@ the genus-reduction term sums over every slot, the splitting term over
 every joining slot and subset, the divided-difference term over every
 pair i < j (its summand is unchanged when i and j swap).  The symmetry
 comes from the assembly and from the verifier's own sums, never from the
-values under test.  Each term reads its coefficient at a representative:
-the left side from H, the genus-reduction term from E_n H(g-1, n+1).
-The splitting and divided-difference terms build no n-variable product
-or quotient.  They go over pairs of operand terms, a term of each factor
-of a split or a slice term of EH and a term of the two-variable
-quotient Q_m (see ``t4``), and gather each pair at the one
-representative e it lands on, keyed by (e, w): w is the number of the
-term's slot maps (joining slot and subset, or slot pair) that read that
-pair at e, a count of choices of slots of e holding given values
-(``_choices``).  ``_weighted_sum`` then sums w times each (e, w) sum.
-The reads at a key are gathered (``tpoly.gather``) and summed with one
-``sum_of_products`` by ``tpoly.sum_gathered``.  Each term covers every
-representative its full expansion would touch, so a report's
-``residual_terms`` counts the nonzero orbit representatives of the
-residual (zero exactly when the identity holds).
+values under test.
 
-H is held by orbit: ``assemble_H`` returns it only at the
-representatives, and no operand is built at every ordering.  That is
-exact whatever the table holds, because H is symmetric by construction
-(it sums every ordering at each representative), and E_n leaves slots
-0..n-1 alone, so E_n H(g-1, n+1) is symmetric in those slots.  So the
-left side reads H at the representative of each key, and ``t1`` reads
-E_n H(g-1, n+1) at the representative of a key's first n slots
-(``_field_reads``).  An operand with one slot free is built from a slice
-(``_slice``), the keys non-increasing on every slot but that one: ``t1``
-applies E_n to the slot-n slice of H(g-1, n+1), and ``EH`` applies E_0
-to the slot-0 slice of H, the operand of the splitting and
-divided-difference terms.  Those two terms read only slice keys of EH,
-and ``_by_rest`` keeps only those, so the slice is exact for any EH,
-symmetric or not (see ``EH``).
+Every term pushes: it goes once over the terms of its operands and sends
+each product to the one representative e it lands on, weighted by the
+number of the term's slot maps that read it there, a count of slots of e
+holding given values.  ``lhs`` and ``t1`` send a term of H, or of
+E_n H(g-1, n+1), through a field in one slot (``_push``); ``t2_t3``
+pairs a term of each factor of each unordered split; ``t4`` pairs a slice
+term of EH with a term of the two-variable quotient Q_m.  No n-variable
+product, numerator or division is built.  The count, the term's scalar
+and the side's sign are folded into one factor of each read (``_weigh``),
+so ``verify`` gathers all four terms of a cell in one dict
+(``tpoly.gather``), and one ``tpoly.sum_gathered`` gives the residual,
+one ``sum_of_products`` per representative.  Each term covers every
+representative its full expansion would touch, so ``residual_terms``
+counts the nonzero orbit representatives of the residual (zero exactly
+when the identity holds).
+
+H is held by orbit (``assemble_H``), and no operand is built at every
+ordering.  That is exact whatever the table holds: H is symmetric by
+construction, and E_n leaves slots 0..n-1 alone, so E_n H(g-1, n+1) is
+symmetric in those slots; a term of either is read through every
+ordering of its key, so it is sent from its representative.  An operand
+with one slot free is built from a slice (``_slice``), the keys
+non-increasing on every slot but that one: ``t1`` applies E_n to the
+slot-n slice of H(g-1, n+1), and ``EH`` applies E_0 to the slot-0 slice
+of H, the operand of the splitting and divided-difference terms.  Those
+two terms read only slice keys of EH, and ``_by_rest`` keeps only those,
+so the slice is exact for any EH, symmetric or not (see ``EH``).
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
@@ -63,7 +62,7 @@ from math import comb, factorial, prod
 from .curvefun import _E, euler_field
 from .engine import assemble_H, is_stable
 from .errors import OutsideVerifiableSet, UnstableDependency
-from .ratfunc import FR_ONE, FRational
+from .ratfunc import FRational
 from .tpoly import TPolynomial, gather, sum_gathered
 
 _F = FRational.variable()
@@ -160,14 +159,12 @@ def psi_oracle(g, indices):
 # ---------------------------------------------------------------------------
 
 class CutJoinReport:
-    __slots__ = ("g", "n", "lhs", "rhs", "residual")
+    __slots__ = ("g", "n", "residual")
 
-    def __init__(self, g, n, lhs, rhs):
+    def __init__(self, g, n, residual):
         self.g = g
         self.n = n
-        self.lhs = lhs
-        self.rhs = rhs
-        self.residual = lhs - rhs
+        self.residual = residual
 
     @property
     def passed(self):
@@ -182,12 +179,23 @@ class CutJoinReport:
                 "residual_terms": self.residual_terms}
 
 
-class CutJoinVerifier:
-    """Caches assembled polynomials across cell verifications.
+def _term(push):
+    """A term method ``term(g, n, reads=None, sign=1)``: it gathers its
+    reads into ``reads``, each weight times ``sign``, or, with no dict
+    given, returns the term, held at the representatives."""
+    @functools.wraps(push)
+    def term(self, g, n, reads=None, sign=1):
+        if reads is not None:
+            return push(self, g, n, reads, sign)
+        reads = {}
+        push(self, g, n, reads, sign)
+        return TPolynomial._raw(n, sum_gathered(reads))
+    return term
 
-    Each term holds its coefficients at the orbit representatives it
-    touches, one gathered sum each (see the module docstring).
-    """
+
+class CutJoinVerifier:
+    """Caches assembled polynomials across cell verifications; each term
+    pushes its reads, and ``verify`` sums a cell's in one gather."""
 
     def __init__(self, table, tower):
         self.table = table
@@ -225,90 +233,80 @@ class CutJoinVerifier:
             got = self._eh[(g, n)] = euler_field(_slice(self.H(g, n), 0), 0)
         return got
 
-    def lhs(self, g, n):
+    @_term
+    def lhs(self, g, n, reads, sign):
         """(d/df + sum_l t_l(t_l-1)/(f+1) d/dt_l) H.
 
-        At e it reads H at e and at each e - 1_l, each at its
-        representative.  H is symmetric and held at its representatives, so
-        those touched are its keys and the representatives one step above.
+        Each term (r, c) of H gives its d/df read at r and is pushed
+        through the field in one slot (``_push``): H is symmetric, so
+        every slot of e that holds the moved value reads the term.
         """
-        h = dict(self.H(g, n).terms())
-        reps = set(h)
-        for r in h:
-            reps.update(_rep(_bump(r, l, 1)) for l in range(n))
-        reads = {}
-        for e in reps:
-            c = h.get(e)
-            if c is not None:
-                gather(reads, e, c.derivative(), FR_ONE)
-            for slot in range(n):
-                _field_reads(h, e, slot, _V, reads, e)
-        return TPolynomial._raw(n, sum_gathered(reads))
+        scale, memo = FRational.from_int(sign), {}
+        for r, c in self.H(g, n).terms():
+            gather(reads, r, c.derivative(), scale)
+            _push(reads, memo, r, 0, c, _V, scale)
 
-    def t1(self, g, n):
+    @_term
+    def t1(self, g, n, reads, sign):
         """-1/2 sum over the slots l of E_l E_n H(g-1, n+1) with t_n set to t_l.
 
-        The coefficient at e sums the (E_l G)(e with e_l split as p + q, the
-        q on t_n) over l and p, with G = E_n H(g-1, n+1).  G is symmetric in
-        t_0..t_{n-1}, so it is built only at the keys non-increasing there,
-        by E_n on the slot-n slice of H(g-1, n+1), and each read is taken
-        at the representative of its first n slots.  Those keys reach every
-        orbit: E_l moves a key by 0, 1 or 2 in slot l.
+        G = E_n H(g-1, n+1) is symmetric in t_0..t_{n-1}, so it is built
+        only at the keys non-increasing there, by E_n on the slot-n slice
+        of H(g-1, n+1).  A term (k, c) of G is pushed (``_push``) from
+        r = k[:n]: E_l moves the x on slot l to x + i - 1, and setting t_n
+        to t_l adds k[n] there.
         """
         if g == 0:
-            return TPolynomial.zero(n)
+            return
         if not is_stable(g - 1, n + 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g - 1, n + 1))
-        inner = dict(euler_field(_slice(self.H(g - 1, n + 1), n), n).terms())
-        reps = set()
-        for k in inner:
-            for l in range(n):
-                merged = _bump(k[:n], l, k[n])
-                reps.update(_rep(_bump(merged, l, j)) for j in range(3))
-        reads = {}
-        for e in reps:
-            for l, x in enumerate(e):
-                for p in range(x + 1):
-                    _field_reads(inner, e[:l] + (p,) + e[l + 1:] + (x - p,),
-                                 l, _E, reads, e)
-        return TPolynomial._raw(n, sum_gathered(reads)) * (-_HALF)
+        scale, memo = -_HALF * sign, {}
+        inner = euler_field(_slice(self.H(g - 1, n + 1), n), n)
+        for k, c in inner.terms():
+            _push(reads, memo, k[:n], k[n], c, _E, scale)
 
-    def t2_t3(self, g, n):
+    @_term
+    def t2_t3(self, g, n, reads, sign):
         """-1/2 over the joining slot m and ordered stable splits.
 
         The (m, subset, a) term is EH(a, 1+s) on t_m + subset times
         EH(g-a, n-s) on t_m + comp, s = len(subset), subset and comp the
         other slots in increasing order: both factors carry the joining
         variable, like the diagonal slot in t1 and the slot pairs in t4.
-        For g1 != g2 the two orders combine to the familiar unordered
-        terms.  No product is built.  At a representative e the (m, subset)
-        term reads EH(a, 1+s) at (p, e[subset]) and EH(g-a, n-s) at
-        (q, e[comp]) with p + q = e_m.  So a pair of slice terms (p, u),
-        (q, w) is read at e = rep((p+q,) + u + w) once per slot map that
-        puts p+q on the joining slot and the multiset u on the subset (the
-        complement then holds w, in order, as e is non-increasing):
-        mult_e(p+q) joining slots, times the subsets of the other slots,
-        rest = rep(u + w), holding u, prod_v C(mult_rest(v), mult_u(v))
-        (``_choices``).  The weight counts maps, not keys, because each
-        map adds its own copy of the pair's product at e.
+        At a representative e it reads EH(a, 1+s) at (p, e[subset]) and
+        EH(g-a, n-s) at (q, e[comp]) with p + q = e_m.  So a pair of slice
+        terms (p, u), (q, w) is read at e = rep((p+q,) + u + w) once per
+        slot map that puts p+q on the joining slot and the multiset u on
+        the subset (the complement then holds w, in order, as e is
+        non-increasing): mult_e(p+q) joining slots, times the subsets of
+        the other slots, rest = rep(u + w), holding u, prod_v
+        C(mult_rest(v), mult_u(v)) (``_choices``); each map adds its own
+        copy of the product.  The mirror class (n-1-s, g-a) reads the same
+        pairs, swapped, at the same e with the same weight, as
+        C(m, k) = C(m, m-k), whatever EH holds: so each unordered split is
+        summed once, with weight 2 unless it is its own mirror.
         """
-        reads = {}
+        scale, memo = -_HALF * sign, {}
         for s, a in product(range(n), range(g + 1)):
-            if not (is_stable(a, 1 + s) and is_stable(g - a, n - s)):
+            mirror = (n - 1 - s, g - a)
+            if mirror < (s, a) or not (is_stable(a, 1 + s)
+                                       and is_stable(g - a, n - s)):
                 continue
+            copies = 1 if mirror == (s, a) else 2
             first = _by_rest(self.EH(a, 1 + s)).items()
             second = _by_rest(self.EH(g - a, n - s)).items()
             for (u, ps), (w, qs) in product(first, second):
                 rest = _rep(u + w)
-                subsets = _choices(rest, u)
+                maps = copies * _choices(rest, u)
                 for (p, c1), (q, c2) in product(ps, qs):
                     e = _rep((p + q,) + rest)
-                    gather(reads, (e, e.count(p + q) * subsets), c1, c2)
-        return TPolynomial._raw(n, _weighted_sum(reads)) * (-_HALF)
+                    gather(reads, e,
+                           _weigh(memo, c1, e.count(p + q) * maps, scale), c2)
 
-    def t4(self, g, n):
-        """Divided differences over the slot pairs i < j.
+    @_term
+    def t4(self, g, n, reads, sign):
+        """Divided differences over the slot pairs i < j, times 1/(f+1).
 
         The (i, j) term embeds EH(g, n-1) along (i,) + rest and (j,) + rest,
         rest the other slots in order, multiplies by t_i(f t_i+1)(t_j-1)
@@ -326,29 +324,35 @@ class CutJoinVerifier:
         mult_e(b) otherwise (``_choices``).
         """
         if n < 2:
-            return TPolynomial.zero(n)
+            return
         if not is_stable(g, n - 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g, n - 1))
-        reads = {}
+        scale, memo = _INV_F1 * sign, {}
         for r, ms in _by_rest(self.EH(g, n - 1)).items():
             for m, c in ms:
                 for (a, b), qc in _quotient(m):
                     e = _rep((a, b) + r)
-                    gather(reads, (e, _choices(e, (a, b))), c, qc)
-        return TPolynomial._raw(n, _weighted_sum(reads)) * _INV_F1
+                    gather(reads, e, c,
+                           _weigh(memo, qc, _choices(e, (a, b)), scale))
 
     def verify(self, g, n):
+        """The residual lhs - (t1 + t2_t3 + t4) of the cell: the four
+        terms gathered into one dict, the right side's with sign -1, and
+        reduced once per representative."""
         if 2 * g - 2 + n < 2:
             raise OutsideVerifiableSet(
                 "cell (%d, %d) references unstable data; nothing to check"
                 % (g, n))
-        rhs = self.t1(g, n) + self.t2_t3(g, n) + self.t4(g, n)
-        return CutJoinReport(g, n, self.lhs(g, n), rhs)
+        reads = {}
+        self.lhs(g, n, reads)
+        for term in (self.t1, self.t2_t3, self.t4):
+            term(g, n, reads, -1)
+        return CutJoinReport(g, n, TPolynomial._raw(n, sum_gathered(reads)))
 
 
 # ---------------------------------------------------------------------------
-# reading a term at orbit representatives
+# pushing a term to orbit representatives
 # ---------------------------------------------------------------------------
 
 # the left side's field t(t-1)/(f+1) d/dt, as {power of t: coefficient},
@@ -377,27 +381,33 @@ def _slice(p, slot):
     return TPolynomial._raw(p.arity, terms)
 
 
-def _bump(key, slot, by):
-    return key[:slot] + (key[slot] + by,) + key[slot + 1:]
+def _push(reads, memo, r, y, c, field, scale):
+    """Gather the reads of the term c t^r, r non-increasing, under the
+    ``field`` sum_i c_i t^i d/dt in one slot, then ``y`` added to that
+    slot: each distinct nonzero x of r, moved to v = x + i - 1 + y, lands
+    at e = rep(r with one x set to v), read through each slot of e that
+    holds v, so with weight c_i x mult_e(v)."""
+    for k, x in enumerate(r):
+        if not x:
+            break
+        if k and r[k - 1] == x:
+            continue
+        for i, ci in field.items():
+            v = x + i - 1 + y
+            e = _rep(r[:k] + (v,) + r[k + 1:])
+            gather(reads, e, c, _weigh(memo, ci, x * e.count(v), scale))
 
 
-def _field_reads(terms, key, slot, field, reads, e):
-    """Gather at ``e`` the products whose sum is the coefficient at ``key``
-    of c(t) d/dt_slot applied to the polynomial with ``terms``: each
-    c_i t^i d/dt reads the key i - 1 lower in ``slot``.
-
-    The polynomial is symmetric in its first len(e) slots and ``terms``
-    holds it where those are non-increasing, so a key is read at its
-    representative there."""
-    n = len(e)
-    x = key[slot]
-    for i, c in field.items():
-        m = x - i + 1
-        if m > 0:
-            k = _bump(key, slot, 1 - i)
-            v = terms.get(_rep(k[:n]) + k[n:])
-            if v is not None:
-                gather(reads, e, v, c * m)
+def _weigh(memo, c, w, scale):
+    """c times the integer w times ``scale``, formed once per (c, w) in
+    ``memo``: a read's coefficient with its count of slot maps, the term's
+    scalar and the side's sign folded in before the one reduction.  The
+    memo keeps c, so no other value can take its id while it lives."""
+    key = id(c), w
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = c, c * (scale * w)
+    return got[1]
 
 
 def _by_rest(p):
@@ -415,16 +425,6 @@ def _choices(e, u):
     """The number of sets of slots of ``e`` that hold the multiset ``u``:
     prod over the values v of u of C(mult_e(v), mult_u(v))."""
     return prod(comb(e.count(v), u.count(v)) for v in set(u))
-
-
-def _weighted_sum(reads):
-    """{e: the sum over w of w times the products gathered at (e, w)}, zero
-    sums dropped: w counts the slot maps through which each product is
-    read at e."""
-    out = {}
-    for (e, w), c in sum_gathered(reads).items():
-        gather(out, e, c, FRational.from_int(w))
-    return sum_gathered(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -136,7 +137,7 @@ def test_identity_holds_at_chi2(table3, tower):
     for g, n in [(0, 4), (1, 2)]:
         report = v.verify(g, n)
         assert report.passed, (g, n, report.residual_terms)
-        assert not report.lhs.is_zero
+        assert not v.lhs(g, n).is_zero
 
 
 def test_identity_holds_at_chi3(table3, tower):
@@ -144,6 +145,38 @@ def test_identity_holds_at_chi3(table3, tower):
     for g, n in [(0, 5), (1, 3), (2, 1)]:
         report = v.verify(g, n)
         assert report.passed, (g, n, report.residual_terms)
+
+
+def term_by_term(v, g, n):
+    """lhs - (t1 + t2_t3 + t4), each a TPolynomial of its own."""
+    return v.lhs(g, n) - (v.t1(g, n) + v.t2_t3(g, n) + v.t4(g, n))
+
+
+def test_one_gather_residual_is_the_term_by_term_residual(table6):
+    # verify gathers the four terms, with their scalars, counts and signs
+    # folded into the reads, and reduces once; that must be the residual
+    # of the terms built and summed one by one, on the true table and on
+    # one with a single well-formed, in-bound value put in the wrong key
+    obj = json.loads(table6.to_json())
+    entries = obj["entries"]
+    assert entries["1|0,0,3"] != entries["1|0,1,2"]
+    entries["1|0,0,3"] = entries["1|0,1,2"]
+    tampered = BracketTable.from_json(json.dumps(obj))
+    cells = [(g, n) for g, n in table6.cells() if 2 * g - 2 + n >= 2]
+    tower = PhiTower(max(support_bound(g, n) for g, n in cells) + 1)
+    # the tampered cell and every cell whose terms read H(1, 3)
+    reads_13 = {(1, 3), (1, 4), (2, 2), (1, 5), (2, 3), (1, 6), (2, 4)}
+    for table, failing in ((table6, set()), (tampered, reads_13)):
+        v = CutJoinVerifier(table, tower)
+        failed = set()
+        for g, n in cells:
+            report = v.verify(g, n)
+            want = term_by_term(v, g, n)
+            assert report.residual == want, (g, n)
+            assert report.residual_terms == len(want), (g, n)
+            if not report.passed:
+                failed.add((g, n))
+        assert failed == failing
 
 
 def test_report_json(table3, tower):
