@@ -19,6 +19,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .curvefun import PhiTower
@@ -217,19 +218,6 @@ def _suite_cutjoin(args, table):
     return results
 
 
-def _partitions_with_length(total, length):
-    """Sorted non-decreasing tuples of ``length`` non-negatives summing to total."""
-    def rec(rest, slots, minimum):
-        if slots == 1:
-            if rest >= minimum:
-                yield (rest,)
-            return
-        for first in range(minimum, rest // slots + 1):
-            for tail in rec(rest - first, slots - 1, first):
-                yield (first,) + tail
-    yield from rec(total, length, 0)
-
-
 def _suite_oracle(args, table):
     results = []
     for g, n in _budget_cells(args, table):
@@ -240,7 +228,9 @@ def _suite_oracle(args, table):
                  for key, value in entries.items())
         # every on-shell index set must be present with the oracle value
         if n >= 4:
-            for key in _partitions_with_length(n - 3, n):
+            for key in combinations_with_replacement(range(n - 2), n):
+                if sum(key) != n - 3:
+                    continue
                 want = psi_oracle(0, key)
                 got = entries.get(key)
                 if (got or FRational.from_int(0)) != FRational.from_fraction(want):
@@ -345,14 +335,15 @@ def cmd_export(args):
     picks = [x is not None for x in (args.cell, args.kernel, args.kernel2)]
     if sum(picks) != 1:
         raise ConfigError("export needs exactly one of --cell, --kernel, --kernel2")
-    at_f = _parse_rational(args.at_f, "--at-f") if args.at_f else None
+    at_f = (None if args.at_f is None
+            else _parse_rational(args.at_f, "--at-f"))
 
     def render(value):
         if at_f is None:
             return value.as_text()
         return str(value.evaluate(at_f))
 
-    if args.cell:
+    if args.cell is not None:
         try:
             g, n = (int(x) for x in args.cell.split(","))
         except ValueError:
@@ -365,7 +356,7 @@ def cmd_export(args):
 
     # each kernel reads a fixed window of the curve series, so a workspace
     # sized for the requested kernel alone gives the same values
-    if args.kernel:
+    if args.kernel is not None:
         try:
             a, b = (int(x) for x in args.kernel.split(","))
         except ValueError:

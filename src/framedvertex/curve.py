@@ -112,21 +112,18 @@ class CurveSeries:
         coefficients w_0 .. w_j of u^j are wanted, and they follow from u
         alone by J. C. P. Miller's recurrence for the powers of a series:
         w_0 = 1, m w_m = sum_{i=1}^m (j i - (m - i)) u_i w_{m-i}.  Each w_m
-        is one ``sum_of_products``; no power is built from another, and
-        none past v^0.  A power the curve does not know through v^0
+        is one ``sum_of_products``, with the integer weights j i - (m - i);
+        no power is built from another, and none past v^0.  A power the curve does not know through v^0
         (j > trunc) raises ``InsufficientTruncation``.
         """
         if j < 0:
             raise ValueError("negative power of t")
         u = [self.t_of_v.coeff(i - 1) for i in range(j + 1)]
-        ju = [x * (j * i) for i, x in enumerate(u)]
         w = [FR_ONE]
-        lw = [FR_ZERO]                      # -l w_l
         for m in range(1, j + 1):
-            w.append(sum_of_products((*ju[1:m + 1], *u[1:m + 1]),
-                                     (*w[::-1], *lw[::-1]))
+            weights = [j * i - (m - i) for i in range(1, m + 1)]
+            w.append(sum_of_products(u[1:m + 1], w[::-1], weights)
                      * Fraction(1, m))
-            lw.append(w[m] * -m)
         return VSeries(-j, w, 0)
 
     def t_rows(self, top):

@@ -25,9 +25,11 @@ holding given values.  ``lhs`` and ``t1`` send a term of H, or of
 E_n H(g-1, n+1), through a field in one slot (``_push``); ``t2_t3``
 pairs a term of each factor of each unordered split; ``t4`` pairs a slice
 term of EH with a term of the two-variable quotient Q_m.  No n-variable
-product, numerator or division is built.  The count, the term's scalar
-and the side's sign are folded into one factor of each read (``_weigh``),
-so ``verify`` gathers all four terms of a cell in one dict
+product, numerator or division is built.  Each term applies its scalar
+and the side's sign once per call, to a factor it reads many times (the
+field of ``lhs`` and ``t1``, the first factor of ``t2_t3``, the EH
+coefficient of ``t4``), and the count goes with each read as its integer
+weight.  So ``verify`` gathers all four terms of a cell in one dict
 (``tpoly.gather``), and one ``tpoly.sum_gathered`` gives the residual,
 one ``sum_of_products`` per representative.  Each term covers every
 representative its full expansion would touch, so ``residual_terms``
@@ -62,7 +64,7 @@ from math import comb, factorial, prod
 from .curvefun import _E, euler_field
 from .engine import assemble_H, is_stable
 from .errors import OutsideVerifiableSet, UnstableDependency
-from .ratfunc import FRational
+from .ratfunc import FR_ONE, FRational
 from .tpoly import TPolynomial, gather, sum_gathered
 
 _F = FRational.variable()
@@ -241,10 +243,10 @@ class CutJoinVerifier:
         through the field in one slot (``_push``): H is symmetric, so
         every slot of e that holds the moved value reads the term.
         """
-        scale, memo = FRational.from_int(sign), {}
+        field = {i: ci * sign for i, ci in _V.items()}
         for r, c in self.H(g, n).terms():
-            gather(reads, r, c.derivative(), scale)
-            _push(reads, memo, r, 0, c, _V, scale)
+            gather(reads, r, c.derivative(), FR_ONE, sign)
+            _push(reads, r, 0, c, field)
 
     @_term
     def t1(self, g, n, reads, sign):
@@ -261,10 +263,11 @@ class CutJoinVerifier:
         if not is_stable(g - 1, n + 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g - 1, n + 1))
-        scale, memo = -_HALF * sign, {}
+        scale = -_HALF * sign
+        field = {i: ci * scale for i, ci in _E.items()}
         inner = euler_field(_slice(self.H(g - 1, n + 1), n), n)
         for k, c in inner.terms():
-            _push(reads, memo, k[:n], k[n], c, _E, scale)
+            _push(reads, k[:n], k[n], c, field)
 
     @_term
     def t2_t3(self, g, n, reads, sign):
@@ -287,22 +290,22 @@ class CutJoinVerifier:
         C(m, k) = C(m, m-k), whatever EH holds: so each unordered split is
         summed once, with weight 2 unless it is its own mirror.
         """
-        scale, memo = -_HALF * sign, {}
+        scale = -_HALF * sign
         for s, a in product(range(n), range(g + 1)):
             mirror = (n - 1 - s, g - a)
             if mirror < (s, a) or not (is_stable(a, 1 + s)
                                        and is_stable(g - a, n - s)):
                 continue
             copies = 1 if mirror == (s, a) else 2
-            first = _by_rest(self.EH(a, 1 + s)).items()
+            first = [(u, [(p, c * scale) for p, c in ps]) for u, ps
+                     in _by_rest(self.EH(a, 1 + s)).items()]
             second = _by_rest(self.EH(g - a, n - s)).items()
             for (u, ps), (w, qs) in product(first, second):
                 rest = _rep(u + w)
                 maps = copies * _choices(rest, u)
                 for (p, c1), (q, c2) in product(ps, qs):
                     e = _rep((p + q,) + rest)
-                    gather(reads, e,
-                           _weigh(memo, c1, e.count(p + q) * maps, scale), c2)
+                    gather(reads, e, c1, c2, e.count(p + q) * maps)
 
     @_term
     def t4(self, g, n, reads, sign):
@@ -328,13 +331,13 @@ class CutJoinVerifier:
         if not is_stable(g, n - 1):
             raise UnstableDependency("term needs the unstable cell (%d, %d)"
                                      % (g, n - 1))
-        scale, memo = _INV_F1 * sign, {}
+        scale = _INV_F1 * sign
         for r, ms in _by_rest(self.EH(g, n - 1)).items():
             for m, c in ms:
+                c = c * scale
                 for (a, b), qc in _quotient(m):
                     e = _rep((a, b) + r)
-                    gather(reads, e, c,
-                           _weigh(memo, qc, _choices(e, (a, b)), scale))
+                    gather(reads, e, c, qc, _choices(e, (a, b)))
 
     def verify(self, g, n):
         """The residual lhs - (t1 + t2_t3 + t4) of the cell: the four
@@ -381,12 +384,12 @@ def _slice(p, slot):
     return TPolynomial._raw(p.arity, terms)
 
 
-def _push(reads, memo, r, y, c, field, scale):
+def _push(reads, r, y, c, field):
     """Gather the reads of the term c t^r, r non-increasing, under the
     ``field`` sum_i c_i t^i d/dt in one slot, then ``y`` added to that
     slot: each distinct nonzero x of r, moved to v = x + i - 1 + y, lands
     at e = rep(r with one x set to v), read through each slot of e that
-    holds v, so with weight c_i x mult_e(v)."""
+    holds v, so as c c_i with the integer weight x mult_e(v)."""
     for k, x in enumerate(r):
         if not x:
             break
@@ -395,19 +398,7 @@ def _push(reads, memo, r, y, c, field, scale):
         for i, ci in field.items():
             v = x + i - 1 + y
             e = _rep(r[:k] + (v,) + r[k + 1:])
-            gather(reads, e, c, _weigh(memo, ci, x * e.count(v), scale))
-
-
-def _weigh(memo, c, w, scale):
-    """c times the integer w times ``scale``, formed once per (c, w) in
-    ``memo``: a read's coefficient with its count of slot maps, the term's
-    scalar and the side's sign folded in before the one reduction.  The
-    memo keeps c, so no other value can take its id while it lives."""
-    key = id(c), w
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = c, c * (scale * w)
-    return got[1]
+            gather(reads, e, c, ci, x * e.count(v))
 
 
 def _by_rest(p):

@@ -20,11 +20,9 @@ carries the number of orderings that land there.  Each sum walks the
 stored entries of its lower cell or cells once per distinct first entry,
 so an absent (zero) bracket costs nothing; the loader refuses an entry
 past its cell's support bound, so every stored entry belongs in the sums.
-Every contribution w * dc is gathered unreduced (``tpoly.gather``) and
-each coefficient is reduced once, by ``tpoly.sum_gathered``, before the
-extraction; a key that gathers many is folded into one sum every
-``tpoly._FOLD`` products, which bounds the memory the unreduced factors
-hold.
+Every contribution w * dc is gathered unreduced (``tpoly.gather``), its
+count of orderings as a plain integer weight, and each coefficient is
+reduced once, by ``tpoly.sum_gathered``, before the extraction.
 
 The right side distinguishes slot 0, so recovering values that are
 symmetric under permutations of all slots is a strong consistency check:
@@ -219,12 +217,13 @@ def recursion_step(g, n, table, workspace):
     * companion: the multiplicity in r = sorted(rest + d) of the point
       kernel's index d, one per companion slot d can take.
 
-    Each contribution w * dc is gathered as the pair (w, dc), with no
-    product formed and no sum reduced per contribution; ``sum_gathered``
-    reduces each coefficient once.  Returns a dict keyed by sorted index
-    tuples.  Raises ``SymmetryViolation`` / ``SupportBoundViolation`` if
-    the extracted coefficients fail the consistency checks, and
-    ``MissingDependency`` when a required lower cell is absent.
+    Each contribution is gathered as the pair (w, dc) with its count as
+    the integer weight, with no product formed and no sum reduced per
+    contribution; ``sum_gathered`` reduces each coefficient once.  Returns
+    a dict keyed by sorted index tuples.  Raises ``SymmetryViolation`` /
+    ``SupportBoundViolation`` if the extracted coefficients fail the
+    consistency checks, and ``MissingDependency`` when a required lower
+    cell is absent.
     """
     if not is_stable(g, n):
         raise ValueError("cell (%d, %d) is not stable" % (g, n))
@@ -243,7 +242,7 @@ def recursion_step(g, n, table, workspace):
     # stable splittings: pairs of lower cells against pair kernels, the
     # first on s of the n-1 companion slots and the second on the rest.
     # The weight depends on the pair of stored keys only, so it is formed
-    # once per pair, and scaled by the interleavings of each pair of rests.
+    # once per pair; the interleavings of each pair of rests count it.
     for g1 in range(g + 1):
         for s in range(n):
             if not (is_stable(g1, 1 + s) and is_stable(g - g1, n - s)):
@@ -257,10 +256,10 @@ def recursion_step(g, n, table, workspace):
                     for a1, u in first:
                         for a2, v in others:
                             r = tuple(sorted(u + v))
-                            wr = w * _interleavings(u, v)
+                            count = _interleavings(u, v)
                             for c, dc in workspace.decompose_pair_kernel(
                                     a1, a2).items():
-                                gather(coeff, (c,) + r, wr, dc)
+                                gather(coeff, (c,) + r, w, dc, count)
 
     # companion-slot terms: brackets at (g, n-1) against point kernels,
     # d on one companion slot and the rest of the key on the others
@@ -270,7 +269,7 @@ def recursion_step(g, n, table, workspace):
             for b, rest in _firsts(key):
                 for (c, d), dc in workspace.decompose_point_kernel(b).items():
                     r = tuple(sorted(rest + (d,)))
-                    gather(coeff, (c,) + r, w * r.count(d), dc)
+                    gather(coeff, (c,) + r, w, dc, r.count(d))
 
     # extraction: check symmetry and support
     coeff = sum_gathered(coeff)
@@ -326,11 +325,9 @@ def assemble_H(g, n, table, tower):
     for _ in range(n):
         below = set()
         for sub in level:
-            for i, b in enumerate(sub):
-                if i == 0 or sub[i - 1] != b:
-                    parent = sub[:i] + sub[i + 1:]
-                    below.add(parent)
-                    children.setdefault(parent, []).append((phis[b], sub))
+            for b, parent in _firsts(sub):
+                below.add(parent)
+                children.setdefault(parent, []).append((phis[b], sub))
         level = below
     reps = {}
 

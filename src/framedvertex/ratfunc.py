@@ -24,10 +24,12 @@ polynomial once into c f^j (f+1)^k and raises ``ValueError`` when a
 factor prime to f (f+1) is left, so a cache value such as
 ``1/(f^2+1)`` is refused.
 
-``sum_of_products`` puts a list of products over one common denominator
-N f^J (f+1)^K, sums the integer numerators and reduces once (delayed
-reduction), so series products, multivariate products and sums of slot
-images cost one reduction per output coefficient.  A sum of at least
+``sum_of_products`` puts a list of products, each with an integer
+weight, over one common denominator N f^J (f+1)^K, sums the integer
+numerators and reduces once (delayed reduction), so series products,
+multivariate products and counted sums of slot images cost one reduction
+per output coefficient; a weight only scales its product's integer
+scalar.  A sum of at least
 ``_PACK_MIN`` products forms each numerator product as one integer
 product of the images at f = 2^B (Kronecker substitution), with B chosen
 per call from a proved bound on the total's coefficients so that the
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 from operator import index
 
@@ -643,33 +646,38 @@ def _unpack(n, B):
     return tuple(out)
 
 
-def sum_of_products(xs, ys):
-    """The sum of ``x * y`` over ``zip(xs, ys)``, two sequences, reduced once.
+def sum_of_products(xs, ys, ws=None):
+    """The sum of ``w * x * y`` over ``zip(xs, ys, ws)``, reduced once.
 
-    Equal to the left fold of ``+`` and ``*``.  The products are put over
-    one common denominator L f^J (f+1)^K, with L the lcm of their scalar
-    denominators and J, K the largest exponents, and their integer
-    numerators are summed: first per class of equal exponents (j, k),
-    then each class aligned once, by a shift and (f+1)^(K-k).
+    ``ws`` holds integer weights, all 1 when it is not given; a zero
+    weight drops its product.  Equal to the left fold of ``+`` and ``*``.
+    The products are put over one common denominator L f^J (f+1)^K, with
+    L the lcm of their scalar denominators and J, K the largest
+    exponents, and their integer numerators are summed: first per class
+    of equal exponents (j, k), then each class aligned once, by a shift
+    and (f+1)^(K-k).  Each product's numerator is scaled by the one
+    integer s = w L / (nd_a nd_b), so a weight costs no Q(f) product and
+    no reduction of its own.
 
     A sum of at least ``_PACK_MIN`` live products sums its numerators by
     Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, 8.4): each product s a b, with s = L / (nd_a nd_b), becomes
-    the one integer product s a(2^B) b(2^B); each class is aligned by
-    (f+1)^(K-k) at 2^B and a shift of B (J-j) bits; the total is read
-    back in balanced digits.  Shorter sums keep the direct loop, which
-    costs less there (see ``_PACK_MIN``).
+    Algebra*, 8.4): each product becomes the one integer product
+    s a(2^B) b(2^B); each class is aligned by (f+1)^(K-k) at 2^B and a
+    shift of B (J-j) bits; the total is read back in balanced digits.
+    Shorter sums keep the direct loop, which costs less there (see
+    ``_PACK_MIN``).
 
     Why the total reads back exactly.  Evaluation at 2^B is a ring map,
     so the packed total is T(2^B) for the exact summed numerator T, and
     it reads back as T when every coefficient of T lies in
     [-2^(B-1), 2^(B-1)).  Let h(p) be the bit length of the largest
-    |coefficient| of p, so |coefficient| < 2^h(p), and bits(x) that of x.
-    A coefficient of a b sums at most min(len a, len b) terms, each below
-    2^(h(a)+h(b)), and s < 2^bits(s); a factor (f+1)^m multiplies the
-    largest |coefficient| by at most 2^m, the sum of its coefficients;
-    a shift changes none.  So every coefficient of an aligned product is
-    below 2^w with
+    |coefficient| of p, so |coefficient| < 2^h(p), and bits(x) that of
+    |x|.  A coefficient of a b sums at most min(len a, len b) terms, each
+    below 2^(h(a)+h(b)), and |s| < 2^bits(s), the weight included, as it
+    is a factor of s; a factor (f+1)^m multiplies the largest
+    |coefficient| by at most 2^m, the sum of its coefficients; a shift
+    changes none.  So every coefficient of an aligned product is below
+    2^w with
 
         w = bits(s) + h(a) + h(b) + bits(min(len a, len b)) + (K - k),
 
@@ -677,22 +685,25 @@ def sum_of_products(xs, ys):
     exponent plus one sign bit, rounded up to a multiple of 32 so that
     the memoised images repeat across calls.
     """
-    live = [(a, b) for a, b in zip(xs, ys) if a._np and b._np]
+    if ws is None:
+        ws = repeat(1)
+    live = [(a, b, w) for a, b, w in zip(xs, ys, ws) if w and a._np and b._np]
     if not live:
         return FR_ZERO
     if len(live) == 1:
-        a, b = live[0]
-        return _reduce(_pmul(a._np, b._np), a._nd * b._nd, a._j + b._j,
+        a, b, w = live[0]
+        an = a._np if w == 1 else _pscale(a._np, w)
+        return _reduce(_pmul(an, b._np), a._nd * b._nd, a._j + b._j,
                        a._k + b._k)
-    L = lcm(*[a._nd * b._nd for a, b in live])
+    L = lcm(*[a._nd * b._nd for a, b, _ in live])
     if len(live) >= _PACK_MIN:
         return _packed_sum(live, L)
     buckets = {}
-    for a, b in live:
+    for a, b, w in live:
         an, bn = a._np, b._np
         if len(an) > len(bn):
             an, bn = bn, an
-        s = L // (a._nd * b._nd)
+        s = L // (a._nd * b._nd) * w
         if s != 1:
             an = [x * s for x in an]
         key = (a._j + b._j, a._k + b._k)
@@ -715,10 +726,10 @@ def sum_of_products(xs, ys):
 
 
 def _packed_sum(live, L):
-    """``sum_of_products`` of the ``live`` pairs over the scalar lcm ``L``,
-    by packing."""
-    terms = [(L // (a._nd * b._nd), a._np, b._np, a._j + b._j, a._k + b._k)
-             for a, b in live]
+    """``sum_of_products`` of the ``live`` triples (a, b, weight) over the
+    scalar lcm ``L``, by packing."""
+    terms = [(L // (a._nd * b._nd) * w, a._np, b._np, a._j + b._j,
+              a._k + b._k) for a, b, w in live]
     J = max(t[3] for t in terms)
     K = max(t[4] for t in terms)
     w = max(s.bit_length() + _height(an) + _height(bn)

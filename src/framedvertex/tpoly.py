@@ -6,14 +6,12 @@ coefficients.  Values are immutable by convention: every operation returns
 a new polynomial.  Variable slots are 0-based throughout.
 
 Every sum of products per key in the package goes one route: ``gather``
-appends each unreduced pair of factors to its key's list, and
-``sum_gathered`` closes each list with one ``ratfunc.sum_of_products``,
-one Q(f) reduction per key, none for a key holding a single coefficient.
-A list is folded into its sum once it holds ``_FOLD`` products, so a key
-that gathers many keeps one reduced value and a short tail, not every
-factor it was handed.  Products, ``curvefun.euler_field``, the recursion,
-``engine.assemble_H``'s orbit sums and the cut-and-join reads all take
-this route.
+appends each unreduced pair of factors, with its integer weight, to its
+key's list, and ``sum_gathered`` closes each list with one
+``ratfunc.sum_of_products``, one Q(f) reduction per key, none for a key
+holding a single coefficient.  Products, ``curvefun.euler_field``, the
+recursion, ``engine.assemble_H``'s orbit sums and the cut-and-join reads
+all take this route.
 """
 
 from __future__ import annotations
@@ -37,35 +35,22 @@ def add_term(terms, key, coeff):
             terms[key] = s
 
 
-# Products held per key before they are folded into one sum.  Without a
-# fold the recursion keeps every factor of its largest cells alive: the
-# chi <= 8 build peaked at 102 MB (2-vCPU host, Python 3.11) against
-# 27 MB when each contribution was reduced at once; folding at 16 peaks
-# at 30 MB.
-_FOLD = 16
-
-
-def gather(groups, key, x, y):
-    """Append the unreduced product ``x * y`` to the sum at ``key``.
-
-    ``groups[key]`` is the flat list [x0, y0, x1, y1, ...]; at ``_FOLD``
-    products it is replaced by its sum, held as (sum, 1).
-    """
-    g = groups.setdefault(key, [])
-    g += (x, y)
-    if len(g) == 2 * _FOLD:
-        g[:] = (sum_of_products(g[::2], g[1::2]), FR_ONE)
+def gather(groups, key, x, y, w=1):
+    """Append the unreduced product ``w * x * y``, ``w`` an integer, to
+    the sum at ``key``: ``groups[key]`` is the flat list
+    [x0, y0, w0, x1, y1, w1, ...]."""
+    groups.setdefault(key, []).extend((x, y, w))
 
 
 def sum_gathered(groups):
     """{key: sum of the products gathered at key}, zero sums dropped.
 
-    One ``sum_of_products`` per key; a lone (c, 1) is kept as ``c``.
+    One ``sum_of_products`` per key; a lone (c, 1, 1) is kept as ``c``.
     """
     out = {}
     for key, g in groups.items():
-        c = (g[0] if len(g) == 2 and g[1] is FR_ONE
-             else sum_of_products(g[::2], g[1::2]))
+        c = (g[0] if len(g) == 3 and g[1] is FR_ONE and g[2] == 1
+             else sum_of_products(g[::3], g[1::3], g[2::3]))
         if c:
             out[key] = c
     return out

@@ -390,10 +390,11 @@ def exp_of(a):
     if a.lead < 1:
         raise NotAUnit("exp_of needs a series with positive lead")
     n = a.trunc + 1
-    ka = [a._at(k) * k for k in range(n)]  # coefficients of v a'(v)
+    coeffs = [a._at(k) for k in range(n)]
     out = [FR_ONE]
     for m in range(1, n):
-        s = sum_of_products(ka[1:m + 1], out[::-1])
+        # m out_m = sum_k k a_k out_(m-k), the weights k of v a'(v)
+        s = sum_of_products(coeffs[1:m + 1], out[::-1], range(1, m + 1))
         out.append(s * FRational.from_fraction(Fraction(1, m)))
     return VSeries(0, out, a.trunc)
 

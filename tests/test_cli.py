@@ -372,6 +372,10 @@ def test_export_point_kernel_sized_by_request(tmp_path, capsys):
     (["--kernel", "0,-1"], "--kernel indices"),
     (["--kernel=-1,2"], "--kernel indices"),
     (["--kernel2", "-1"], "--kernel2 must"),
+    # an empty value is a bad value, not an absent option
+    (["--cell", ""], "bad --cell ''"),
+    (["--kernel", ""], "bad --kernel ''"),
+    (["--kernel2", "0", "--at-f", ""], "bad --at-f value ''"),
 ])
 def test_export_negative_kernel_index_is_config_error(tmp_path, capsys, argv,
                                                       reason):

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import framedvertex.engine as engine
 import framedvertex.tpoly as tpoly
 from framedvertex.engine import (BracketTable, assemble_H, budget_cells,
                                  is_stable, make_workspace, recursion_step,
@@ -189,40 +190,44 @@ def parent_cells(table6):
             for g, n in _STEPPED}, workspace
 
 
-@pytest.mark.parametrize("fold,folds", [(tpoly._FOLD, 166), (2, 4261)])
 def test_recursion_step_equals_its_parent_body(table6, parent_cells,
-                                               monkeypatch, fold, folds):
-    # a sum of exactly _FOLD products is a fold, since sum_gathered sees
-    # fewer
+                                               monkeypatch):
+    # each gathered key is summed once, when the step closes its lists:
+    # no sum is taken while a list grows
     want, workspace = parent_cells
-    monkeypatch.setattr(tpoly, "_FOLD", fold)
-    sizes = []
-    real = tpoly.sum_of_products
+    calls, closed = [], []
+    real_sum, real_close = tpoly.sum_of_products, engine.sum_gathered
 
-    def counting(xs, ys):
-        sizes.append(len(xs))
-        return real(xs, ys)
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real_sum(*args)
+
+    def closing(groups):
+        before = len(calls)
+        out = real_close(groups)
+        assert len(calls) - before <= len(groups)
+        closed.append(len(calls) - before)
+        return out
 
     monkeypatch.setattr(tpoly, "sum_of_products", counting)
+    monkeypatch.setattr(engine, "sum_gathered", closing)
     for g, n in _STEPPED:
         assert recursion_step(g, n, table6, workspace) == want[g, n], (g, n)
-    assert sizes.count(fold) == folds
-    assert max(sizes) == fold
+    assert len(closed) == len(_STEPPED)
+    assert sum(closed) == len(calls) > 0
 
 
-def test_tampered_lower_cell_fails_the_extraction(monkeypatch):
+def test_tampered_lower_cell_fails_the_extraction():
     # the splitting sum puts slot 0 apart, so a wrong (1,2) value feeds
     # (1,4) coefficients that differ across the first entries of a key,
-    # which the extraction's slot-0 comparison refuses; at either fold size
+    # which the extraction's slot-0 comparison refuses
     table = run_to_budget(4)
     entries = table.cell_entries(1, 2)
     entries[(0, 1)] = entries[(0, 1)] + 1
     table.mark_cell(1, 2, entries)
     workspace = make_workspace(budget_cells(4))
-    for fold in (tpoly._FOLD, 2):
-        monkeypatch.setattr(tpoly, "_FOLD", fold)
-        with pytest.raises(SymmetryViolation):
-            recursion_step(1, 4, table, workspace)
+    with pytest.raises(SymmetryViolation):
+        recursion_step(1, 4, table, workspace)
 
 
 def test_assemble_three_point():

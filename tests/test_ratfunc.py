@@ -195,6 +195,23 @@ def test_sum_of_products_is_the_fold(packed_sums):
     rng.shuffle(pairs)
     assert stored(dot(pairs)) == stored(FR_ZERO) == stored(fold(pairs))
     assert packed_sums[-1] == 12
+    # integer weights: zero drops a product, negative and 2^200-sized ones
+    # join the product's scalar, on the direct loop and on the packed path
+    big, before = 2 ** 200, len(packed_sums)
+    for ws in ([0], [0, 0, 0], [3], [0, -big, 0], [2, -2],
+               [0, -1, big + 1, 0, -(2 ** 203), 5, 1],
+               [0, -1, big, 3, -(2 ** 203), 0, 7, -2, 1, big + 5, -9]):
+        triples = [(localised(rng, WIDE_SCALARS, 12, bits=300),
+                    localised(rng, WIDE_SCALARS, 12, bits=300), w)
+                   for w in ws]
+        if ws == [2, -2]:
+            triples[1] = triples[0][:2] + (-2,)
+        got = sum_of_products(*zip(*triples))
+        assert stored(got) == stored(fold(
+            [(FRational.from_int(w) * a, b) for a, b, w in triples])), ws
+        assert_canonical(got)
+    # only the 11 products with 9 live ones are packed
+    assert packed_sums[before:] == [9]
 
 
 @pytest.mark.parametrize("h, K", [(103, 5), (104, 3), (121, 1), (151, 6)])
