@@ -24,15 +24,23 @@ reciprocal depend only on the first W of its factors, so the cut factor
 equals the one built from cut factors.  A later kernel on the same curve
 inverts no series.
 
-The cross-check forms run at the curve's full truncation, unwindowed.
-Every series in them that depends on the curve alone is built once per
-curve and kept on it (``CurveSeries.derived``): each phi_b(t(v)), which
-the two forms share, each phi_b(s(t(v))), the pair factor and the two
-point factors, so a call pays only for the products that involve its own
-pair or step.  They share nothing with the generator kernels but
-primitive arithmetic and ``plus_part`` (neither side reads the other's
-keys of ``derived``), and ``kernel_II_symmetrized`` still composes
-through s(t(v)), so each stays an independent check of its generator.
+The cross-check forms make every product exact only through the
+exponent its consumer reads, by one rule (``_product_through``): to know
+x y through v^top, cut x to v^(top - lead y) and y to v^(top - lead x).
+It is exact because no coefficient of x y through v^top reads a factor
+beyond those cuts, and a factor known less far leaves the product's own
+guarantee short of v^top, so ``plus_part`` raises instead of returning a
+wrong kernel.  The rule reads only the operands' leads and the
+``VSeries`` truncation bookkeeping, not ``_window`` or the generators'
+window formulas.  Every series in the forms that depends on the curve
+alone is built once per curve, at full length, and kept on it
+(``CurveSeries.derived``): each phi_b(t(v)), which the two forms share,
+each phi_b(s(t(v))), the pair factor and the two point factors, so a
+call pays only for the cut products that involve its own pair or step.
+They share nothing with the generator kernels but primitive arithmetic
+and ``plus_part`` (neither side reads the other's keys of ``derived``),
+and ``kernel_II_symmetrized`` still composes through s(t(v)), so each
+stays an independent check of its generator.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ def default_trunc(pair_budget):
 
     The one setting of the series length.  The generator kernels read a
     fixed window of these series (see ``kernel_I`` and ``kernel_II``), so
-    a longer curve changes no kernel; the cross-check forms read it whole.
+    a longer curve changes no kernel; the cross-check forms cut it by
+    their own rule (``_product_through``).
     """
     return 2 * pair_budget + 12
 
@@ -159,18 +168,40 @@ def kernel_I_via_involution(a, b, curve, tower):
     composition at -v.  The compositions and the factor
     -(f+1)/(4 eta_{-1} t(t-1)(ft+1)) depend on the curve alone and are
     built once per curve, so a pair costs the two products of its
-    numerator (one, doubled, when a = b) and one by the factor.
-    ``kernel_I`` builds P_{a,b} from the eta series without the
-    involution, so this form stays independent of it.
+    numerator (one, doubled, when a = b) and one by the factor.  The
+    factor has lead 2 (eta_{-1} has lead 1 and the cubic in t lead -3),
+    so ``plus_part`` reads the numerator only through v^(-lead factor):
+    each product is made exact through that exponent and the final one
+    through v^0 (``_product_through``).  ``kernel_I`` builds P_{a,b} from
+    the eta series without the involution, so this form stays
+    independent of it.
     """
+    factor = curve.derived("pair factor", _pair_factor)
+    top = -factor.lead
     pa_t = _phi_composed(a + 1, curve, tower, "t_of_v")
     pa_s = pa_t.negate_variable()
     if a == b:
-        numer = pa_t * pa_s * 2
+        numer = _product_through(pa_t, pa_s, top) * 2
     else:
         pb_t = _phi_composed(b + 1, curve, tower, "t_of_v")
-        numer = pa_t * pb_t.negate_variable() + pa_s * pb_t
-    return plus_part(numer * curve.derived("pair factor", _pair_factor), curve)
+        numer = (_product_through(pa_t, pb_t.negate_variable(), top)
+                 + _product_through(pa_s, pb_t, top))
+    return plus_part(_product_through(numer, factor, 0), curve)
+
+
+def _product_through(x, y, top):
+    """x * y known through v^top and no further.
+
+    The coefficient of v^e in x * y reads x only through v^(e - lead y)
+    and y only through v^(e - lead x), so x is cut to v^(top - lead y)
+    and y to v^(top - lead x) first.  The product's own bookkeeping then
+    guarantees v^top when both factors were known that far, and less when
+    either was not, so a cut never hides a missing coefficient.  A zero
+    factor has no lead and is not cut.
+    """
+    if not (x.is_zero or y.is_zero):
+        x, y = x.truncate(top - y.lead), y.truncate(top - x.lead)
+    return (x * y).truncate(top)
 
 
 def _phi_composed(b, curve, tower, inner):
@@ -263,10 +294,13 @@ def kernel_II_symmetrized(b, curve, tower):
     B_k = phi_{b+1}(s(t)) s' zbar^{k+2} / (2 eta_{-1}).  The factors
     z^2 / (2 eta_{-1}) and s' zbar^2 / (2 eta_{-1}) and both compositions
     are built once per curve; each step then advances A_k by z and B_k by
-    zbar, two products.  z and zbar have lead 1, so once A_k and B_k both
-    have positive lead every later step has polynomial part 0, and the
-    loop stops there; a step ``cap`` that is reached and has a polynomial
-    part still raises.
+    zbar, two products, each cut back to v^0 (``_product_through``), which
+    is all that ``plus_part`` reads and all that the next step's
+    coefficients through v^0 depend on.  z and zbar have lead 1, so once
+    A_k and B_k both have positive lead, that is once both cut series are
+    zero, every later step has polynomial part 0, and the loop stops
+    there; a step ``cap`` that is reached and has a polynomial part still
+    raises.
 
     phi_{b+1} is composed through t(v) and through s(t(v)) separately, and
     not by v -> -v: that substitution is the shortcut of ``kernel_II``
@@ -274,11 +308,13 @@ def kernel_II_symmetrized(b, curve, tower):
     """
     cap = 2 * b + 6
     on_t, on_s = curve.derived("point factors", _point_factors)
-    a_k = _phi_composed(b + 1, curve, tower, "t_of_v") * on_t
-    b_k = _phi_composed(b + 1, curve, tower, "s_t_of_v") * on_s
+    a_k = _product_through(_phi_composed(b + 1, curve, tower, "t_of_v"),
+                           on_t, 0)
+    b_k = _product_through(_phi_composed(b + 1, curve, tower, "s_t_of_v"),
+                           on_s, 0)
     terms = {}
     for k in range(cap + 1):
-        if a_k.lead > 0 and b_k.lead > 0:
+        if a_k.is_zero and b_k.is_zero:
             break
         q = plus_part(a_k + b_k, curve)
         q = q * FRational.from_int(k + 1)
@@ -289,6 +325,6 @@ def kernel_II_symmetrized(b, curve, tower):
             for (e,), c in q.terms():
                 terms[(e, k)] = c
         if k < cap:
-            a_k = a_k * curve.z_of_v
-            b_k = b_k * curve.zbar_of_v
+            a_k = _product_through(a_k, curve.z_of_v, 0)
+            b_k = _product_through(b_k, curve.zbar_of_v, 0)
     return TPolynomial(2, terms.items())

@@ -7,7 +7,7 @@ from framedvertex import cli, kernels
 from framedvertex import curve as curve_module
 from framedvertex.curvefun import (phi_prime_decompose,
                                    phi_prime_decompose_pair, plus_part)
-from framedvertex.engine import budget_cells, make_workspace
+from framedvertex.engine import budget_cells, make_workspace, run_to_budget
 from framedvertex.errors import DegreeCapExceeded, InsufficientTruncation
 from framedvertex.kernels import (KernelWorkspace, kernel_I,
                                   kernel_I_via_involution, kernel_II,
@@ -226,6 +226,50 @@ def test_one_short_window_raises(ws5, monkeypatch):
     for b in (0, 3, 5):
         with pytest.raises(InsufficientTruncation):
             kernel_II(b, ws5.curve, ws5.tower)
+
+
+def test_cross_check_forms_read_exactly_through_v0(ws5, monkeypatch):
+    # every series the cross-check forms hand to plus_part is known
+    # through v^0 and no further
+    seen = []
+
+    def recording(series, curve):
+        seen.append(series.trunc)
+        return plus_part(series, curve)
+
+    monkeypatch.setattr(kernels, "plus_part", recording)
+    for a, b in CHI5_PAIRS:
+        kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
+    for b in range(6):
+        kernel_II_symmetrized(b, ws5.curve, ws5.tower)
+    assert len(seen) == len(CHI5_PAIRS) + sum(2 * b + 3 for b in range(6))
+    assert set(seen) == {0}
+
+
+def test_one_short_cut_raises_in_cross_check_forms(ws5, monkeypatch):
+    cut = kernels._product_through
+    monkeypatch.setattr(kernels, "_product_through",
+                        lambda x, y, top: cut(x, y, top - 1))
+    for a, b in [(0, 0), (1, 2), (0, 5)]:
+        with pytest.raises(InsufficientTruncation):
+            kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
+    for b in (0, 3, 5):
+        with pytest.raises(InsufficientTruncation):
+            kernel_II_symmetrized(b, ws5.curve, ws5.tower)
+
+
+def test_build_kernels_equal_cross_check_forms(ws5):
+    # the chi <= 5 build reads exactly these kernels, and each equals its
+    # cross-check form
+    run_to_budget(5, workspace=ws5)
+    assert set(ws5._pair_dec) == set(CHI5_PAIRS)
+    assert set(ws5._point_dec) == set(range(6))
+    for a, b in CHI5_PAIRS:
+        assert (ws5.kernel_I(a, b)
+                == kernel_I_via_involution(a, b, ws5.curve, ws5.tower)), (a, b)
+    for b in range(6):
+        assert (ws5.kernel_II(b)
+                == kernel_II_symmetrized(b, ws5.curve, ws5.tower)), b
 
 
 def test_plus_part_equals_peeling_on_kernel_inputs(ws5, monkeypatch):
