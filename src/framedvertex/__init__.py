@@ -15,22 +15,20 @@ from .engine import (BracketTable, assemble_H, budget_cells, recursion_step,
                      run_to_budget, seed_initial_data, support_bound)
 from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
                       kernel_II, kernel_II_symmetrized)
-from .ratfunc import FPolynomial, FRational, Rational
+from .ratfunc import FPolynomial, FRational
 from .tpoly import TPolynomial
-from .vseries import (VSeries, compose_polynomial, exp_of, log_unit, revert,
-                      sqrt_unit)
+from .vseries import VSeries, compose_polynomial, log_unit
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BracketTable", "CurveSeries", "CutJoinReport", "CutJoinVerifier",
     "EtaFamily", "FPolynomial", "FRational", "KernelWorkspace",
-    "PhiTower", "Rational", "TPolynomial", "VSeries", "assemble_H",
-    "budget_cells", "build_curve_series", "compose_polynomial",
-    "euler_field", "exp_of",
+    "PhiTower", "TPolynomial", "VSeries", "assemble_H", "budget_cells",
+    "build_curve_series", "compose_polynomial", "euler_field",
     "kernel_I", "kernel_I_via_involution", "kernel_II",
     "kernel_II_symmetrized", "log_unit", "phi_prime_decompose",
-    "phi_prime_decompose_pair", "plus_part", "psi_oracle", "revert",
-    "recursion_step", "run_to_budget", "seed_initial_data", "sqrt_unit",
+    "phi_prime_decompose_pair", "plus_part", "psi_oracle",
+    "recursion_step", "run_to_budget", "seed_initial_data",
     "support_bound",
 ]

@@ -102,7 +102,7 @@ def _config_argv(args):
         return []
     try:
         overrides = json.loads(args.config.read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError("cannot read config file: %s" % exc)
     if not isinstance(overrides, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -164,7 +164,7 @@ def _load_or_compute(args, cell=None):
     if path.exists():
         try:
             table = BracketTable.from_json(path.read_text())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("unreadable cache file %s: %s" % (path, exc))
     table = run_to_budget(chi_max, extra_cells=extra_cells, table=table)
     _write_atomic(path, table.to_json())
@@ -195,19 +195,13 @@ def cmd_compute(args):
     return EXIT_OK
 
 
-def _budget_cells(args, table):
-    """The cells of the table within ``--chi-max``; the cache file may
-    hold more, left by an earlier command."""
-    return [(g, n) for g, n in table.cells() if 2 * g - 2 + n <= args.chi_max]
-
-
 def _cells_tower(cells):
     """The phi tower up to one past the largest support bound of the cells."""
     return PhiTower(max(support_bound(g, n) for g, n in cells) + 1)
 
 
 def _suite_cutjoin(args, table):
-    cells = _budget_cells(args, table)
+    cells = budget_cells(args.chi_max)
     verifier = CutJoinVerifier(table, _cells_tower(cells))
     results = []
     for g, n in cells:
@@ -220,7 +214,7 @@ def _suite_cutjoin(args, table):
 
 def _suite_oracle(args, table):
     results = []
-    for g, n in _budget_cells(args, table):
+    for g, n in budget_cells(args.chi_max):
         if g != 0:
             continue
         entries = table.cell_entries(g, n)
@@ -278,7 +272,7 @@ def _suite_symmetry(args, table):
     # of a sorted key at each orbit representative, the only keys it
     # returns), so no row can test it on a table
     results = []
-    for g, n in _budget_cells(args, table):
+    for g, n in budget_cells(args.chi_max):
         ok = all(sum(key) <= support_bound(g, n)
                  for key in table.cell_entries(g, n))
         results.append({"check": "support", "g": g, "n": n, "passed": ok})

@@ -44,20 +44,6 @@ from .ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
 from .vseries import VSeries, log_unit
 
 
-def square_ratio_coefficient(k):
-    """Coefficient c_k of z^k in (v/z)^2; c_0 = 1."""
-    if k == 0:
-        return FR_ONE
-    # 2 (f^{k+1} - (-1)^{k+1}) / ((k+2) f^k (f+1))
-    num = [0] * (k + 2)
-    num[k + 1] = 2
-    num[0] = 2 if k % 2 == 0 else -2
-    den = [0] * (k + 2)
-    den[k] = k + 2
-    den[k + 1] = k + 2
-    return FRational.poly(num) / FRational.poly(den)
-
-
 def z_of_v(trunc):
     """z(v) through v^trunc, from the recurrences of the module docstring.
 

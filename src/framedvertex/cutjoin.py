@@ -181,23 +181,10 @@ class CutJoinReport:
                 "residual_terms": self.residual_terms}
 
 
-def _term(push):
-    """A term method ``term(g, n, reads=None, sign=1)``: it gathers its
-    reads into ``reads``, each weight times ``sign``, or, with no dict
-    given, returns the term, held at the representatives."""
-    @functools.wraps(push)
-    def term(self, g, n, reads=None, sign=1):
-        if reads is not None:
-            return push(self, g, n, reads, sign)
-        reads = {}
-        push(self, g, n, reads, sign)
-        return TPolynomial._raw(n, sum_gathered(reads))
-    return term
-
-
 class CutJoinVerifier:
-    """Caches assembled polynomials across cell verifications; each term
-    pushes its reads, and ``verify`` sums a cell's in one gather."""
+    """Caches assembled polynomials across cell verifications.  Each term
+    method gathers its reads into ``reads``, each weight times ``sign``,
+    and ``verify`` sums a cell's four terms in one gather."""
 
     def __init__(self, table, tower):
         self.table = table
@@ -235,8 +222,7 @@ class CutJoinVerifier:
             got = self._eh[(g, n)] = euler_field(_slice(self.H(g, n), 0), 0)
         return got
 
-    @_term
-    def lhs(self, g, n, reads, sign):
+    def lhs(self, g, n, reads, sign=1):
         """(d/df + sum_l t_l(t_l-1)/(f+1) d/dt_l) H.
 
         Each term (r, c) of H gives its d/df read at r and is pushed
@@ -248,8 +234,7 @@ class CutJoinVerifier:
             gather(reads, r, c.derivative(), FR_ONE, sign)
             _push(reads, r, 0, c, field)
 
-    @_term
-    def t1(self, g, n, reads, sign):
+    def t1(self, g, n, reads, sign=1):
         """-1/2 sum over the slots l of E_l E_n H(g-1, n+1) with t_n set to t_l.
 
         G = E_n H(g-1, n+1) is symmetric in t_0..t_{n-1}, so it is built
@@ -269,8 +254,7 @@ class CutJoinVerifier:
         for k, c in inner.terms():
             _push(reads, k[:n], k[n], c, field)
 
-    @_term
-    def t2_t3(self, g, n, reads, sign):
+    def t2_t3(self, g, n, reads, sign=1):
         """-1/2 over the joining slot m and ordered stable splits.
 
         The (m, subset, a) term is EH(a, 1+s) on t_m + subset times
@@ -307,8 +291,7 @@ class CutJoinVerifier:
                     e = _rep((p + q,) + rest)
                     gather(reads, e, c1, c2, e.count(p + q) * maps)
 
-    @_term
-    def t4(self, g, n, reads, sign):
+    def t4(self, g, n, reads, sign=1):
         """Divided differences over the slot pairs i < j, times 1/(f+1).
 
         The (i, j) term embeds EH(g, n-1) along (i,) + rest and (j,) + rest,

@@ -106,7 +106,7 @@ class BracketTable:
         entries = {}
         for (g, _), cell in self._cells.items():
             for key, value in cell.items():
-                entries["%d|%s" % (g, ",".join(map(str, key)))] = value.as_text()
+                entries[_entry_key(g, key)] = value.as_text()
         obj = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -127,9 +127,12 @@ class BracketTable:
         bound.  The recursion reads every stored entry, so an entry past the
         bound is bad input, refused here.  A table stores no zero value
         (``mark_cell`` drops them), so a zero entry is refused too: kept,
-        it would be written back and exported.
+        it would be written back and exported.  Each entry has one key,
+        the one ``to_json`` writes: a key in another spelling (``1|00`` for
+        ``1|0``) or a key given twice is refused, since either would let a
+        later value silently replace the entry.
         """
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
         if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
                 or obj.get("version") != FORMAT_VERSION):
             raise ValueError("unrecognized bracket table file")
@@ -149,6 +152,10 @@ class BracketTable:
             g_s, idx = key.split("|")
             indices = tuple(int(x) for x in idx.split(",")) if idx else ()
             g, n = int(g_s), len(indices)
+            canonical = _entry_key(g, indices)
+            if key != canonical:
+                raise ValueError("entry key %r is not the canonical %r"
+                                 % (key, canonical))
             cell = table._cells.get((g, n))
             if cell is None:
                 raise ValueError("entry %s is outside the listed cells"
@@ -172,6 +179,21 @@ class BracketTable:
                 raise ValueError("entry %s is zero" % key)
             cell[indices] = value
         return table
+
+
+def _entry_key(g, indices):
+    """The key of an entry in the cache file, e.g. ``0|0,0,1``."""
+    return "%d|%s" % (g, ",".join(map(str, indices)))
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("key %r appears twice" % key)
+        obj[key] = value
+    return obj
 
 
 def seed_initial_data():

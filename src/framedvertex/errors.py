@@ -47,12 +47,8 @@ class NotAUnit(FramedVertexError):
     """Series operation requires constant term 1 at order zero."""
 
 
-class NotInvertible(FramedVertexError):
-    """Series reversion requires leading exponent 1."""
-
-
 class InvalidComposition(FramedVertexError):
-    """Series composition outside the supported shapes."""
+    """Series operation outside its supported shapes (a v^-1 integrand)."""
 
 
 class InsufficientTruncation(InternalInvariantError):

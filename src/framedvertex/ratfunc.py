@@ -54,8 +54,6 @@ from operator import index
 
 from .errors import DivisionByZero, PoleAtFraming
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # integer-coefficient polynomial helpers

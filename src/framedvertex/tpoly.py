@@ -16,8 +16,6 @@ all take this route.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ArityMismatch, IndexOutOfRange, NotDivisible
 from .ratfunc import FR_ONE, FR_ZERO, _as_frational, sum_of_products
 
@@ -250,19 +248,6 @@ class TPolynomial:
             if not v.is_zero:
                 out[e] = v
         return TPolynomial._raw(self._arity, out)
-
-    def specialize_f(self, f0):
-        """Evaluate every coefficient at a rational framing value.
-
-        Returns a plain dict from exponent tuple to Fraction.
-        """
-        f0 = Fraction(f0)
-        out = {}
-        for e, c in self._terms.items():
-            v = c.evaluate(f0)
-            if v:
-                out[e] = v
-        return out
 
     # -- exact division -----------------------------------------------------------
 

@@ -9,9 +9,9 @@ derived series is exact.
 The zero series keeps a truncation order but no coefficients; its lead is
 treated as ``trunc + 1`` ("nothing seen yet") in truncation bookkeeping.
 
-Products, reciprocals, ``sqrt_unit`` and ``exp_of`` form each output
-coefficient as one ``ratfunc.sum_of_products``, so a coefficient costs
-one Q(f) reduction for its convolution sum, not one per term.
+Products and reciprocals form each output coefficient as one
+``ratfunc.sum_of_products``, so a coefficient costs one Q(f) reduction
+for its convolution sum, not one per term.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (InsufficientTruncation, InvalidComposition, NotAUnit,
-                     NotInvertible, ZeroDivisor)
-from .ratfunc import (FR_ONE, FR_ZERO, FRational, _as_frational,
-                      sum_of_products)
+                     ZeroDivisor)
+from .ratfunc import FR_ONE, FR_ZERO, _as_frational, sum_of_products
 
 
 class VSeries:
@@ -148,14 +147,6 @@ class VSeries:
         out = tuple(c if (self._lead + k) % 2 == 0 else -c
                     for k, c in enumerate(self._coeffs))
         return VSeries(self._lead, list(out), self._trunc)
-
-    def is_even(self):
-        return all((self._lead + k) % 2 == 0
-                   for k, c in enumerate(self._coeffs) if not c.is_zero)
-
-    def is_odd(self):
-        return all((self._lead + k) % 2 == 1
-                   for k, c in enumerate(self._coeffs) if not c.is_zero)
 
     # -- arithmetic -----------------------------------------------------------------
 
@@ -292,31 +283,6 @@ class VSeries:
             return VSeries.one(self._trunc)
         return acc
 
-    # -- composition ------------------------------------------------------------
-
-    def compose(self, inner):
-        """Substitute ``inner`` (lead >= 1) for the variable."""
-        if not isinstance(inner, VSeries):
-            raise InvalidComposition("inner must be a series")
-        if inner.is_zero or inner.lead < 1:
-            raise InvalidComposition(
-                "series-in-series composition needs inner lead >= 1")
-        if self.is_zero:
-            return VSeries.zero((self._trunc + 1) * inner.lead - 1)
-        # Horner over the known exponent window, then shift by inner^lead
-        acc = VSeries.monomial(0, self._coeffs[-1], inner._trunc)
-        for k in range(len(self._coeffs) - 2, -1, -1):
-            acc = acc * inner
-            c = self._coeffs[k]
-            if not c.is_zero:
-                acc = acc + VSeries.monomial(0, c, acc._trunc)
-        if self._lead:
-            acc = acc * (inner ** self._lead)
-        # outer coefficients beyond trunc are unknown; first unseen term
-        # contributes at exponent (trunc+1) * inner.lead
-        cap = (self._trunc + 1) * inner.lead - 1
-        return acc.truncate(min(acc._trunc, cap))
-
     # -- comparisons ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -327,16 +293,6 @@ class VSeries:
 
     def __hash__(self):
         return hash((self._lead, self._coeffs, self._trunc))
-
-    def agrees_with(self, other, upto=None):
-        """Coefficientwise equality through the common guarantee."""
-        hi = min(self._trunc, other._trunc)
-        if upto is not None:
-            hi = min(hi, upto)
-        lo = min(self._efflead(), other._efflead())
-        if lo > hi:
-            return True
-        return all(self._at(e) == other._at(e) for e in range(lo, hi + 1))
 
     def __repr__(self):
         if self.is_zero:
@@ -362,53 +318,18 @@ def _coerce_opt(c):
 # unit-series functions
 # ---------------------------------------------------------------------------
 
-def sqrt_unit(a):
-    """Square root of a series with constant term 1.
-
-    b_0 = 1 and b_k = (a_k - sum_{i=1}^{k-1} b_i b_{k-i}) / 2.
-    """
-    _require_unit(a, "sqrt_unit")
-    half = FRational.from_fraction(Fraction(1, 2))
-    out = [FR_ONE]
-    for k in range(1, a.trunc + 1):
-        s = sum_of_products([a._at(k), *out[1:k]],
-                            [FR_ONE, *(-x for x in out[k - 1:0:-1])])
-        out.append(s * half)
-    return VSeries(0, out, a.trunc)
-
-
 def log_unit(a):
     """Logarithm of a series with constant term 1 (zero constant term)."""
-    _require_unit(a, "log_unit")
-    return (a.derivative() / a).integrate()
-
-
-def exp_of(a):
-    """Exponential of a series with lead >= 1 (constant term 1 output)."""
-    if a.is_zero:
-        return VSeries.one(a.trunc)
-    if a.lead < 1:
-        raise NotAUnit("exp_of needs a series with positive lead")
-    n = a.trunc + 1
-    coeffs = [a._at(k) for k in range(n)]
-    out = [FR_ONE]
-    for m in range(1, n):
-        # m out_m = sum_k k a_k out_(m-k), the weights k of v a'(v)
-        s = sum_of_products(coeffs[1:m + 1], out[::-1], range(1, m + 1))
-        out.append(s * FRational.from_fraction(Fraction(1, m)))
-    return VSeries(0, out, a.trunc)
-
-
-def _require_unit(a, where):
     if a.is_zero or a.lead != 0 or a.leading_coefficient() != FR_ONE:
-        raise NotAUnit("%s needs lead 0 and constant term 1" % where)
+        raise NotAUnit("log_unit needs lead 0 and constant term 1")
+    return (a.derivative() / a).integrate()
 
 
 def compose_polynomial(coeffs, inner):
     """Evaluate a polynomial (ascending coefficients) at a series.
 
-    Unlike series-in-series composition, the outer object is fully known,
-    so any inner lead is allowed (including negative).
+    The outer object is fully known, so any inner lead is allowed
+    (including negative).
     """
     coeffs = [_coerce(c) for c in coeffs]
     while coeffs and coeffs[-1].is_zero:
@@ -429,24 +350,3 @@ def _poly_horner_trunc(coeffs, inner):
     # so overshooting is safe and __mul__ tightens against inner's guarantee
     d = len(coeffs) - 1
     return inner.trunc + abs(d * inner._efflead()) + 2
-
-
-def revert(a):
-    """Compositional inverse of a series with lead exactly 1.
-
-    Uses Lagrange inversion: with a = v * u(v), the inverse z(w) has
-    [w^m] z = (1/m) [v^{m-1}] u(v)^{-m}.
-    """
-    if a.is_zero or a.lead != 1:
-        raise NotInvertible("reversion needs lead exactly 1")
-    rel = a.trunc - 1
-    u = VSeries(0, list(a._coeffs), rel)  # u = a / v
-    h = u.reciprocal().truncate(rel)
-    out = {}
-    p = VSeries.one(rel)
-    for m in range(1, a.trunc + 1):
-        p = (p * h).truncate(rel)
-        c = p._at(m - 1)
-        if not c.is_zero:
-            out[m] = c * FRational.from_fraction(Fraction(1, m))
-    return VSeries.from_map(out, a.trunc)

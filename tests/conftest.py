@@ -1,14 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from framedvertex import ratfunc
-from framedvertex.curve import square_ratio_coefficient
 from framedvertex.engine import run_to_budget
-from framedvertex.ratfunc import FR_ZERO, FRational
-from framedvertex.tpoly import TPolynomial
-from framedvertex.vseries import VSeries, sqrt_unit
+from framedvertex.errors import NotAUnit
+from framedvertex.ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
+from framedvertex.tpoly import TPolynomial, sum_gathered
+from framedvertex.vseries import VSeries
 
 
 def localised(rng, scalars=(1, 2, 3, 6, 35), max_deg=5, bits=None):
@@ -98,6 +99,91 @@ def per_ordering_H(table, tower, g, n):
                 term = term * tower.phi(b).embed(n, [slot])
             want = want + term
     return want * (-(f * (f + 1)) ** (n - 1))
+
+
+def term(method, g, n):
+    """One cut-and-join term of cell (g, n) on its own: the reads the
+    verifier's term ``method`` gathers, reduced, at the representatives."""
+    reads = {}
+    method(g, n, reads)
+    return TPolynomial._raw(n, sum_gathered(reads))
+
+
+# ---------------------------------------------------------------------------
+# series references: what the package computes another way, or not at all
+# ---------------------------------------------------------------------------
+
+def is_even(s):
+    return all(e % 2 == 0 for e, _ in s.known_items())
+
+
+def is_odd(s):
+    return all(e % 2 == 1 for e, _ in s.known_items())
+
+
+def agrees(a, b):
+    """Coefficientwise equality through the common guarantee."""
+    hi = min(a.trunc, b.trunc)
+    return a.truncate(hi) == b.truncate(hi)
+
+
+def sqrt_unit(a):
+    """Square root of a series with constant term 1.
+
+    b_0 = 1 and b_k = (a_k - sum_{i=1}^{k-1} b_i b_{k-i}) / 2.
+    """
+    if a.is_zero or a.lead != 0 or a.leading_coefficient() != FR_ONE:
+        raise NotAUnit("sqrt_unit needs lead 0 and constant term 1")
+    out = [FR_ONE]
+    for k in range(1, a.trunc + 1):
+        s = sum_of_products([a.coeff(k), *out[1:k]],
+                            [FR_ONE, *(-x for x in out[k - 1:0:-1])])
+        out.append(s * Fraction(1, 2))
+    return VSeries(0, out, a.trunc)
+
+
+def exp_of(a):
+    """Exponential of a series with lead >= 1: e_0 = 1 and
+    m e_m = sum_k k a_k e_(m-k), the weights k of v a'(v)."""
+    if not a.is_zero and a.lead < 1:
+        raise NotAUnit("exp_of needs a series with positive lead")
+    n = a.trunc + 1
+    coeffs = [a.coeff(k) for k in range(n)]
+    out = [FR_ONE]
+    for m in range(1, n):
+        s = sum_of_products(coeffs[1:m + 1], out[::-1], range(1, m + 1))
+        out.append(s * Fraction(1, m))
+    return VSeries(0, out, a.trunc)
+
+
+def revert(a):
+    """Compositional inverse of a series with lead exactly 1.
+
+    Lagrange inversion: with a = v u(v), the inverse z(w) has
+    [w^m] z = (1/m) [v^(m-1)] u(v)^(-m).
+    """
+    assert a.lead == 1
+    h = a.shift(-1).reciprocal()  # 1/u, known through v^(trunc - 1)
+    out = {}
+    p = VSeries.one(h.trunc)
+    for m in range(1, a.trunc + 1):
+        p = p * h
+        out[m] = p.coeff(m - 1) * Fraction(1, m)
+    return VSeries.from_map(out, a.trunc)
+
+
+def square_ratio_coefficient(k):
+    """Coefficient c_k of z^k in (v/z)^2 = 1 + sum_k c_k z^k:
+    c_k = 2 (f^(k+1) - (-1)^(k+1)) / ((k+2) f^k (f+1)), c_0 = 1."""
+    if k == 0:
+        return FR_ONE
+    num = [0] * (k + 2)
+    num[k + 1] = 2
+    num[0] = 2 if k % 2 == 0 else -2
+    den = [0] * (k + 2)
+    den[k] = k + 2
+    den[k + 1] = k + 2
+    return FRational.poly(num) / FRational.poly(den)
 
 
 def F_of_z(trunc):

@@ -227,6 +227,17 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert not (tmp_path / "brackets.json").exists()
 
 
+def test_deeply_nested_config_file_is_config_error(tmp_path, capsys):
+    # too deep for the JSON reader, which raises RecursionError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100000)
+    code, _, err = run(["compute", "--config", str(cfg),
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 2
+    assert "cannot read config file" in err
+    assert not (tmp_path / "brackets.json").exists()
+
+
 def test_failed_write_keeps_previous_table(tmp_path, capsys, monkeypatch):
     assert run(["compute", "--chi-max", "1",
                 "--cache", str(tmp_path)], capsys)[0] == 0
@@ -276,9 +287,21 @@ def table_text(cells, entries):
     # a file cut off mid-write
     (table_text(["0,3", "1,1"], {"0|0,0,0": "1", "1|1": "1/24"})[:60],
      "Expecting value"),
+    # too deep for the JSON reader, which raises RecursionError
+    ("[" * 100000, "maximum recursion depth"),
+    # in bound, but a second spelling of the seed entry's key 1|0, whose
+    # value would replace the true one
+    (table_text(["0,3", "1,1"], {"0|0,0,0": "1", "1|0": "(f^2+f+1)/24",
+                                 "1|00": "5"}),
+     "entry key '1|00' is not the canonical '1|0'"),
+    (table_text(["0,3", "1,1"], {"0|0,0,0": "1", "1|0": "(f^2+f+1)/24"})
+     .replace('"1|0": "(f^2+f+1)/24"',
+              '"1|0": "(f^2+f+1)/24", "1|0": "5"'),
+     "key '1|0' appears twice"),
 ], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
         "unlisted-cell", "unsorted-index", "negative-index", "past-support",
-        "unstable-cell", "zero-entry", "cut-mid-file"])
+        "unstable-cell", "zero-entry", "cut-mid-file", "deep-nesting",
+        "second-spelling", "repeated-key"])
 def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
                                               reason):
     (tmp_path / "brackets.json").write_text(cache_text)

@@ -1,10 +1,11 @@
 import pytest
 
-from conftest import F_of_z
-from framedvertex.curve import build_curve_series, square_ratio_coefficient
+from conftest import (F_of_z, agrees, is_even, revert,
+                      square_ratio_coefficient)
+from framedvertex.curve import build_curve_series
 from framedvertex.errors import InsufficientTruncation
 from framedvertex.ratfunc import FR_ONE, FRational
-from framedvertex.vseries import VSeries, log_unit, revert
+from framedvertex.vseries import VSeries, compose_polynomial, log_unit
 
 F = FRational.variable()
 
@@ -24,7 +25,7 @@ def test_square_ratio_against_log_expansion():
     log2 = log_unit(VSeries.one(N) - z)
     vsq = (F * log1 + log2) * (-2 * F / (F + 1))
     want = VSeries(2, [square_ratio_coefficient(k) for k in range(N - 1)], N)
-    assert vsq.agrees_with(want)
+    assert agrees(vsq, want)
 
 
 def test_sqrt_coefficient_recursion():
@@ -49,7 +50,10 @@ def test_reversion_round_trip():
     # z(v) comes from the curve's ODE; v(z) = z F(z) from the square root
     curve = build_curve_series(12)
     v_of_z = F_of_z(12).shift(1)
-    assert v_of_z.compose(curve.z_of_v).agrees_with(VSeries.v(12))
+    coeffs = [v_of_z.coeff(k) for k in range(v_of_z.trunc + 1)]
+    # z(v) has lead 1, so the cut composition is exact
+    got = compose_polynomial(coeffs, curve.z_of_v).truncate(v_of_z.trunc)
+    assert agrees(got, VSeries.v(12))
 
 
 @pytest.mark.parametrize("trunc", [12, 22, 30])
@@ -66,20 +70,20 @@ def test_involution_fixes_x():
     z = curve.z_of_v
     one = VSeries.one(z.trunc)
     w = F * log_unit(one + z * (FR_ONE / F)) + log_unit(one - z)
-    assert w.is_even()
+    assert is_even(w)
 
 
 def test_t_plus_st_is_even():
     curve = build_curve_series(10)
-    assert (curve.t_of_v + curve.s_t_of_v).is_even()
+    assert is_even(curve.t_of_v + curve.s_t_of_v)
 
 
 def test_truncation_monotonicity():
     small = build_curve_series(8)
     big = build_curve_series(14)
-    assert F_of_z(14).agrees_with(F_of_z(8))
+    assert agrees(F_of_z(14), F_of_z(8))
     for name in ("z_of_v", "t_of_v", "s_t_of_v", "eta_minus_one"):
-        assert getattr(big, name).agrees_with(getattr(small, name))
+        assert agrees(getattr(big, name), getattr(small, name))
 
 
 def test_t_power_is_the_power_through_v0():

@@ -11,6 +11,8 @@ from framedvertex.ratfunc import FR_ONE, FRational
 from framedvertex.tpoly import TPolynomial
 from framedvertex.vseries import VSeries, compose_polynomial
 
+from conftest import agrees, is_even, is_odd
+
 F = FRational.variable()
 T = TPolynomial.variable(1, 0)
 
@@ -77,7 +79,7 @@ def test_eta_leading_terms(curve, eta):
 
 def test_eta_oddness(eta):
     for n in range(-1, 4):
-        assert eta.eta(n).is_odd()
+        assert is_odd(eta.eta(n))
 
 
 def test_eta_equals_half_odd_part_of_phi(curve, tower, eta):
@@ -85,7 +87,7 @@ def test_eta_equals_half_odd_part_of_phi(curve, tower, eta):
         phi_t = compose_polynomial(tower.phi_coeffs(n), curve.t_of_v)
         phi_st = compose_polynomial(tower.phi_coeffs(n), curve.s_t_of_v)
         half = FRational.from_fraction(Fraction(1, 2))
-        assert eta.eta(n).agrees_with((phi_t - phi_st) * half)
+        assert agrees(eta.eta(n), (phi_t - phi_st) * half)
 
 
 def test_phi_on_second_sheet_is_deck_image(curve, tower):
@@ -100,7 +102,7 @@ def test_phi_on_second_sheet_is_deck_image(curve, tower):
 def test_eta_remainder_even_and_regular(curve, tower, eta):
     for n in range(4):
         rem = eta.eta(n) - compose_polynomial(tower.phi_coeffs(n), curve.t_of_v)
-        assert rem.is_even()
+        assert is_even(rem)
         assert rem.is_zero or rem.lead >= 0
 
 

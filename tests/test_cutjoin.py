@@ -17,7 +17,7 @@ from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
 
 from conftest import (localised, non_increasing, per_ordering_H,
-                      restricted, substitute)
+                      restricted, substitute, term)
 
 F = FRational.variable()
 
@@ -85,7 +85,7 @@ def test_lhs_hand_value_three_point(tower):
     # -[(f^2+2f) + f^2 (t_0+t_1+t_2)] prod(t_i - 1) / (f+1)^2
     table = seed_initial_data()
     v = CutJoinVerifier(table, tower)
-    got = v.lhs(0, 3)
+    got = term(v.lhs, 0, 3)
     t = [TPolynomial.variable(3, i) for i in range(3)]
     prod = (t[0] - 1) * (t[1] - 1) * (t[2] - 1)
     tsum = t[0] + t[1] + t[2]
@@ -101,18 +101,20 @@ def test_lhs_hand_value_three_point(tower):
 
 def test_t1_vanishes_at_genus0(table3, tower):
     v = CutJoinVerifier(table3, tower)
-    assert v.t1(0, 4).is_zero
+    assert term(v.t1, 0, 4).is_zero
 
 
 def test_t2_t3_vanish_small(table3, tower):
     v = CutJoinVerifier(table3, tower)
-    assert v.t2_t3(0, 4).is_zero  # no stable splitting of 4 points at genus 0
-    assert v.t2_t3(1, 2).is_zero  # neither mixed-genus nor genus-0 splits
+    # no stable splitting of 4 points at genus 0
+    assert term(v.t2_t3, 0, 4).is_zero
+    # neither mixed-genus nor genus-0 splits
+    assert term(v.t2_t3, 1, 2).is_zero
 
 
 def test_t4_empty_for_one_point(table3, tower):
     v = CutJoinVerifier(table3, tower)
-    assert v.t4(2, 1).is_zero
+    assert term(v.t4, 2, 1).is_zero
 
 
 def test_outside_verifiable_set(table3, tower):
@@ -127,9 +129,9 @@ def test_unstable_dependency_raises(table3, tower):
     from framedvertex.errors import UnstableDependency
     v = CutJoinVerifier(table3, tower)
     with pytest.raises(UnstableDependency):
-        v.t1(1, 1)  # would need the unstable two-point genus-0 cell
+        term(v.t1, 1, 1)  # would need the unstable two-point genus-0 cell
     with pytest.raises(UnstableDependency):
-        v.t4(0, 3)  # same cell through the divided-difference term
+        term(v.t4, 0, 3)  # same cell through the divided-difference term
 
 
 def test_identity_holds_at_chi2(table3, tower):
@@ -137,7 +139,7 @@ def test_identity_holds_at_chi2(table3, tower):
     for g, n in [(0, 4), (1, 2)]:
         report = v.verify(g, n)
         assert report.passed, (g, n, report.residual_terms)
-        assert not v.lhs(g, n).is_zero
+        assert not term(v.lhs, g, n).is_zero
 
 
 def test_identity_holds_at_chi3(table3, tower):
@@ -149,7 +151,8 @@ def test_identity_holds_at_chi3(table3, tower):
 
 def term_by_term(v, g, n):
     """lhs - (t1 + t2_t3 + t4), each a TPolynomial of its own."""
-    return v.lhs(g, n) - (v.t1(g, n) + v.t2_t3(g, n) + v.t4(g, n))
+    right = term(v.t1, g, n) + term(v.t2_t3, g, n) + term(v.t4, g, n)
+    return term(v.lhs, g, n) - right
 
 
 def test_one_gather_residual_is_the_term_by_term_residual(table6):
@@ -287,16 +290,16 @@ def H4(table4):
     return full_H(table4, PhiTower(6))
 
 
-@pytest.mark.parametrize("term", list(FULL_FORMS))
-def test_orbit_terms_restrict_the_full_forms(table4, H4, term):
+@pytest.mark.parametrize("name", list(FULL_FORMS))
+def test_orbit_terms_restrict_the_full_forms(table4, H4, name):
     v = CutJoinVerifier(table4, PhiTower(6))
     eh = unsliced_EH(H4)
     nonzero = 0
     for g, n in table4.cells():
         if 2 * g - 2 + n < 2:
             continue
-        got = getattr(v, term)(g, n)
-        assert got == restricted(FULL_FORMS[term](H4, eh, g, n)), (g, n)
+        got = term(getattr(v, name), g, n)
+        assert got == restricted(FULL_FORMS[name](H4, eh, g, n)), (g, n)
         nonzero += not got.is_zero
     assert nonzero >= 3
     # the operands the terms read: H by orbit and the slot-0 slice of the
@@ -304,7 +307,7 @@ def test_orbit_terms_restrict_the_full_forms(table4, H4, term):
     assert v._h
     for (g, n), got in v._h.items():
         assert got == restricted(H4(g, n)), (g, n)
-    assert bool(v._eh) == (term in ("t2_t3", "t4"))
+    assert bool(v._eh) == (name in ("t2_t3", "t4"))
     for (g, n), got in v._eh.items():
         assert got == sliced(eh(g, n)), (g, n)
 
@@ -348,10 +351,10 @@ def test_terms_are_relabelled_products_on_asymmetric_input(cell):
     if n > 2:  # the base of t4 has no slot symmetry
         eh = v.EH(g, n - 1)
         assert eh.embed(n - 1, tuple(reversed(range(n - 1)))) != eh
-    t2_t3 = v.t2_t3(g, n)
+    t2_t3 = term(v.t2_t3, g, n)
     assert t2_t3 == restricted(per_subset_t2_t3(v.H, v.EH, g, n))
     assert not t2_t3.is_zero
-    t4 = v.t4(g, n)
+    t4 = term(v.t4, g, n)
     assert t4 == restricted(per_pair_t4(v.H, v.EH, g, n))
     assert not t4.is_zero
 

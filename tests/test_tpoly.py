@@ -140,11 +140,3 @@ def test_embed():
 def test_render_lines_sorted():
     p = var(2, 0) ** 2 + var(2, 1) + TPolynomial.constant(2, FR_ONE)
     assert p.render_lines() == ["0,0 : 1", "0,1 : 1", "2,0 : 1"]
-
-
-def test_specialize():
-    t = var(1, 0)
-    p = (F * t ** 2 + 1) * ((F + 1) ** -1)
-    vals = p.specialize_f(2)
-    from fractions import Fraction
-    assert vals == {(2,): Fraction(2, 3), (0,): Fraction(1, 3)}
