@@ -17,7 +17,7 @@ from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
                       kernel_II, kernel_II_symmetrized)
 from .ratfunc import FPolynomial, FRational
 from .tpoly import TPolynomial
-from .vseries import VSeries, compose_polynomial, log_unit
+from .vseries import VSeries, compose_polynomial
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "PhiTower", "TPolynomial", "VSeries", "assemble_H", "budget_cells",
     "build_curve_series", "compose_polynomial", "euler_field",
     "kernel_I", "kernel_I_via_involution", "kernel_II",
-    "kernel_II_symmetrized", "log_unit", "phi_prime_decompose",
+    "kernel_II_symmetrized", "phi_prime_decompose",
     "phi_prime_decompose_pair", "plus_part", "psi_oracle",
     "recursion_step", "run_to_budget", "seed_initial_data",
     "support_bound",

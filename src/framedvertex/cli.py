@@ -348,8 +348,8 @@ def cmd_export(args):
         _rows_to_output(rows, ("g", "b", "value"), args.output, args.out)
         return EXIT_OK
 
-    # each kernel reads a fixed window of the curve series, so a workspace
-    # sized for the requested kernel alone gives the same values
+    # each kernel cuts the curve series to the coefficients it reads, so a
+    # workspace sized for the requested kernel alone gives the same values
     if args.kernel is not None:
         try:
             a, b = (int(x) for x in args.kernel.split(","))

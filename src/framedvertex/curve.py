@@ -24,7 +24,13 @@ the two agree coefficient by coefficient; the tests pin them equal.
 
 The odd series eta_{-1} = -(1/2)(log(1 + 1/(f t)) - log(1 + 1/(f s(t))))
 lives here too, so the eta family and both kernel forms share one copy.
-Its second logarithm is the first at -v, since s(t(v)) = t(-v).
+It needs no logarithm: by the ODE z'/(f + z) = v (1 - z)/(f z), that is
+d/dv log(1 + 1/(f t)) = v (t - 1)/f, and since s(t(v)) = t(-v) the same
+at -v gives d/dv log(1 + 1/(f s)) = v (s - 1)/f, so
+
+    eta_{-1}' = -(1/(2f)) v (t - s),
+
+integrated with zero constant term (eta_{-1} is odd).
 
 Everything is built once per truncation order and cached process-wide.
 The cached object is immutable apart from two caches that only grow:
@@ -41,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
-from .vseries import VSeries, log_unit
+from .vseries import VSeries
 
 
 def z_of_v(trunc):
@@ -82,12 +88,9 @@ class CurveSeries:
         self.zbar_of_v = self.z_of_v.negate_variable()
         self.dt_dv = self.t_of_v.derivative()
         self.sprime = self.s_t_of_v.derivative() / self.dt_dv
-        one = VSeries.one(trunc)
-        inv_f = FR_ONE / FRational.variable()
-        log_plus = log_unit(one + self.z_of_v * inv_f)  # log(1 + 1/(f t))
-        log_minus = log_plus.negate_variable()          # log(1 + 1/(f s(t)))
-        self.eta_minus_one = (log_minus - log_plus) \
-            * FRational.from_fraction("1/2")
+        self.eta_minus_one = ((self.t_of_v - self.s_t_of_v).shift(1)
+                              * (-1 / (2 * FRational.variable()))
+                              ).integrate().truncate(trunc)
         self._t_rows = []
         self._derived = {}
 
@@ -99,8 +102,9 @@ class CurveSeries:
         alone by J. C. P. Miller's recurrence for the powers of a series:
         w_0 = 1, m w_m = sum_{i=1}^m (j i - (m - i)) u_i w_{m-i}.  Each w_m
         is one ``sum_of_products``, with the integer weights j i - (m - i);
-        no power is built from another, and none past v^0.  A power the curve does not know through v^0
-        (j > trunc) raises ``InsufficientTruncation``.
+        no power is built from another, and none past v^0.  A power the
+        curve does not know through v^0 (j > trunc) raises
+        ``InsufficientTruncation``.
         """
         if j < 0:
             raise ValueError("negative power of t")

@@ -55,9 +55,6 @@ class PhiTower:
         for b, p in enumerate(phis):
             assert p.degree_in(0) == 2 * b + 1, "phi tower degree broke"
 
-    def phi(self, b):
-        return self.phis[b]
-
     def phi_prime(self, b):
         return self.phi_primes[b]
 

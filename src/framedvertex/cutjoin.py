@@ -40,13 +40,14 @@ H is held by orbit (``assemble_H``), and no operand is built at every
 ordering.  That is exact whatever the table holds: H is symmetric by
 construction, and E_n leaves slots 0..n-1 alone, so E_n H(g-1, n+1) is
 symmetric in those slots; a term of either is read through every
-ordering of its key, so it is sent from its representative.  An operand
-with one slot free is built from a slice (``_slice``), the keys
-non-increasing on every slot but that one: ``t1`` applies E_n to the
-slot-n slice of H(g-1, n+1), and ``EH`` applies E_0 to the slot-0 slice
-of H, the operand of the splitting and divided-difference terms.  Those
-two terms read only slice keys of EH, and ``_by_rest`` keeps only those,
-so the slice is exact for any EH, symmetric or not (see ``EH``).
+ordering of its key, so it is sent from its representative.  The one
+operand with a slot free, ``EH``, applies E_0 to the slot-0 slice of H
+(``_slice``), the keys non-increasing on every slot but slot 0.  It
+serves all three terms on the right: ``t1`` reads EH(g-1, n+1) with slot
+0 moved to the end, which is E_n on the slot-n slice, as H is symmetric;
+the splitting and divided-difference terms read only slice keys of EH,
+and ``_by_rest`` keeps only those, so the slice is exact for any EH,
+symmetric or not (see ``EH``).
 
 This module also carries a pure rational oracle for one-point-class
 intersection numbers (genus 0 closed form plus the standard Virasoro-type
@@ -204,7 +205,8 @@ class CutJoinVerifier:
         The slice (``_slice``) is the keys whose slots 1..n-1 are
         non-increasing, listed from the representatives H holds; E in slot
         0 keeps slots 1..n-1, so this is that slice of the full E_0 H.
-        It holds every key ``t2_t3`` and ``t4`` read, whatever EH holds.
+        ``t1`` reads all of it, slot 0 moved last (see ``t1``).  It holds
+        every key ``t2_t3`` and ``t4`` read, whatever EH holds.
         At a representative e a slot map reads EH at the joining slot or
         slot i, then the other slots it places, in increasing slot order:
         - ``t2_t3`` reads each factor at (p, e[subset]) or (q, e[comp]),
@@ -219,7 +221,7 @@ class CutJoinVerifier:
         """
         got = self._eh.get((g, n))
         if got is None:
-            got = self._eh[(g, n)] = euler_field(_slice(self.H(g, n), 0), 0)
+            got = self._eh[(g, n)] = euler_field(_slice(self.H(g, n)), 0)
         return got
 
     def lhs(self, g, n, reads, sign=1):
@@ -237,11 +239,12 @@ class CutJoinVerifier:
     def t1(self, g, n, reads, sign=1):
         """-1/2 sum over the slots l of E_l E_n H(g-1, n+1) with t_n set to t_l.
 
-        G = E_n H(g-1, n+1) is symmetric in t_0..t_{n-1}, so it is built
-        only at the keys non-increasing there, by E_n on the slot-n slice
-        of H(g-1, n+1).  A term (k, c) of G is pushed (``_push``) from
-        r = k[:n]: E_l moves the x on slot l to x + i - 1, and setting t_n
-        to t_l adds k[n] there.
+        G = E_n H(g-1, n+1) is symmetric in t_0..t_{n-1}, so it is read
+        only at the keys non-increasing there.  H(g-1, n+1) is symmetric,
+        so those are the keys of EH(g-1, n+1) with slot 0 moved to the
+        end: a term (k, c) of EH is the term t^r t_n^y of G, r = k[1:] and
+        y = k[0], and is pushed (``_push``) from r: E_l moves the x on
+        slot l to x + i - 1, and setting t_n to t_l adds y there.
         """
         if g == 0:
             return
@@ -250,9 +253,8 @@ class CutJoinVerifier:
                                      % (g - 1, n + 1))
         scale = -_HALF * sign
         field = {i: ci * scale for i, ci in _E.items()}
-        inner = euler_field(_slice(self.H(g - 1, n + 1), n), n)
-        for k, c in inner.terms():
-            _push(reads, k[:n], k[n], c, field)
+        for k, c in self.EH(g - 1, n + 1).terms():
+            _push(reads, k[1:], k[0], c, field)
 
     def t2_t3(self, g, n, reads, sign=1):
         """-1/2 over the joining slot m and ordered stable splits.
@@ -351,19 +353,18 @@ def _rep(key):
     return tuple(sorted(key, reverse=True))
 
 
-def _slice(p, slot):
+def _slice(p):
     """The keys of the orbit-held ``p`` that are non-increasing on every
-    slot but ``slot``, each with the coefficient of its representative.
+    slot but slot 0, each with the coefficient of its representative.
 
     A representative r gives one such key per distinct value x in r: x on
-    ``slot``, the other entries of r in order on the other slots.
+    slot 0, the other entries of r in order on the other slots.
     """
     terms = {}
     for r, c in p.terms():
         for i, x in enumerate(r):
             if i == 0 or r[i - 1] != x:
-                rest = r[:i] + r[i + 1:]
-                terms[rest[:slot] + (x,) + rest[slot:]] = c
+                terms[(x,) + r[:i] + r[i + 1:]] = c
     return TPolynomial._raw(p.arity, terms)
 
 

@@ -144,14 +144,20 @@ class BracketTable:
         for cell in cells:
             if not isinstance(cell, str):
                 raise ValueError("bad cell %r" % (cell,))
-            g, n = map(int, cell.split(","))
+            try:
+                g, n = map(int, cell.split(","))
+            except ValueError:
+                raise ValueError("bad cell %r" % cell) from None
             if not is_stable(g, n):
                 raise ValueError("cell (%d, %d) is not stable" % (g, n))
             table._cells[(g, n)] = {}
         for key, text_value in entries.items():
-            g_s, idx = key.split("|")
-            indices = tuple(int(x) for x in idx.split(",")) if idx else ()
-            g, n = int(g_s), len(indices)
+            try:
+                g_s, idx = key.split("|")
+                indices = tuple(int(x) for x in idx.split(",")) if idx else ()
+                g, n = int(g_s), len(indices)
+            except ValueError:
+                raise ValueError("bad entry key %r" % key) from None
             canonical = _entry_key(g, indices)
             if key != canonical:
                 raise ValueError("entry key %r is not the canonical %r"

@@ -43,10 +43,6 @@ class ZeroDivisor(FramedVertexError):
     """Series division by something indistinguishable from zero."""
 
 
-class NotAUnit(FramedVertexError):
-    """Series operation requires constant term 1 at order zero."""
-
-
 class InvalidComposition(FramedVertexError):
     """Series operation outside its supported shapes (a v^-1 integrand)."""
 

@@ -11,36 +11,33 @@ polynomial-in-t part of Laurent expansions along the curve:
 Every kernel must decompose exactly in the phi' basis; a nonzero residual
 aborts the computation, since the whole bracket extraction relies on it.
 
-``plus_part`` reads only the exponents <= 0 of its input, so the two
-generator kernels cut their factors to the window that reaches v^0 and
-no further; each docstring says why its window is exact.  A window one
-coefficient short leaves a guarantee below v^0, and ``plus_part`` raises
-``InsufficientTruncation`` instead of returning a wrong kernel.  Each
-generator's factor that depends on the curve alone (the pair kernel's
--(1/2)((f+1)/f) v/(eta_{-1} dt/dv), the point kernel's
-zbar^2/(-2 eta_{-1})) is built once per curve at full length and cut to
-the window like the rest: the first W coefficients of a product or a
-reciprocal depend only on the first W of its factors, so the cut factor
-equals the one built from cut factors.  A later kernel on the same curve
-inverts no series.
+``plus_part`` reads only the exponents <= 0 of its input, so both the
+generator kernels and their cross-check forms make every product exact
+only through the exponent its consumer reads, by one rule
+(``_product_through``): to know x y through v^top, cut x to
+v^(top - lead y) and y to v^(top - lead x).  It is exact because no
+coefficient of x y through v^top reads a factor beyond those cuts, and a
+factor known less far leaves the product's own guarantee short of v^top,
+so ``plus_part`` raises ``InsufficientTruncation`` instead of returning
+a wrong kernel.  A polynomial composed at a series is cut by the same
+reasoning (``_composed_through``).  The rule reads only the operands'
+leads and the ``VSeries`` truncation bookkeeping.
 
-The cross-check forms make every product exact only through the
-exponent its consumer reads, by one rule (``_product_through``): to know
-x y through v^top, cut x to v^(top - lead y) and y to v^(top - lead x).
-It is exact because no coefficient of x y through v^top reads a factor
-beyond those cuts, and a factor known less far leaves the product's own
-guarantee short of v^top, so ``plus_part`` raises instead of returning a
-wrong kernel.  The rule reads only the operands' leads and the
-``VSeries`` truncation bookkeeping, not ``_window`` or the generators'
-window formulas.  Every series in the forms that depends on the curve
-alone is built once per curve, at full length, and kept on it
-(``CurveSeries.derived``): each phi_b(t(v)), which the two forms share,
-each phi_b(s(t(v))), the pair factor and the two point factors, so a
-call pays only for the cut products that involve its own pair or step.
-They share nothing with the generator kernels but primitive arithmetic
-and ``plus_part`` (neither side reads the other's keys of ``derived``),
-and ``kernel_II_symmetrized`` still composes through s(t(v)), so each
-stays an independent check of its generator.
+Every series a kernel reads that depends on the curve alone is built once
+per curve, at full length, and kept on it (``CurveSeries.derived``): the
+generators' factors -(1/2)((f+1)/f) v/(eta_{-1} dt/dv) and
+zbar^2/(-2 eta_{-1}), and the forms' phi_b(t(v)), which the two forms
+share, phi_b(s(t(v))), the pair factor and the two point factors.  The
+cut factor equals the one built from cut factors, since the first W
+coefficients of a product or a reciprocal depend only on the first W of
+its factors; so a call pays only for the cut products that involve its
+own pair or step, and a later kernel on the same curve inverts no series.
+The forms share nothing with the generator kernels but primitive
+arithmetic (the cut rule among it) and ``plus_part``: neither side reads
+the other's keys of ``derived``, and the shortcut each form checks stays
+in the generator alone, the eta route of ``kernel_I`` and the v -> -v
+substitution of ``kernel_II`` (``kernel_II_symmetrized`` still composes
+through s(t(v))).
 """
 
 from __future__ import annotations
@@ -59,10 +56,9 @@ _F = FRational.variable()
 def default_trunc(pair_budget):
     """Curve truncation order for the pair kernels with a+b <= pair_budget.
 
-    The one setting of the series length.  The generator kernels read a
-    fixed window of these series (see ``kernel_I`` and ``kernel_II``), so
-    a longer curve changes no kernel; the cross-check forms cut it by
-    their own rule (``_product_through``).
+    The one setting of the series length.  Every kernel cuts these series
+    to what its products need (``_product_through``), so a longer curve
+    changes no kernel.
     """
     return 2 * pair_budget + 12
 
@@ -116,11 +112,6 @@ class KernelWorkspace:
         return got
 
 
-def _window(series, n):
-    """``series`` known through its first ``n`` coefficients from its lead."""
-    return series.truncate(series.lead + n - 1)
-
-
 def kernel_I(a, b, eta, curve):
     """Pair kernel P_{a,b}(t).
 
@@ -132,24 +123,13 @@ def kernel_I(a, b, eta, curve):
         G = -(1/2) ((f+1)/f) v / (eta_{-1} dt/dv)
 
     is built once per curve, at full length (``_pair_generator_factor``),
-    and a pair costs the two products eta_{a+1} eta_{b+1} G.
-
-    Window: eta_n has lead -(2n+1) and G lead 2, so x has lead
-    -(2a+2b+4) and ``plus_part`` reads its W = 2a+2b+5 coefficients
-    through v^0.  A product of series known to W coefficients from their
-    leads is known to W coefficients from its own lead, so with the three
-    factors cut to their first W coefficients x is known through v^0
-    exactly.  The first W coefficients of G are those of the same
-    expression with eta_{-1} and dt/dv cut to W coefficients, since the
-    first W coefficients of a reciprocal depend only on the first W of
-    its argument; so the full-length G cut to W reads no coefficient the
-    window leaves out.
+    and a pair costs the two products eta_{a+1} eta_{b+1} G, the first
+    exact through v^(-lead G) and the second through v^0
+    (``_product_through``).
     """
-    w = 2 * a + 2 * b + 5
-    x = (_window(eta.eta(a + 1), w) * _window(eta.eta(b + 1), w)
-         * _window(curve.derived("kernel_I factor", _pair_generator_factor),
-                   w))
-    return plus_part(x, curve)
+    factor = curve.derived("kernel_I factor", _pair_generator_factor)
+    x = _product_through(eta.eta(a + 1), eta.eta(b + 1), -factor.lead)
+    return plus_part(_product_through(x, factor, 0), curve)
 
 
 def _pair_generator_factor(curve):
@@ -204,6 +184,19 @@ def _product_through(x, y, top):
     return (x * y).truncate(top)
 
 
+def _composed_through(coeffs, x, top):
+    """The polynomial with ascending ``coeffs`` at x, known through v^top.
+
+    The coefficient of v^e in x^k reads x only through
+    v^(e - (k-1) lead x), furthest at k = deg when lead x <= 0 (t(v) has
+    lead -1), so x is cut to v^(top - (deg-1) lead x) first.  The
+    composition's own bookkeeping then guarantees v^top when x was known
+    that far, and less when it was not, as for ``_product_through``.
+    """
+    x = x.truncate(top - (len(coeffs) - 2) * x.lead)
+    return compose_polynomial(coeffs, x).truncate(top)
+
+
 def _phi_composed(b, curve, tower, inner):
     """phi_b composed with the curve series named ``inner``, once per curve."""
     coeffs = tuple(tower.phi_coeffs(b))
@@ -245,23 +238,17 @@ def kernel_II(b, curve, tower):
     length (``_point_generator_factor``).  ``kernel_II_symmetrized``
     composes through s(t) as well, so it checks this v -> -v shortcut.
 
-    Window: phi_{b+1} has degree d = 2b+3 and t(v) lead -1, so Horner at
-    t(v) cut to its first d coefficients (through v^{d-2}) gives
-    phi_{b+1}(t), of lead -d, through v^{-1}.  zbar^2/eta_{-1} has lead 1,
-    so C_0, with that factor cut to its first d coefficients, is known
-    through v^0; those d coefficients are the ones zbar and eta_{-1} cut
-    to d coefficients give, because the first d coefficients of a
-    product or a reciprocal depend only on the first d of its factors.
-    Each advance by zbar is cut back to v^0, and s' (lead 0) times C_k
-    is then known through v^0 by the product's own guarantee: exactly
-    the coefficients ``plus_part`` reads.
+    C_0 is made exact through v^0, phi_{b+1}(t) through v^(-lead of the
+    factor) (``_composed_through``), and each advance by zbar through v^0
+    again (``_product_through``); s' (lead 0) times C_k is then known
+    through v^0 by the product's own guarantee: exactly the coefficients
+    ``plus_part`` reads.
     """
     cap = 2 * b + 6
-    d = 2 * b + 3
-    phi_t = compose_polynomial(tower.phi_coeffs(b + 1),
-                               _window(curve.t_of_v, d))
-    c_k = phi_t * _window(
-        curve.derived("kernel_II factor", _point_generator_factor), d)
+    factor = curve.derived("kernel_II factor", _point_generator_factor)
+    phi_t = _composed_through(tower.phi_coeffs(b + 1), curve.t_of_v,
+                              -factor.lead)
+    c_k = _product_through(phi_t, factor, 0)
     terms = {}
     for k in range(cap + 1):
         q = plus_part(curve.sprime * c_k - c_k.negate_variable(), curve)
@@ -273,7 +260,7 @@ def kernel_II(b, curve, tower):
             for (e,), c in q.terms():
                 terms[(e, k)] = c
         if k < cap:
-            c_k = (c_k * curve.zbar_of_v).truncate(0)
+            c_k = _product_through(c_k, curve.zbar_of_v, 0)
     return TPolynomial(2, terms.items())
 
 

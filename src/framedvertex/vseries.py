@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (InsufficientTruncation, InvalidComposition, NotAUnit,
-                     ZeroDivisor)
+from .errors import InsufficientTruncation, InvalidComposition, ZeroDivisor
 from .ratfunc import FR_ONE, FR_ZERO, _as_frational, sum_of_products
 
 
@@ -65,10 +64,6 @@ class VSeries:
         if coeff.is_zero or exponent > trunc:
             return cls.zero(trunc)
         return cls._raw(exponent, (coeff,), trunc)
-
-    @classmethod
-    def v(cls, trunc):
-        return cls.monomial(1, FR_ONE, trunc)
 
     @classmethod
     def from_map(cls, entries, trunc):
@@ -312,17 +307,6 @@ def _coerce(c):
 def _coerce_opt(c):
     r = _as_frational(c)
     return None if r is NotImplemented else r
-
-
-# ---------------------------------------------------------------------------
-# unit-series functions
-# ---------------------------------------------------------------------------
-
-def log_unit(a):
-    """Logarithm of a series with constant term 1 (zero constant term)."""
-    if a.is_zero or a.lead != 0 or a.leading_coefficient() != FR_ONE:
-        raise NotAUnit("log_unit needs lead 0 and constant term 1")
-    return (a.derivative() / a).integrate()
 
 
 def compose_polynomial(coeffs, inner):

@@ -6,7 +6,6 @@ import pytest
 
 from framedvertex import ratfunc
 from framedvertex.engine import run_to_budget
-from framedvertex.errors import NotAUnit
 from framedvertex.ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
 from framedvertex.tpoly import TPolynomial, sum_gathered
 from framedvertex.vseries import VSeries
@@ -96,7 +95,7 @@ def per_ordering_H(table, tower, g, n):
         for beta in set(permutations(key)):
             term = TPolynomial.constant(n, value)
             for slot, b in enumerate(beta):
-                term = term * tower.phi(b).embed(n, [slot])
+                term = term * tower.phis[b].embed(n, [slot])
             want = want + term
     return want * (-(f * (f + 1)) ** (n - 1))
 
@@ -127,13 +126,21 @@ def agrees(a, b):
     return a.truncate(hi) == b.truncate(hi)
 
 
+def log_unit(a):
+    """Logarithm of a series with constant term 1: the integral of a'/a,
+    with zero constant term."""
+    if a.is_zero or a.lead != 0 or a.leading_coefficient() != FR_ONE:
+        raise ValueError("log_unit needs lead 0 and constant term 1")
+    return (a.derivative() / a).integrate()
+
+
 def sqrt_unit(a):
     """Square root of a series with constant term 1.
 
     b_0 = 1 and b_k = (a_k - sum_{i=1}^{k-1} b_i b_{k-i}) / 2.
     """
     if a.is_zero or a.lead != 0 or a.leading_coefficient() != FR_ONE:
-        raise NotAUnit("sqrt_unit needs lead 0 and constant term 1")
+        raise ValueError("sqrt_unit needs lead 0 and constant term 1")
     out = [FR_ONE]
     for k in range(1, a.trunc + 1):
         s = sum_of_products([a.coeff(k), *out[1:k]],
@@ -146,7 +153,7 @@ def exp_of(a):
     """Exponential of a series with lead >= 1: e_0 = 1 and
     m e_m = sum_k k a_k e_(m-k), the weights k of v a'(v)."""
     if not a.is_zero and a.lead < 1:
-        raise NotAUnit("exp_of needs a series with positive lead")
+        raise ValueError("exp_of needs a series with positive lead")
     n = a.trunc + 1
     coeffs = [a.coeff(k) for k in range(n)]
     out = [FR_ONE]

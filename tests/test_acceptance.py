@@ -215,7 +215,7 @@ def _assemble_specialized(g, n, table, tower, f0):
     from itertools import permutations
     phi_vals = {}
     for b in range(tower.b_max + 1):
-        phi_vals[b] = {e[0]: c.evaluate(f0) for e, c in tower.phi(b).terms()}
+        phi_vals[b] = {e[0]: c.evaluate(f0) for e, c in tower.phis[b].terms()}
     pref = (-(F * (F + 1)) ** (n - 1)).evaluate(f0)
     out = {}
     for key, value in table.cell_entries(g, n).items():

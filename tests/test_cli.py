@@ -298,10 +298,18 @@ def table_text(cells, entries):
      .replace('"1|0": "(f^2+f+1)/24"',
               '"1|0": "(f^2+f+1)/24", "1|0": "5"'),
      "key '1|0' appears twice"),
+    # keys and cells that do not parse are named in the message
+    (table_text(["0,3", "1,1"], {"10": "1"}), "bad entry key '10'"),
+    (table_text(["0,3", "1,1"], {"1|a": "1"}), "bad entry key '1|a'"),
+    (table_text(["0,3", "1,1"], {"1|0,": "1"}), "bad entry key '1|0,'"),
+    (table_text(["0,3", "1"], {}), "bad cell '1'"),
+    (table_text(["0,3", "0,x"], {}), "bad cell '0,x'"),
 ], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
         "unlisted-cell", "unsorted-index", "negative-index", "past-support",
         "unstable-cell", "zero-entry", "cut-mid-file", "deep-nesting",
-        "second-spelling", "repeated-key"])
+        "second-spelling", "repeated-key", "key-without-bar",
+        "key-index-not-int", "key-trailing-comma", "cell-without-comma",
+        "cell-not-int"])
 def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
                                               reason):
     (tmp_path / "brackets.json").write_text(cache_text)

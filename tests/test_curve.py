@@ -1,11 +1,11 @@
 import pytest
 
-from conftest import (F_of_z, agrees, is_even, revert,
+from conftest import (F_of_z, agrees, is_even, log_unit, revert,
                       square_ratio_coefficient)
 from framedvertex.curve import build_curve_series
 from framedvertex.errors import InsufficientTruncation
 from framedvertex.ratfunc import FR_ONE, FRational
-from framedvertex.vseries import VSeries, compose_polynomial, log_unit
+from framedvertex.vseries import VSeries, compose_polynomial
 
 F = FRational.variable()
 
@@ -20,7 +20,7 @@ def test_square_ratio_first_coefficient():
 def test_square_ratio_against_log_expansion():
     # independent oracle: expand -2 (f/(f+1)) [f log(1+z/f) + log(1-z)]
     N = 12
-    z = VSeries.v(N)
+    z = VSeries.monomial(1, 1, N)
     log1 = log_unit(VSeries.one(N) + z * (FR_ONE / F))
     log2 = log_unit(VSeries.one(N) - z)
     vsq = (F * log1 + log2) * (-2 * F / (F + 1))
@@ -53,7 +53,7 @@ def test_reversion_round_trip():
     coeffs = [v_of_z.coeff(k) for k in range(v_of_z.trunc + 1)]
     # z(v) has lead 1, so the cut composition is exact
     got = compose_polynomial(coeffs, curve.z_of_v).truncate(v_of_z.trunc)
-    assert agrees(got, VSeries.v(12))
+    assert agrees(got, VSeries.monomial(1, 1, 12))
 
 
 @pytest.mark.parametrize("trunc", [12, 22, 30])
@@ -61,6 +61,18 @@ def test_z_of_v_equals_reversion(trunc):
     # the ODE route and Lagrange inversion of v = z F(z), truncation
     # included; 22 is the chi <= 5 curve
     assert build_curve_series(trunc).z_of_v == revert(F_of_z(trunc).shift(1))
+
+
+@pytest.mark.parametrize("trunc", [12, 22, 30])
+def test_eta_minus_one_equals_its_logarithms(trunc):
+    # the ODE route against -(1/2)(log(1 + z/f) - log(1 + zbar/f)),
+    # truncation included; 22 is the chi <= 5 curve
+    curve = build_curve_series(trunc)
+    one = VSeries.one(trunc)
+    log_plus = log_unit(one + curve.z_of_v * (FR_ONE / F))
+    log_minus = log_unit(one + curve.zbar_of_v * (FR_ONE / F))
+    want = (log_plus - log_minus) * FRational.from_fraction("-1/2")
+    assert curve.eta_minus_one == want
 
 
 def test_involution_fixes_x():

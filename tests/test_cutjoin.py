@@ -197,11 +197,11 @@ REFERENCE_CHI4 = (Path(__file__).resolve().parents[1]
 HALF = FRational.from_fraction("1/2")
 
 
-def sliced(p, slot=0):
-    """The terms of ``p`` that are non-increasing on every slot but
-    ``slot``: with slot 0, what ``CutJoinVerifier.EH`` holds."""
+def sliced(p):
+    """The terms of ``p`` that are non-increasing on every slot but slot 0:
+    what ``CutJoinVerifier.EH`` holds."""
     return TPolynomial(p.arity, [(e, c) for e, c in p.terms()
-                                 if non_increasing(e[:slot] + e[slot + 1:])])
+                                 if non_increasing(e[1:])])
 
 
 def full_H(table, tower):
@@ -303,11 +303,11 @@ def test_orbit_terms_restrict_the_full_forms(table4, H4, name):
         nonzero += not got.is_zero
     assert nonzero >= 3
     # the operands the terms read: H by orbit and the slot-0 slice of the
-    # full E_0 H
+    # full E_0 H, which every term of the right side reads
     assert v._h
     for (g, n), got in v._h.items():
         assert got == restricted(H4(g, n)), (g, n)
-    assert bool(v._eh) == (name in ("t2_t3", "t4"))
+    assert bool(v._eh) == (name != "lhs")
     for (g, n), got in v._eh.items():
         assert got == sliced(eh(g, n)), (g, n)
 
@@ -396,14 +396,13 @@ def test_assemble_H_is_symmetric_for_any_values(cell):
 
 @PREMISE_CELLS
 def test_slice_of_orbit_H_is_the_slice_of_the_full_H(cell):
-    # the operands of EH (free slot 0) and of t1 (free last slot)
+    # the operand of EH, which all three terms of the right side read
     g, n = cell
     table, tower, full = random_cell(cell)
     h = assemble_H(g, n, table, tower)
-    for slot in (0, n - 1):
-        got = _slice(h, slot)
-        assert got == sliced(full, slot), slot
-        assert len(got) > len(h)
+    got = _slice(h)
+    assert got == sliced(full)
+    assert len(got) > len(h)
 
 
 def test_assemble_H_matches_per_ordering_products(table4, H4):

@@ -245,8 +245,8 @@ def test_assemble_one_point():
     table = seed_initial_data()
     tower = PhiTower(2)
     h = assemble_H(1, 1, table, tower)
-    want = -(tower.phi(0) * (FRational.poly([1, 1, 1]) / 24)
-             - tower.phi(1) * (F * (F + 1) / 24))
+    want = -(tower.phis[0] * (FRational.poly([1, 1, 1]) / 24)
+             - tower.phis[1] * (F * (F + 1) / 24))
     assert h == want
 
 

@@ -152,7 +152,7 @@ def test_eta_family_shares_curve_eta_minus_one(ws):
     assert ws.eta.eta(-1) is ws.curve.eta_minus_one
 
 
-# -- kernel windows ----------------------------------------------------------
+# -- kernels cut to what plus_part reads --------------------------------------
 
 CHI5_PAIRS = [(a, b) for a in range(6) for b in range(a, 6 - a)]
 
@@ -216,18 +216,6 @@ def test_kernels_read_exactly_through_v0(ws5, monkeypatch):
     assert set(seen) == {0}
 
 
-def test_one_short_window_raises(ws5, monkeypatch):
-    window = kernels._window
-    monkeypatch.setattr(kernels, "_window",
-                        lambda series, n: window(series, n - 1))
-    for a, b in [(0, 0), (1, 2), (0, 5)]:
-        with pytest.raises(InsufficientTruncation):
-            kernel_I(a, b, ws5.eta, ws5.curve)
-    for b in (0, 3, 5):
-        with pytest.raises(InsufficientTruncation):
-            kernel_II(b, ws5.curve, ws5.tower)
-
-
 def test_cross_check_forms_read_exactly_through_v0(ws5, monkeypatch):
     # every series the cross-check forms hand to plus_part is known
     # through v^0 and no further
@@ -247,15 +235,31 @@ def test_cross_check_forms_read_exactly_through_v0(ws5, monkeypatch):
 
 
 def test_one_short_cut_raises_in_cross_check_forms(ws5, monkeypatch):
-    cut = kernels._product_through
-    monkeypatch.setattr(kernels, "_product_through",
-                        lambda x, y, top: cut(x, y, top - 1))
-    for a, b in [(0, 0), (1, 2), (0, 5)]:
-        with pytest.raises(InsufficientTruncation):
-            kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
-    for b in (0, 3, 5):
-        with pytest.raises(InsufficientTruncation):
-            kernel_II_symmetrized(b, ws5.curve, ws5.tower)
+    # a product cut one coefficient short makes both kernel families raise,
+    # the generators as well as their cross-check forms, and so does the
+    # composition cut of kernel_II, its one user
+    def kernel_I_of(a, b):
+        return kernel_I(a, b, ws5.eta, ws5.curve)
+
+    def involution_form(a, b):
+        return kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
+
+    cases = [("_product_through", (kernel_I_of, involution_form),
+              (kernel_II, kernel_II_symmetrized)),
+             ("_composed_through", (), (kernel_II,))]
+    for name, pair_kernels, point_kernels in cases:
+        cut = getattr(kernels, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, name,
+                          lambda *args, cut=cut: cut(*args[:-1], args[-1] - 1))
+            for kernel in pair_kernels:
+                for a, b in [(0, 0), (1, 2), (0, 5)]:
+                    with pytest.raises(InsufficientTruncation):
+                        kernel(a, b)
+            for kernel in point_kernels:
+                for b in (0, 3, 5):
+                    with pytest.raises(InsufficientTruncation):
+                        kernel(b, ws5.curve, ws5.tower)
 
 
 def test_build_kernels_equal_cross_check_forms(ws5):
@@ -399,7 +403,7 @@ def test_cross_check_compositions_made_once_per_curve(monkeypatch):
     made = Counter((c, inner) for _, c, inner in calls)
     assert set(made.values()) == {1}
     # phi_1..phi_4 through t(v), phi_1..phi_3 through s(t(v)), and the
-    # three windowed compositions of the generator kernel_II
+    # three cut compositions of the generator kernel_II
     assert len(calls) == 10
     by_form = Counter((f, inner is curve.s_t_of_v) for f, _, inner in calls)
     assert by_form == {("kernel_I_via_involution", False): 4,
