@@ -234,32 +234,39 @@ def test_cross_check_forms_read_exactly_through_v0(ws5, monkeypatch):
     assert set(seen) == {0}
 
 
+def _cut_one_short(patch, name):
+    cut = getattr(kernels, name)
+    patch.setattr(kernels, name,
+                  lambda *args: cut(*args[:-1], args[-1] - 1))
+
+
+def test_one_short_window_raises(ws5, monkeypatch):
+    # the generator kernels take their windows from _product_through and,
+    # for kernel_II alone, _composed_through; either cut one coefficient
+    # short makes them raise
+    with monkeypatch.context() as patch:
+        _cut_one_short(patch, "_product_through")
+        for a, b in [(0, 0), (1, 2), (0, 5)]:
+            with pytest.raises(InsufficientTruncation):
+                kernel_I(a, b, ws5.eta, ws5.curve)
+        for b in (0, 3, 5):
+            with pytest.raises(InsufficientTruncation):
+                kernel_II(b, ws5.curve, ws5.tower)
+    with monkeypatch.context() as patch:
+        _cut_one_short(patch, "_composed_through")
+        for b in (0, 3, 5):
+            with pytest.raises(InsufficientTruncation):
+                kernel_II(b, ws5.curve, ws5.tower)
+
+
 def test_one_short_cut_raises_in_cross_check_forms(ws5, monkeypatch):
-    # a product cut one coefficient short makes both kernel families raise,
-    # the generators as well as their cross-check forms, and so does the
-    # composition cut of kernel_II, its one user
-    def kernel_I_of(a, b):
-        return kernel_I(a, b, ws5.eta, ws5.curve)
-
-    def involution_form(a, b):
-        return kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
-
-    cases = [("_product_through", (kernel_I_of, involution_form),
-              (kernel_II, kernel_II_symmetrized)),
-             ("_composed_through", (), (kernel_II,))]
-    for name, pair_kernels, point_kernels in cases:
-        cut = getattr(kernels, name)
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, name,
-                          lambda *args, cut=cut: cut(*args[:-1], args[-1] - 1))
-            for kernel in pair_kernels:
-                for a, b in [(0, 0), (1, 2), (0, 5)]:
-                    with pytest.raises(InsufficientTruncation):
-                        kernel(a, b)
-            for kernel in point_kernels:
-                for b in (0, 3, 5):
-                    with pytest.raises(InsufficientTruncation):
-                        kernel(b, ws5.curve, ws5.tower)
+    _cut_one_short(monkeypatch, "_product_through")
+    for a, b in [(0, 0), (1, 2), (0, 5)]:
+        with pytest.raises(InsufficientTruncation):
+            kernel_I_via_involution(a, b, ws5.curve, ws5.tower)
+    for b in (0, 3, 5):
+        with pytest.raises(InsufficientTruncation):
+            kernel_II_symmetrized(b, ws5.curve, ws5.tower)
 
 
 def test_build_kernels_equal_cross_check_forms(ws5):
