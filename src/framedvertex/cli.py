@@ -24,13 +24,14 @@ from pathlib import Path
 
 from .curvefun import PhiTower
 from .cutjoin import CutJoinVerifier, psi_oracle
-from .engine import (BracketTable, budget_cells, is_stable, make_workspace,
-                     run_to_budget, seed_initial_data, support_bound)
+from .engine import (BracketTable, budget_cells, canonical_json, entry_key,
+                     is_stable, kernel_requirements, run_to_budget,
+                     seed_initial_data, support_bound)
 from .errors import (ConfigError, FramedVertexError, InternalInvariantError,
                      MissingDependency, PoleAtFraming)
 from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
                       kernel_II_symmetrized)
-from .ratfunc import FRational
+from .ratfunc import FR_ZERO, FRational
 
 CACHE_ENV = "FRAMEDVERTEX_CACHE"
 TABLE_FILE = "brackets.json"
@@ -152,11 +153,10 @@ def _load_or_compute(args, cell=None):
     every cell of lower complexity, which its recursion step reads."""
     if args.chi_max < 1:
         raise ConfigError("--chi-max must be >= 1")
-    chi_max, extra_cells = args.chi_max, []
+    extra_cells = []
     if cell is not None:
         if not is_stable(*cell):
             raise ConfigError("cell (%d, %d) is unstable" % cell)
-        chi_max = max(chi_max, 2 * cell[0] - 3 + cell[1])
         extra_cells = [cell]
     cache = _cache_dir(args)
     path = cache / TABLE_FILE
@@ -166,7 +166,7 @@ def _load_or_compute(args, cell=None):
             table = BracketTable.from_json(path.read_text())
         except (ValueError, RecursionError) as exc:
             raise ConfigError("unreadable cache file %s: %s" % (path, exc))
-    table = run_to_budget(chi_max, extra_cells=extra_cells, table=table)
+    table = run_to_budget(args.chi_max, extra_cells=extra_cells, table=table)
     _write_atomic(path, table.to_json())
     return table, path
 
@@ -186,23 +186,16 @@ def cmd_compute(args):
         entries = {}
         for g, n in table.cells():
             for key, value in table.cell_entries(g, n).items():
-                label = "%d|%s" % (g, ",".join(map(str, key)))
-                entries[label] = str(value.evaluate(at_f))
-        _write_atomic(spec_path, json.dumps(
-            {"framing": str(at_f), "entries": entries},
-            sort_keys=True, separators=(",", ": "), indent=1) + "\n")
+                entries[entry_key(g, key)] = str(value.evaluate(at_f))
+        _write_atomic(spec_path, canonical_json(
+            {"framing": str(at_f), "entries": entries}))
         print("specialized table: %s" % spec_path)
     return EXIT_OK
 
 
-def _cells_tower(cells):
-    """The phi tower up to one past the largest support bound of the cells."""
-    return PhiTower(max(support_bound(g, n) for g, n in cells) + 1)
-
-
 def _suite_cutjoin(args, table):
     cells = budget_cells(args.chi_max)
-    verifier = CutJoinVerifier(table, _cells_tower(cells))
+    verifier = CutJoinVerifier(table, PhiTower())
     results = []
     for g, n in cells:
         if 2 * g - 2 + n < 2:
@@ -227,7 +220,7 @@ def _suite_oracle(args, table):
                     continue
                 want = psi_oracle(0, key)
                 got = entries.get(key)
-                if (got or FRational.from_int(0)) != FRational.from_fraction(want):
+                if (got or FR_ZERO) != FRational.from_fraction(want):
                     ok = False
         results.append({"g": g, "n": n, "passed": ok,
                         "entries": len(entries)})
@@ -239,10 +232,10 @@ def _suite_oracle(args, table):
 
 
 def _suite_kernels(args, table):
-    cells = budget_cells(args.chi_max)
-    ws = make_workspace(cells)
+    pair, point = kernel_requirements(budget_cells(args.chi_max))
+    ws = KernelWorkspace(pair)
     results = []
-    top = min(3, ws.pair_budget)
+    top = min(3, pair)
     for a in range(top + 1):
         for b in range(a, top + 1):
             # the workspace sorts its key, so the swapped order is
@@ -251,13 +244,13 @@ def _suite_kernels(args, table):
             ok = (direct == kernel_I(b, a, ws.eta, ws.curve)
                   and direct == kernel_I_via_involution(a, b, ws.curve, ws.tower))
             results.append({"kernel": "pair", "a": a, "b": b, "passed": ok})
-    for b in range(min(2, ws.point_budget) + 1):
+    for b in range(min(2, point) + 1):
         ok = ws.kernel_II(b) == kernel_II_symmetrized(b, ws.curve, ws.tower)
         results.append({"kernel": "point", "b": b, "passed": ok})
     rng = random.Random(args.seed)
     for _ in range(2):
-        a = rng.randint(0, ws.pair_budget)
-        b = rng.randint(0, ws.pair_budget - a) if ws.pair_budget > a else 0
+        a = rng.randint(0, pair)
+        b = rng.randint(0, pair - a) if pair > a else 0
         ok = ws.kernel_I(a, b) == kernel_I(b, a, ws.eta, ws.curve)
         results.append({"kernel": "pair-symmetry-sample", "a": a, "b": b,
                         "passed": ok})
@@ -294,8 +287,7 @@ def cmd_verify(args):
                 failed.append((name, row))
     cache = _cache_dir(args)
     report_path = cache / ("report_%s.json" % args.suite)
-    _write_atomic(report_path, json.dumps(report, sort_keys=True,
-                                          separators=(",", ": "), indent=1) + "\n")
+    _write_atomic(report_path, canonical_json(report))
     for name, results in report.items():
         for row in results:
             print("%s %s %s" % ("PASS" if row.get("passed") else "FAIL",
@@ -316,9 +308,7 @@ def _rows_to_output(rows, header, fmt, out_path):
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps([dict(zip(header, row)) for row in rows],
-                          sort_keys=True, separators=(",", ": "),
-                          indent=1) + "\n"
+        text = canonical_json([dict(zip(header, row)) for row in rows])
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -357,7 +347,7 @@ def cmd_export(args):
             raise ConfigError("bad --kernel %r (expected A,B)" % args.kernel)
         if a < 0 or b < 0:
             raise ConfigError("--kernel indices must be >= 0")
-        poly = KernelWorkspace(a + b, 0, 0).kernel_I(a, b)
+        poly = KernelWorkspace(a + b).kernel_I(a, b)
         rows = [(e[0], render(c)) for e, c in sorted(poly.terms())]
         _rows_to_output(rows, ("exponent", "value"), args.output, args.out)
         return EXIT_OK
@@ -365,7 +355,7 @@ def cmd_export(args):
     b = args.kernel2
     if b < 0:
         raise ConfigError("--kernel2 must be >= 0")
-    poly = KernelWorkspace(b, b, b + 1).kernel_II(b)
+    poly = KernelWorkspace(b).kernel_II(b)
     rows = [(e[0], e[1], render(c)) for e, c in sorted(poly.terms())]
     _rows_to_output(rows, ("exponent_t", "exponent_ti", "value"),
                     args.output, args.out)

@@ -9,6 +9,10 @@
   a triangular solve against the rows [v^-j] t(v)^k that the curve keeps,
   exact because t(v)^k has lead -k and leading coefficient 1;
 * triangular decomposition in the phi'_b basis.
+
+The tower and the eta family are unbounded sequences and take no size:
+each holds the members read so far, and a read builds every lower member
+not built yet.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ _INV_F1 = FR_ONE / (_F + 1)
 
 # E = c(t) d/dt with c(t) = t(t-1)(ft+1)/(f+1), as {power of t: coefficient}
 _E = {1: -_INV_F1, 2: (1 - _F) * _INV_F1, 3: _F * _INV_F1}
+# eta_{n+1} = -(f/(f+1)) (1/v) d/dv eta_n
+_ETA_STEP = -_F * _INV_F1
 
 
 def euler_field(p, slot):
@@ -38,58 +44,60 @@ def euler_field(p, slot):
 
 
 class PhiTower:
-    """phi_b and their t-derivatives, built once up to ``b_max``."""
+    """phi_b and their t-derivatives, built through b on the first read of b."""
 
-    __slots__ = ("b_max", "phis", "phi_primes")
+    __slots__ = ("_phis", "_phi_primes")
 
-    def __init__(self, b_max):
-        if b_max < 0:
-            raise ValueError("b_max must be non-negative")
-        self.b_max = b_max
-        t = TPolynomial.variable(1, 0)
-        phis = [(t - 1) * _INV_F1]
-        for _ in range(b_max):
-            phis.append(euler_field(phis[-1], 0))
-        self.phis = phis
-        self.phi_primes = [p.partial_derivative(0) for p in phis]
-        for b, p in enumerate(phis):
-            assert p.degree_in(0) == 2 * b + 1, "phi tower degree broke"
+    def __init__(self):
+        phi_0 = (TPolynomial.variable(1, 0) - 1) * _INV_F1
+        self._phis = [phi_0]
+        self._phi_primes = [phi_0.partial_derivative(0)]
+
+    def _grow(self, b):
+        if b < 0:
+            raise IndexError("phi_%d: b must be >= 0" % b)
+        phis = self._phis
+        while len(phis) <= b:
+            p = euler_field(phis[-1], 0)
+            assert p.degree_in(0) == 2 * len(phis) + 1, "phi tower degree broke"
+            phis.append(p)
+            self._phi_primes.append(p.partial_derivative(0))
+
+    def phi(self, b):
+        self._grow(b)
+        return self._phis[b]
 
     def phi_prime(self, b):
-        return self.phi_primes[b]
+        self._grow(b)
+        return self._phi_primes[b]
 
     def phi_coeffs(self, b):
         """Ascending coefficient list of phi_b, for series composition."""
-        p = self.phis[b]
+        p = self.phi(b)
         return [p.coefficient((k,)) for k in range(2 * b + 2)]
 
     def phi_prime_lead(self, b):
-        return self.phi_primes[b].coefficient((2 * b,))
+        return self.phi_prime(b).coefficient((2 * b,))
 
 
 class EtaFamily:
-    """eta_n for n = -1 .. n_max.
+    """eta_n for n >= -1, built through n on the first read of n.
 
-    The tower starts from ``curve.eta_minus_one``, which is not rebuilt.
+    The family starts from ``curve.eta_minus_one``, which is not rebuilt.
     """
 
-    __slots__ = ("n_max", "curve", "etas")
+    __slots__ = ("_etas",)
 
-    def __init__(self, curve, n_max):
-        self.curve = curve
-        self.n_max = n_max
-        eta = curve.eta_minus_one
-        etas = [eta]
-        scale = -_F * _INV_F1
-        for _ in range(n_max + 1):
-            eta = (eta.derivative() * scale).shift(-1)
-            etas.append(eta)
-        self.etas = etas
+    def __init__(self, curve):
+        self._etas = [curve.eta_minus_one]
 
     def eta(self, n):
-        if n < -1 or n > self.n_max:
-            raise IndexError("eta_%d not built (n_max=%d)" % (n, self.n_max))
-        return self.etas[n + 1]
+        if n < -1:
+            raise IndexError("eta_%d: n must be >= -1" % n)
+        etas = self._etas
+        while len(etas) <= n + 1:
+            etas.append((etas[-1].derivative() * _ETA_STEP).shift(-1))
+        return etas[n + 1]
 
 
 def plus_part(series, curve):
@@ -139,10 +147,7 @@ def phi_prime_decompose(poly, tower):
         raise ValueError("phi-prime decomposition expects one variable")
     coefficients = {}
     rest = poly
-    top = rest.degree_in(0) // 2
-    if top > tower.b_max:
-        raise ValueError("tower too short: need phi'_%d" % top)
-    for b in range(top, -1, -1):
+    for b in range(rest.degree_in(0) // 2, -1, -1):
         c = rest.coefficient((2 * b,))
         if c.is_zero:
             continue

@@ -106,7 +106,7 @@ class BracketTable:
         entries = {}
         for (g, _), cell in self._cells.items():
             for key, value in cell.items():
-                entries[_entry_key(g, key)] = value.as_text()
+                entries[entry_key(g, key)] = value.as_text()
         obj = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -114,8 +114,7 @@ class BracketTable:
             "cells": sorted("%d,%d" % (g, n) for g, n in self._cells),
             "entries": entries,
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ": "),
-                          indent=1) + "\n"
+        return canonical_json(obj)
 
     @classmethod
     def from_json(cls, text):
@@ -158,7 +157,7 @@ class BracketTable:
                 g, n = int(g_s), len(indices)
             except ValueError:
                 raise ValueError("bad entry key %r" % key) from None
-            canonical = _entry_key(g, indices)
+            canonical = entry_key(g, indices)
             if key != canonical:
                 raise ValueError("entry key %r is not the canonical %r"
                                  % (key, canonical))
@@ -187,7 +186,14 @@ class BracketTable:
         return table
 
 
-def _entry_key(g, indices):
+def canonical_json(obj):
+    """The text of every JSON file the package writes: sorted keys, an
+    indent of one space per level and a final newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "),
+                      indent=1) + "\n"
+
+
+def entry_key(g, indices):
     """The key of an entry in the cache file, e.g. ``0|0,0,1``."""
     return "%d|%s" % (g, ",".join(map(str, indices)))
 
@@ -231,7 +237,8 @@ def _interleavings(u, v):
 
 
 def recursion_step(g, n, table, workspace):
-    """Compute all bracket values of one stable cell from lower cells.
+    """Compute all bracket values of one stable cell above the seeds
+    (chi >= 2) from lower cells.
 
     The coefficients are formed only at the slot-0 slice keys (c,) + r,
     r sorted, each standing for every ordering of r, since the right side
@@ -255,6 +262,9 @@ def recursion_step(g, n, table, workspace):
     """
     if not is_stable(g, n):
         raise ValueError("cell (%d, %d) is not stable" % (g, n))
+    if 2 * g - 2 + n < 2:
+        raise ValueError("cell (%d, %d) is a seed, below every recursion "
+                         "step" % (g, n))
     coeff = {}
 
     # genus reduction: brackets at (g-1, n+1) against pair kernels
@@ -390,42 +400,49 @@ def budget_cells(chi_max):
 
 
 def kernel_requirements(cells):
-    """(pair index budget, point index budget, tower size) for a cell set."""
-    pair = 0
-    point = 0
-    b_max = 1
-    for g, n in cells:
-        b_max = max(b_max, support_bound(g, n))
-        if 2 * g - 2 + n < 2:
-            continue  # seeds
-        has_reduction = g >= 1
-        has_split = g >= 2 or (g == 1 and n >= 3) or (g == 0 and n >= 5)
-        if has_reduction or has_split:
-            pair = max(pair, 3 * g + n - 5)
-        if n >= 2:
-            point = max(point, 3 * g + n - 4)
-    b_max = max(b_max, pair + 2, point + 2) + 1
-    return pair, point, b_max
+    """(pair, point) for a cell set: the largest index sum a + b of a pair
+    kernel and the largest index b of a point kernel that the recursion
+    steps of the cells read.
+
+    The sums of a step read only stored brackets of the cells below it,
+    which vanish past their support bounds.  At (g, n) the pair kernels
+    are read at index sums up to 3g + n - 5, the bound of (g-1, n+1) and
+    the sum of the bounds of every splitting, and the point kernels, for
+    n >= 2, at indices up to 3g + n - 4, the bound of (g, n-1).  The seeds
+    have no step, and their bounds ask for less than 0.
+    """
+    pair = max([0] + [support_bound(g, n) - 2 for g, n in cells])
+    point = max([0] + [support_bound(g, n) - 1 for g, n in cells if n >= 2])
+    return pair, point
 
 
 def make_workspace(cells):
-    return KernelWorkspace(*kernel_requirements(cells))
+    pair, _ = kernel_requirements(cells)
+    return KernelWorkspace(pair)
 
 
 def run_to_budget(chi_max, extra_cells=(), table=None, workspace=None):
-    """Populate every stable cell with chi <= chi_max (plus extras).
+    """Populate every stable cell with chi <= chi_max, and each cell of
+    ``extra_cells`` with every cell of lower complexity, which its step
+    reads.
 
+    A seed cell the table lacks is filled from ``seed_initial_data``.
     Idempotent over a warm table: already-computed cells are left alone.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")
-    cells = budget_cells(chi_max)
+    chi_below = [2 * g - 3 + n for g, n in extra_cells]
+    cells = budget_cells(max([chi_max] + chi_below))
     for cell in extra_cells:
         if cell not in cells:
             cells.append(cell)
     cells.sort(key=lambda c: (2 * c[0] - 2 + c[1], c[0]))
     if table is None:
-        table = seed_initial_data()
+        table = BracketTable()
+    seeds = seed_initial_data()
+    for g, n in seeds.cells():
+        if not table.has_cell(g, n):
+            table.mark_cell(g, n, seeds.cell_entries(g, n))
     todo = [c for c in cells if not table.has_cell(*c)]
     if todo and workspace is None:
         workspace = make_workspace(cells)

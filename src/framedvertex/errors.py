@@ -20,7 +20,8 @@ class InternalInvariantError(FramedVertexError):
 
 
 class DivisionByZero(FramedVertexError, ZeroDivisionError):
-    """Division by the canonical zero of a field."""
+    """Division by zero: a zero Q(f) value, or a series that is zero
+    through its known terms."""
 
 
 class PoleAtFraming(FramedVertexError):
@@ -37,10 +38,6 @@ class IndexOutOfRange(FramedVertexError, IndexError):
 
 class NotDivisible(InternalInvariantError):
     """Exact division left a remainder; upstream semantics are wrong."""
-
-
-class ZeroDivisor(FramedVertexError):
-    """Series division by something indistinguishable from zero."""
 
 
 class InvalidComposition(FramedVertexError):

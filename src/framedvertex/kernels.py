@@ -23,6 +23,10 @@ a wrong kernel.  A polynomial composed at a series is cut by the same
 reasoning (``_composed_through``).  The rule reads only the operands'
 leads and the ``VSeries`` truncation bookkeeping.
 
+The curve length is the one size in this layer (``default_trunc`` of
+the largest pair index sum); the eta family and the phi tower grow to
+whatever index a kernel or a decomposition reads.
+
 Every series a kernel reads that depends on the curve alone is built once
 per curve, at full length, and kept on it (``CurveSeries.derived``): the
 generators' factors -(1/2)((f+1)/f) v/(eta_{-1} dt/dv) and
@@ -64,15 +68,18 @@ def default_trunc(pair_budget):
 
 
 class KernelWorkspace:
-    """Curve, eta family, phi tower and kernel caches for one truncation."""
+    """Curve, eta family, phi tower and kernel caches for one truncation.
 
-    def __init__(self, pair_budget, point_budget, b_max):
-        self.pair_budget = pair_budget
-        self.point_budget = point_budget
+    ``pair_budget`` sets the curve length alone (``default_trunc``); the
+    eta family and the phi tower build each member the first time a
+    kernel or a decomposition reads it.
+    """
+
+    def __init__(self, pair_budget):
         self.trunc = default_trunc(max(pair_budget, 0))
         self.curve = build_curve_series(self.trunc)
-        self.tower = PhiTower(b_max)
-        self.eta = EtaFamily(self.curve, max(pair_budget + 1, 0))
+        self.tower = PhiTower()
+        self.eta = EtaFamily(self.curve)
         self._pair = {}
         self._point = {}
         self._pair_dec = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InsufficientTruncation, InvalidComposition, ZeroDivisor
+from .errors import DivisionByZero, InsufficientTruncation, InvalidComposition
 from .ratfunc import FR_ONE, FR_ZERO, _as_frational, sum_of_products
 
 
@@ -113,7 +113,7 @@ class VSeries:
 
     def leading_coefficient(self):
         if not self._coeffs:
-            raise ZeroDivisor("zero series has no leading coefficient")
+            raise DivisionByZero("zero series has no leading coefficient")
         return self._coeffs[0]
 
     # -- structural helpers ------------------------------------------------------
@@ -215,7 +215,7 @@ class VSeries:
 
     def reciprocal(self):
         if not self._coeffs:
-            raise ZeroDivisor("series reciprocal of (truncation-)zero")
+            raise DivisionByZero("series reciprocal of (truncation-)zero")
         lead = self._lead
         u = self._coeffs  # unit part, u[0] != 0
         rel = self._trunc - lead  # relative guarantee of the unit part
@@ -235,7 +235,7 @@ class VSeries:
             if c is None:
                 return NotImplemented
             if c.is_zero:
-                raise ZeroDivisor("series division by zero scalar")
+                raise DivisionByZero("series division by zero scalar")
             return self * (FR_ONE / c)
         return self * other.reciprocal()
 

@@ -95,7 +95,7 @@ def per_ordering_H(table, tower, g, n):
         for beta in set(permutations(key)):
             term = TPolynomial.constant(n, value)
             for slot, b in enumerate(beta):
-                term = term * tower.phis[b].embed(n, [slot])
+                term = term * tower.phi(b).embed(n, [slot])
             want = want + term
     return want * (-(f * (f + 1)) ** (n - 1))
 

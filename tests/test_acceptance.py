@@ -66,7 +66,7 @@ def table_long(workspace_long):
 
 @pytest.fixture(scope="module")
 def tower():
-    return PhiTower(10)
+    return PhiTower()
 
 
 def test_criterion_1_initial_data():
@@ -146,8 +146,8 @@ def test_criterion_6_eta_invariants():
     trunc = 25
     n_max = 6
     curve = build_curve_series(trunc)
-    tower = PhiTower(n_max)
-    eta = EtaFamily(curve, n_max)
+    tower = PhiTower()
+    eta = EtaFamily(curve)
     half = FRational.from_fraction(Fraction(1, 2))
     dfact = 1
     for n in range(n_max + 1):
@@ -214,8 +214,8 @@ def _assemble_specialized(g, n, table, tower, f0):
     """Assemble the cell polynomial with every ingredient specialized first."""
     from itertools import permutations
     phi_vals = {}
-    for b in range(tower.b_max + 1):
-        phi_vals[b] = {e[0]: c.evaluate(f0) for e, c in tower.phis[b].terms()}
+    for b in {b for key in table.cell_entries(g, n) for b in key}:
+        phi_vals[b] = {e[0]: c.evaluate(f0) for e, c in tower.phi(b).terms()}
     pref = (-(F * (F + 1)) ** (n - 1)).evaluate(f0)
     out = {}
     for key, value in table.cell_entries(g, n).items():

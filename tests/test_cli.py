@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 
@@ -321,6 +322,18 @@ def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
     assert (tmp_path / "brackets.json").read_text() == cache_text
 
 
+def test_cache_without_seed_cells_gets_the_seeds(tmp_path, capsys):
+    # a well-formed file that lists no cell: the seeds are filled in, so
+    # the table is the one computed on an empty cache, not all zero
+    (tmp_path / "brackets.json").write_text(table_text([], {}))
+    code, _, err = run(["compute", "--chi-max", "4",
+                        "--cache", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256((tmp_path / "brackets.json").read_bytes()) \
+        .hexdigest() == ("4b7dc5b486d53c73a206b00487a097da"
+                         "6ea84d74c7af88e3ee16c670cabe2e3b")
+
+
 def test_bad_cache_value_names_its_entry(tmp_path, capsys):
     cache_text = table_text(["1,1"], {"1|0": "1/(f^2+1)"})
     (tmp_path / "brackets.json").write_text(cache_text)
@@ -382,8 +395,8 @@ def test_export_pair_kernel_sized_by_request(tmp_path, capsys, a, b, chi_max):
                           "--chi-max", str(chi_max),
                           "--cache", str(tmp_path)], capsys)
     assert (code, err) == (0, "")
-    ws = KernelWorkspace(a + b, 0, 0)
-    want = kernel_I_via_involution(a, b, ws.curve, PhiTower(b + 1))
+    ws = KernelWorkspace(a + b)
+    want = kernel_I_via_involution(a, b, ws.curve, PhiTower())
     assert {row["exponent"]: row["value"] for row in json.loads(out)} == {
         e: c.as_text() for (e,), c in want.terms()}
 
@@ -392,7 +405,7 @@ def test_export_point_kernel_sized_by_request(tmp_path, capsys):
     code, out, err = run(["export", "--kernel2", "7", "--chi-max", "2",
                           "--cache", str(tmp_path)], capsys)
     assert (code, err) == (0, "")
-    ws = KernelWorkspace(7, 7, 8)
+    ws = KernelWorkspace(7)
     want = kernel_II_symmetrized(7, ws.curve, ws.tower)
     assert {(row["exponent_t"], row["exponent_ti"]): row["value"]
             for row in json.loads(out)} == {

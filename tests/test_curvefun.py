@@ -19,7 +19,7 @@ T = TPolynomial.variable(1, 0)
 
 @pytest.fixture(scope="module")
 def tower():
-    return PhiTower(8)
+    return PhiTower()
 
 
 @pytest.fixture(scope="module")
@@ -29,19 +29,19 @@ def curve():
 
 @pytest.fixture(scope="module")
 def eta(curve):
-    return EtaFamily(curve, 3)
+    return EtaFamily(curve)
 
 
 def test_phi_zero_and_one(tower):
     inv = FR_ONE / (F + 1)
-    assert tower.phis[0] == (T - 1) * inv
+    assert tower.phi(0) == (T - 1) * inv
     want = (F * T ** 3 + (1 - F) * T ** 2 - T) * inv * inv
-    assert tower.phis[1] == want
+    assert tower.phi(1) == want
 
 
 def test_phi_degrees(tower):
     for b in range(9):
-        assert tower.phis[b].degree_in(0) == 2 * b + 1
+        assert tower.phi(b).degree_in(0) == 2 * b + 1
         assert tower.phi_prime(b).degree_in(0) == 2 * b
 
 
@@ -52,12 +52,28 @@ def test_phi_leading_coefficients(tower):
         if b >= 1:
             dfact *= 2 * b - 1
         want = dfact * F ** b / (F + 1) ** (b + 1)
-        assert tower.phis[b].coefficient((2 * b + 1,)) == want
+        assert tower.phi(b).coefficient((2 * b + 1,)) == want
 
 
 def test_euler_field_raises_tower(tower):
     for b in range(7):
-        assert euler_field(tower.phis[b], 0) == tower.phis[b + 1]
+        assert euler_field(tower.phi(b), 0) == tower.phi(b + 1)
+
+
+def test_tower_read_out_of_order_equals_read_in_order():
+    in_order = PhiTower()
+    want = [(in_order.phi(b), in_order.phi_prime(b)) for b in range(6)]
+    jumped = PhiTower()
+    assert jumped.phi(5) == want[5][0]
+    assert jumped.phi(2) == want[2][0]
+    assert [(jumped.phi(b), jumped.phi_prime(b)) for b in range(6)] == want
+
+
+def test_tower_and_eta_family_refuse_indices_below_their_start(eta):
+    with pytest.raises(IndexError):
+        PhiTower().phi(-1)
+    with pytest.raises(IndexError):
+        eta.eta(-2)
 
 
 def test_eta_minus_one_leading(curve, eta):

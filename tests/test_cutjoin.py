@@ -29,7 +29,7 @@ def table3():
 
 @pytest.fixture(scope="module")
 def tower():
-    return PhiTower(8)
+    return PhiTower()
 
 
 def test_psi_genus0():
@@ -166,7 +166,7 @@ def test_one_gather_residual_is_the_term_by_term_residual(table6):
     entries["1|0,0,3"] = entries["1|0,1,2"]
     tampered = BracketTable.from_json(json.dumps(obj))
     cells = [(g, n) for g, n in table6.cells() if 2 * g - 2 + n >= 2]
-    tower = PhiTower(max(support_bound(g, n) for g, n in cells) + 1)
+    tower = PhiTower()
     # the tampered cell and every cell whose terms read H(1, 3)
     reads_13 = {(1, 3), (1, 4), (2, 2), (1, 5), (2, 3), (1, 6), (2, 4)}
     for table, failing in ((table6, set()), (tampered, reads_13)):
@@ -287,12 +287,12 @@ def table4():
 
 @pytest.fixture(scope="module")
 def H4(table4):
-    return full_H(table4, PhiTower(6))
+    return full_H(table4, PhiTower())
 
 
 @pytest.mark.parametrize("name", list(FULL_FORMS))
 def test_orbit_terms_restrict_the_full_forms(table4, H4, name):
-    v = CutJoinVerifier(table4, PhiTower(6))
+    v = CutJoinVerifier(table4, PhiTower())
     eh = unsliced_EH(H4)
     nonzero = 0
     for g, n in table4.cells():
@@ -375,7 +375,7 @@ def random_cell(cell):
         key: localised(rng)
         for key in combinations_with_replacement(range(bound + 1), n)
         if sum(key) <= bound})
-    tower = PhiTower(bound)
+    tower = PhiTower()
     return table, tower, per_ordering_H(table, tower, g, n)
 
 
@@ -406,7 +406,7 @@ def test_slice_of_orbit_H_is_the_slice_of_the_full_H(cell):
 
 
 def test_assemble_H_matches_per_ordering_products(table4, H4):
-    tower = PhiTower(6)
+    tower = PhiTower()
     for g, n in table4.cells():
         assert assemble_H(g, n, table4, tower) == restricted(H4(g, n)), \
             (g, n)

@@ -7,7 +7,8 @@ import pytest
 import framedvertex.engine as engine
 import framedvertex.tpoly as tpoly
 from framedvertex.engine import (BracketTable, assemble_H, budget_cells,
-                                 is_stable, make_workspace, recursion_step,
+                                 is_stable, kernel_requirements,
+                                 make_workspace, recursion_step,
                                  run_to_budget, seed_initial_data,
                                  support_bound)
 from framedvertex.errors import MissingDependency, SymmetryViolation
@@ -102,6 +103,60 @@ def test_run_is_idempotent(table3):
     again = run_to_budget(3, table=table3)
     assert again is table3
     assert {c: again.cell_entries(*c) for c in again.cells()} == before
+
+
+@pytest.mark.parametrize("cell", [(0, 3), (1, 1)])
+def test_recursion_step_refuses_a_seed(cell):
+    # a seed has no lower cells: its step would return an empty cell
+    with pytest.raises(ValueError, match="seed"):
+        recursion_step(*cell, BracketTable(), None)
+
+
+def test_run_fills_missing_seed_cells(table3):
+    assert run_to_budget(3, table=BracketTable()) == table3
+
+
+def test_run_adds_the_cells_below_an_extra_cell():
+    table = run_to_budget(1, extra_cells=[(3, 1)])
+    assert table.cells() == budget_cells(4) + [(3, 1)]
+    assert table == run_to_budget(4, extra_cells=[(3, 1)])
+
+
+def requirements_by_cell_kind(cells):
+    # the pair and point budgets counted cell by cell, seeds skipped and a
+    # pair index sum counted only where the step has a genus reduction or
+    # a stable splitting
+    pair = point = 0
+    for g, n in cells:
+        if 2 * g - 2 + n < 2:
+            continue
+        has_reduction = g >= 1
+        has_split = g >= 2 or (g == 1 and n >= 3) or (g == 0 and n >= 5)
+        if has_reduction or has_split:
+            pair = max(pair, 3 * g + n - 5)
+        if n >= 2:
+            point = max(point, 3 * g + n - 4)
+    return pair, point
+
+
+@pytest.mark.parametrize("chi", range(1, 10))
+def test_kernel_requirements_equal_the_count_by_cell_kind(chi):
+    for cells in (budget_cells(chi), budget_cells(chi) + [(3, 1)]):
+        assert (kernel_requirements(cells)
+                == requirements_by_cell_kind(cells)), cells
+
+
+def test_run_builds_exactly_the_kernels_and_members_it_reads():
+    cells = budget_cells(5)
+    workspace = make_workspace(cells)
+    run_to_budget(5, workspace=workspace)
+    pair, point = kernel_requirements(cells)
+    assert max(a + b for a, b in workspace._pair) == pair
+    assert max(workspace._point) == point
+    # phi_0 .. phi_7: the point kernel P_5 decomposes on phi'_c up to 7
+    assert len(workspace.tower._phis) == 8
+    # eta_{-1} .. eta_6: the pair kernel P_{0,5} reads eta_1 and eta_6
+    assert len(workspace.eta._etas) == 8
 
 
 def test_chi6_table_is_pinned(table6):
@@ -232,7 +287,7 @@ def test_tampered_lower_cell_fails_the_extraction():
 
 def test_assemble_three_point():
     table = seed_initial_data()
-    tower = PhiTower(2)
+    tower = PhiTower()
     h = assemble_H(0, 3, table, tower)
     t = [TPolynomial.variable(3, i) for i in range(3)]
     want = (t[0] - 1) * (t[1] - 1) * (t[2] - 1) * (-F * F / (F + 1))
@@ -243,15 +298,15 @@ def test_assemble_three_point():
 
 def test_assemble_one_point():
     table = seed_initial_data()
-    tower = PhiTower(2)
+    tower = PhiTower()
     h = assemble_H(1, 1, table, tower)
-    want = -(tower.phis[0] * (FRational.poly([1, 1, 1]) / 24)
-             - tower.phis[1] * (F * (F + 1) / 24))
+    want = -(tower.phi(0) * (FRational.poly([1, 1, 1]) / 24)
+             - tower.phi(1) * (F * (F + 1) / 24))
     assert h == want
 
 
 def test_assemble_is_symmetric(table3):
-    tower = PhiTower(3)
+    tower = PhiTower()
     full = per_ordering_H(table3, tower, 1, 2)
     swapped = TPolynomial(2, {(e[1], e[0]): c
                               for e, c in full.terms()}.items())

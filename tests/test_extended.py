@@ -23,7 +23,7 @@ def table5():
 
 @pytest.fixture(scope="module")
 def tower():
-    return PhiTower(11)
+    return PhiTower()
 
 
 def test_identity_on_remaining_cells(table5, tower):
@@ -45,8 +45,7 @@ def test_top_shell_all_genera(table5):
 
 def test_identity_on_chi6_cells(table6):
     cells = [(3, 2), (2, 4), (1, 6), (0, 8)]
-    v = CutJoinVerifier(table6, PhiTower(
-        max(support_bound(g, n) for g, n in cells) + 1))
+    v = CutJoinVerifier(table6, PhiTower())
     for g, n in cells:
         report = v.verify(g, n)
         assert report.passed, (g, n, report.residual_terms)

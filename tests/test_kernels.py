@@ -21,7 +21,7 @@ F = FRational.variable()
 
 @pytest.fixture(scope="module")
 def ws():
-    return KernelWorkspace(pair_budget=4, point_budget=2, b_max=8)
+    return KernelWorkspace(pair_budget=4)
 
 
 def test_pair_kernel_top_coefficient(ws):
@@ -119,10 +119,10 @@ def test_point_kernel_decomposes(ws):
 
 
 def test_truncation_stability(monkeypatch):
-    lo = KernelWorkspace(pair_budget=2, point_budget=1, b_max=6)
+    lo = KernelWorkspace(pair_budget=2)
     real = kernels.default_trunc
     monkeypatch.setattr(kernels, "default_trunc", lambda pair: real(pair) + 4)
-    hi = KernelWorkspace(pair_budget=2, point_budget=1, b_max=6)
+    hi = KernelWorkspace(pair_budget=2)
     assert hi.trunc == lo.trunc + 4
     for a, b in [(0, 0), (0, 1), (1, 1), (0, 2)]:
         assert lo.kernel_I(a, b) == hi.kernel_I(a, b)
@@ -310,7 +310,7 @@ def test_generator_factors_made_once_per_curve(monkeypatch):
     # the first kernel_I and kernel_II on a fresh curve build their
     # factors; every later call on that curve inverts no series
     monkeypatch.setattr(curve_module, "_CACHE", {})
-    ws = KernelWorkspace(pair_budget=3, point_budget=2, b_max=6)
+    ws = KernelWorkspace(pair_budget=3)
     calls = []
     reciprocal = VSeries.reciprocal
 

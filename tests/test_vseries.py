@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from framedvertex.errors import InsufficientTruncation, ZeroDivisor
+from framedvertex.errors import DivisionByZero, InsufficientTruncation
 from framedvertex.ratfunc import FR_ONE, FR_ZERO, FRational
 from framedvertex.vseries import VSeries, compose_polynomial
 
@@ -111,7 +111,7 @@ def test_reciprocal_of_laurent():
 
 
 def test_zero_divisor():
-    with pytest.raises(ZeroDivisor):
+    with pytest.raises(DivisionByZero):
         VSeries.one(5) / VSeries.zero(5)
 
 
