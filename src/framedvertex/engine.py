@@ -129,7 +129,9 @@ class BracketTable:
         it would be written back and exported.  Each entry has one key,
         the one ``to_json`` writes: a key in another spelling (``1|00`` for
         ``1|0``) or a key given twice is refused, since either would let a
-        later value silently replace the entry.
+        later value silently replace the entry.  A listed seed cell must
+        hold the seed values, which every other cell is computed from; an
+        unlisted one is filled in by ``run_to_budget``.
         """
         obj = json.loads(text, object_pairs_hook=_unique_keys)
         if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
@@ -183,6 +185,11 @@ class BracketTable:
             if not value:
                 raise ValueError("entry %s is zero" % key)
             cell[indices] = value
+        seeds = seed_initial_data()
+        for cell in seeds.cells():
+            if cell in table._cells and table._cells[cell] != seeds._cells[cell]:
+                raise ValueError("seed cell (%d, %d) does not hold the seed "
+                                 "values" % cell)
         return table
 
 

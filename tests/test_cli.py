@@ -283,6 +283,12 @@ def table_text(cells, entries):
     (table_text(["0,3", "1,1"], {"1|2": "1"}),
      "entry 1|2 sums past the support bound 1"),
     (table_text(["0,2", "0,3", "1,1"], {}), "(0, 2) is not stable"),
+    # every cell is computed from the seeds, so wrong seeds make a wrong
+    # table that the suites pass
+    (table_text(["0,3", "1,1"], {}),
+     "seed cell (0, 3) does not hold the seed values"),
+    (table_text(["1,1"], {"1|0": "(f^2+f+1)/24", "1|1": "1"}),
+     "seed cell (1, 1) does not hold the seed values"),
     # a table never stores zero, so compute would write it back
     (table_text(["0,3", "1,1"], {"0|0,0,0": "0"}), "entry 0|0,0,0 is zero"),
     # a file cut off mid-write
@@ -307,7 +313,8 @@ def table_text(cells, entries):
     (table_text(["0,3", "0,x"], {}), "bad cell '0,x'"),
 ], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
         "unlisted-cell", "unsorted-index", "negative-index", "past-support",
-        "unstable-cell", "zero-entry", "cut-mid-file", "deep-nesting",
+        "unstable-cell", "seed-cell-empty", "seed-cell-wrong-value",
+        "zero-entry", "cut-mid-file", "deep-nesting",
         "second-spelling", "repeated-key", "key-without-bar",
         "key-index-not-int", "key-trailing-comma", "cell-without-comma",
         "cell-not-int"])
