@@ -44,7 +44,7 @@ def euler_field(p, slot):
 
 
 class PhiTower:
-    """phi_b and their t-derivatives, built through b on the first read of b."""
+    """phi_b and phi'_b, built through b on the first read of b."""
 
     __slots__ = ("_phis", "_phi_primes")
 
@@ -59,7 +59,8 @@ class PhiTower:
         phis = self._phis
         while len(phis) <= b:
             p = euler_field(phis[-1], 0)
-            assert p.degree_in(0) == 2 * len(phis) + 1, "phi tower degree broke"
+            assert p.degree_in(0) == 2 * len(phis) + 1, \
+                "phi tower degree broke"
             phis.append(p)
             self._phi_primes.append(p.partial_derivative(0))
 

@@ -186,8 +186,8 @@ class BracketTable:
                 raise ValueError("entry %s is zero" % key)
             cell[indices] = value
         seeds = seed_initial_data()
-        for cell in seeds.cells():
-            if cell in table._cells and table._cells[cell] != seeds._cells[cell]:
+        for cell, want in seeds._cells.items():
+            if table._cells.get(cell, want) != want:
                 raise ValueError("seed cell (%d, %d) does not hold the seed "
                                  "values" % cell)
         return table
