@@ -131,7 +131,10 @@ class BracketTable:
         ``1|0``) or a key given twice is refused, since either would let a
         later value silently replace the entry.  A listed seed cell must
         hold the seed values, which every other cell is computed from; an
-        unlisted one is filled in by ``run_to_budget``.
+        unlisted one is filled in by ``run_to_budget``.  A listed cell
+        must hold an entry: every stable cell has a nonzero entry of top
+        degree, since the psi integrals are positive, so an empty one is
+        a cell cut from the file, which the recursion would read as zero.
         """
         obj = json.loads(text, object_pairs_hook=_unique_keys)
         if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
@@ -190,6 +193,9 @@ class BracketTable:
             if table._cells.get(cell, want) != want:
                 raise ValueError("seed cell (%d, %d) does not hold the seed "
                                  "values" % cell)
+        for cell, got in table._cells.items():
+            if not got:
+                raise ValueError("cell (%d, %d) holds no entry" % cell)
         return table
 
 

@@ -19,35 +19,37 @@ v^(top - lead y) and y to v^(top - lead x).  It is exact because no
 coefficient of x y through v^top reads a factor beyond those cuts, and a
 factor known less far leaves the product's own guarantee short of v^top,
 so ``plus_part`` raises ``InsufficientTruncation`` instead of returning
-a wrong kernel.  A polynomial composed at a series is cut by the same
-reasoning (``_composed_through``).  The rule reads only the operands'
-leads and the ``VSeries`` truncation bookkeeping.
+a wrong kernel.  The rule reads only the operands' leads and the
+``VSeries`` truncation bookkeeping.
 
 The curve length is the one size in this layer (``default_trunc`` of
-the largest pair index sum); the eta family and the phi tower grow to
-whatever index a kernel or a decomposition reads.
+the largest pair index sum); the eta family, the phi tower and the phi
+ladder grow to whatever index a kernel or a decomposition reads.
 
 Every series a kernel reads that depends on the curve alone is built once
 per curve, at full length, and kept on it (``CurveSeries.derived``): the
 generators' factors -(1/2)((f+1)/f) v/(eta_{-1} dt/dv) and
-zbar^2/(-2 eta_{-1}), and the forms' phi_b(t(v)), which the two forms
-share, phi_b(s(t(v))), the pair factor and the two point factors.  The
-cut factor equals the one built from cut factors, since the first W
-coefficients of a product or a reciprocal depend only on the first W of
-its factors; so a call pays only for the cut products that involve its
-own pair or step, and a later kernel on the same curve inverts no series.
+zbar^2/(-2 eta_{-1}), the generator's ladder of phi_b(t(v)), which
+starts from the tower's phi_0 composed at t(v) and climbs by E along the
+curve (``curvefun.Ladder``), and the forms' phi_b(t(v)), which the two
+forms share and compose from the tower, phi_b(s(t(v))), the pair factor
+and the two point factors.  The cut factor equals the one built from cut
+factors, since the first W coefficients of a product or a reciprocal
+depend only on the first W of its factors; so a call pays only for the
+cut products that involve its own pair or step, and a later kernel on
+the same curve inverts no series.
 The forms share nothing with the generator kernels but primitive
 arithmetic (the cut rule among it) and ``plus_part``: neither side reads
 the other's keys of ``derived``, and the shortcut each form checks stays
-in the generator alone, the eta route of ``kernel_I`` and the v -> -v
-substitution of ``kernel_II`` (``kernel_II_symmetrized`` still composes
-through s(t(v))).
+in the generator alone: the eta route of ``kernel_I``, and the ladder and
+the v -> -v substitution of ``kernel_II`` (``kernel_II_symmetrized``
+composes phi_{b+1} through t(v) and through s(t(v))).
 """
 
 from __future__ import annotations
 
 from .curve import build_curve_series
-from .curvefun import (EtaFamily, PhiTower, phi_prime_decompose,
+from .curvefun import (EtaFamily, Ladder, PhiTower, phi_prime_decompose,
                        phi_prime_decompose_pair, plus_part)
 from .errors import DegreeCapExceeded
 from .ratfunc import FRational
@@ -191,17 +193,19 @@ def _product_through(x, y, top):
     return (x * y).truncate(top)
 
 
-def _composed_through(coeffs, x, top):
-    """The polynomial with ascending ``coeffs`` at x, known through v^top.
+def _phi_on_ladder(b, curve, tower, top):
+    """phi_b(t(v)) known through v^top, read from the generator's ladder.
 
-    The coefficient of v^e in x^k reads x only through
-    v^(e - (k-1) lead x), furthest at k = deg when lead x <= 0 (t(v) has
-    lead -1), so x is cut to v^(top - (deg-1) lead x) first.  The
-    composition's own bookkeeping then guarantees v^top when x was known
-    that far, and less when it was not, as for ``_product_through``.
+    The ladder is kept once per curve.  Its base is the tower's phi_0
+    composed at t(v), so the tower stays the one definition of phi_0, and
+    rung b is D^b of it, phi_b(t(v)), since D is E along the curve.  Rung
+    b is known through v^(curve.trunc - 1 - 2b), as far as phi_b composed
+    at t(v); a read past that leaves the cut short, and the products that
+    use it then guarantee less than ``plus_part`` reads.
     """
-    x = x.truncate(top - (len(coeffs) - 2) * x.lead)
-    return compose_polynomial(coeffs, x).truncate(top)
+    ladder = curve.derived("phi ladder", lambda c: Ladder(
+        compose_polynomial(tower.phi_coeffs(0), c.t_of_v)))
+    return ladder.rung(b).truncate(top)
 
 
 def _phi_composed(b, curve, tower, inner):
@@ -239,22 +243,24 @@ def kernel_II(b, curve, tower):
           = s' C_k - C_k(-v),   C_k = phi_{b+1}(t) zbar^{k+2} / (-2 eta_{-1}),
 
     because the deck map v -> -v sends t to s(t) and zbar to z, and
-    eta_{-1} is odd.  So phi_{b+1} is composed once and C_k advances by
-    one factor of zbar per k.  The factor zbar^2 / (-2 eta_{-1}) of C_0
-    depends on the curve alone and is built once per curve, at full
-    length (``_point_generator_factor``).  ``kernel_II_symmetrized``
-    composes through s(t) as well, so it checks this v -> -v shortcut.
+    eta_{-1} is odd.  So phi_{b+1}(t) is read on one sheet and C_k
+    advances by one factor of zbar per k.  phi_{b+1}(t(v)) is not
+    composed: it is rung b+1 of the ladder kept on the curve
+    (``_phi_on_ladder``), D^(b+1) phi_0(t(v)).  The factor
+    zbar^2 / (-2 eta_{-1}) of C_0 depends on the curve alone and is built
+    once per curve, at full length (``_point_generator_factor``).
+    ``kernel_II_symmetrized`` composes phi_{b+1} through t(v) and s(t(v)),
+    so it checks both the ladder and this v -> -v shortcut.
 
-    C_0 is made exact through v^0, phi_{b+1}(t) through v^(-lead of the
-    factor) (``_composed_through``), and each advance by zbar through v^0
-    again (``_product_through``); s' (lead 0) times C_k is then known
-    through v^0 by the product's own guarantee: exactly the coefficients
+    C_0 is made exact through v^0, the rung cut to v^(-lead of the
+    factor), and each advance by zbar through v^0 again
+    (``_product_through``); s' (lead 0) times C_k is then known through
+    v^0 by the product's own guarantee: exactly the coefficients
     ``plus_part`` reads.
     """
     cap = 2 * b + 6
     factor = curve.derived("kernel_II factor", _point_generator_factor)
-    phi_t = _composed_through(tower.phi_coeffs(b + 1), curve.t_of_v,
-                              -factor.lead)
+    phi_t = _phi_on_ladder(b + 1, curve, tower, -factor.lead)
     c_k = _product_through(phi_t, factor, 0)
     terms = {}
     for k in range(cap + 1):
@@ -296,9 +302,10 @@ def kernel_II_symmetrized(b, curve, tower):
     there; a step ``cap`` that is reached and has a polynomial part still
     raises.
 
-    phi_{b+1} is composed through t(v) and through s(t(v)) separately, and
-    not by v -> -v: that substitution is the shortcut of ``kernel_II``
-    which this form checks.
+    phi_{b+1} is composed from the tower through t(v) and through s(t(v))
+    separately, not climbed and not taken by v -> -v: the ladder and that
+    substitution are the shortcuts of ``kernel_II`` which this form
+    checks.
     """
     cap = 2 * b + 6
     on_t, on_s = curve.derived("point factors", _point_factors)

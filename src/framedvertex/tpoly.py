@@ -241,14 +241,6 @@ class TPolynomial:
             out[tuple(e)] = c
         return TPolynomial._raw(arity, out)
 
-    def map_coefficients(self, fn):
-        out = {}
-        for e, c in self._terms.items():
-            v = fn(c)
-            if not v.is_zero:
-                out[e] = v
-        return TPolynomial._raw(self._arity, out)
-
     # -- exact division -----------------------------------------------------------
 
     def exact_divide_difference(self, i, j):

@@ -6,6 +6,7 @@ import pytest
 
 from framedvertex import ratfunc
 from framedvertex.engine import run_to_budget
+from framedvertex.errors import NotInSpan
 from framedvertex.ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
 from framedvertex.tpoly import TPolynomial, sum_gathered
 from framedvertex.vseries import VSeries
@@ -98,6 +99,11 @@ def per_ordering_H(table, tower, g, n):
                 term = term * tower.phi(b).embed(n, [slot])
             want = want + term
     return want * (-(f * (f + 1)) ** (n - 1))
+
+
+def map_coefficients(p, fn):
+    """``p`` with ``fn`` applied to every coefficient, zeros dropped."""
+    return TPolynomial(p.arity, [(e, fn(c)) for e, c in p.terms()])
 
 
 def term(method, g, n):
@@ -212,3 +218,57 @@ def peeled_plus_part(series, curve):
         coeffs[j] = c
         rest = rest - curve.t_power(j).truncate(rest.trunc) * c
     return TPolynomial(1, [((j,), c) for j, c in coeffs.items()])
+
+
+# ---------------------------------------------------------------------------
+# phi' decompositions by whole-polynomial subtraction: the references for
+# the package's solves on coefficient maps
+# ---------------------------------------------------------------------------
+
+def subtracting_phi_prime_decompose(poly, tower):
+    """{b: c_b} with poly = sum_b c_b phi'_b, found by subtracting
+    c_b phi'_b from the rest, top b first; ``NotInSpan`` carries the
+    coefficients and the rest when a residual is left."""
+    coefficients = {}
+    rest = poly
+    for b in range(rest.degree_in(0) // 2, -1, -1):
+        c = rest.coefficient((2 * b,))
+        if c.is_zero:
+            continue
+        c = c / tower.phi_prime(b).coefficient((2 * b,))
+        coefficients[b] = c
+        rest = rest - tower.phi_prime(b) * c
+    if not rest.is_zero:
+        raise NotInSpan("polynomial not in the phi' span",
+                        coefficients=coefficients, residual=rest)
+    return coefficients
+
+
+def subtracting_phi_prime_decompose_pair(poly, tower):
+    """{(c, d): coefficient} of poly in phi'_c(t_0) phi'_d(t_1): each
+    t_0^2c slice over its lead is decomposed in t_1, then
+    phi'_c(t_0) times it is subtracted from every slice."""
+    slices = {}
+    for exps, c in poly.terms():
+        slices.setdefault(exps[0], {})[(exps[1],)] = c
+    slices = {k: TPolynomial(1, v.items()) for k, v in slices.items()}
+    out = {}
+    if not slices:
+        return out
+    for b in range(max(slices) // 2, -1, -1):
+        sl = slices.get(2 * b)
+        if sl is None or sl.is_zero:
+            continue
+        lead = tower.phi_prime(b).coefficient((2 * b,))
+        top = map_coefficients(sl, lambda c: c / lead)
+        for d, c in subtracting_phi_prime_decompose(top, tower).items():
+            out[(b, d)] = c
+        for (k,), cb in tower.phi_prime(b).terms():
+            upd = slices.get(k, TPolynomial.zero(1)) - top * cb
+            if upd.is_zero:
+                slices.pop(k, None)
+            else:
+                slices[k] = upd
+    if slices:
+        raise NotInSpan("two-variable polynomial not in the phi' x phi' span")
+    return out

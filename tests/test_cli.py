@@ -270,6 +270,10 @@ def table_text(cells, entries):
                        "cells": cells, "entries": entries})
 
 
+# the entries of the seed cells (0, 3) and (1, 1)
+SEEDS = {"0|0,0,0": "1", "1|0": "(f^2+f+1)/24", "1|1": "(-f^2-f)/24"}
+
+
 @pytest.mark.parametrize("cache_text, reason", [
     ("[]", "unrecognized"),
     (table_text(["1,1"], {"1|0": "1/0"}), "zero denominator"),
@@ -289,6 +293,9 @@ def table_text(cells, entries):
      "seed cell (0, 3) does not hold the seed values"),
     (table_text(["1,1"], {"1|0": "(f^2+f+1)/24", "1|1": "1"}),
      "seed cell (1, 1) does not hold the seed values"),
+    # a listed cell without entries: the recursion would read it as zero
+    (table_text(["0,3", "1,1", "0,4"], SEEDS), "cell (0, 4) holds no entry"),
+    (table_text(["0,3", "1,1", "0,5"], SEEDS), "cell (0, 5) holds no entry"),
     # a table never stores zero, so compute would write it back
     (table_text(["0,3", "1,1"], {"0|0,0,0": "0"}), "entry 0|0,0,0 is zero"),
     # a file cut off mid-write
@@ -314,6 +321,7 @@ def table_text(cells, entries):
 ], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
         "unlisted-cell", "unsorted-index", "negative-index", "past-support",
         "unstable-cell", "seed-cell-empty", "seed-cell-wrong-value",
+        "nonseed-cell-empty-0-4", "nonseed-cell-empty-0-5",
         "zero-entry", "cut-mid-file", "deep-nesting",
         "second-spelling", "repeated-key", "key-without-bar",
         "key-index-not-int", "key-trailing-comma", "cell-without-comma",

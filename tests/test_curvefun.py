@@ -232,3 +232,49 @@ def test_decompose_pair(tower):
          + tower.phi_prime(0).embed(2, [0]) * tower.phi_prime(0).embed(2, [1]) * F)
     out = phi_prime_decompose_pair(p, tower)
     assert out == {(1, 2): FR_ONE, (0, 0): F}
+
+
+def _outcome(decompose, poly, tower):
+    """The decomposition, or the message and payload of its NotInSpan."""
+    try:
+        return "in span", list(decompose(poly, tower).items())
+    except NotInSpan as exc:
+        coefficients = exc.coefficients
+        return (str(exc),
+                None if coefficients is None else list(coefficients.items()),
+                exc.residual)
+
+
+def test_decompositions_out_of_span_equal_subtraction(tower, rng):
+    # out-of-span inputs raise as the subtracting references do, with the
+    # same coefficients and residual
+    from conftest import (localised, subtracting_phi_prime_decompose,
+                          subtracting_phi_prime_decompose_pair)
+    t0, t1 = TPolynomial.variable(2, 0), TPolynomial.variable(2, 1)
+    p1 = tower.phi_prime(1)
+    singles = [T ** 2, T ** 5, T ** 3 + p1 * F, tower.phi(2) * F]
+    for _ in range(20):
+        singles.append(TPolynomial(1, [((k,), localised(rng))
+                                       for k in range(rng.randint(2, 10))]))
+    for poly in singles:
+        got = _outcome(phi_prime_decompose, poly, tower)
+        assert got[0] != "in span", poly
+        assert got == _outcome(subtracting_phi_prime_decompose, poly,
+                               tower), poly
+    in_span = (p1.embed(2, [0]) * tower.phi_prime(2).embed(2, [1])
+               + tower.phi_prime(0).embed(2, [0]) * F)
+    pairs = [
+        t0,                                 # a t_0 residual only
+        p1.embed(2, [0]) * t1 ** 2,         # an A_c out of span in t_1
+        in_span + t0 ** 3 * t1,             # both, the A_c raising first
+        in_span + t0 ** 4 * t1 ** 3,        # an A_c residual below the top
+    ]
+    for _ in range(20):
+        pairs.append(in_span + TPolynomial(2, [
+            ((rng.randint(0, 6), rng.randint(0, 6)), localised(rng))
+            for _ in range(rng.randint(1, 4))]))
+    for poly in pairs:
+        got = _outcome(phi_prime_decompose_pair, poly, tower)
+        assert got[0] != "in span", poly
+        assert got == _outcome(subtracting_phi_prime_decompose_pair, poly,
+                               tower), poly

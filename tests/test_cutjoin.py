@@ -16,8 +16,8 @@ from framedvertex.errors import OutsideVerifiableSet
 from framedvertex.ratfunc import FRational
 from framedvertex.tpoly import TPolynomial
 
-from conftest import (localised, non_increasing, per_ordering_H,
-                      restricted, substitute, term)
+from conftest import (localised, map_coefficients, non_increasing,
+                      per_ordering_H, restricted, substitute, term)
 
 F = FRational.variable()
 
@@ -222,7 +222,7 @@ def unsliced_EH(H):
 
 def full_lhs(H, EH, g, n):
     h = H(g, n)
-    total = h.map_coefficients(lambda c: c.derivative())
+    total = map_coefficients(h, lambda c: c.derivative())
     for slot in range(n):
         t = TPolynomial.variable(n, slot)
         total = total + (t * t - t) * h.partial_derivative(slot) \

@@ -156,7 +156,7 @@ def test_run_builds_exactly_the_kernels_and_members_it_reads():
     # phi_0 .. phi_7: the point kernel P_5 decomposes on phi'_c up to 7
     assert len(workspace.tower._phis) == 8
     # eta_{-1} .. eta_6: the pair kernel P_{0,5} reads eta_1 and eta_6
-    assert len(workspace.eta._etas) == 8
+    assert len(workspace.eta._rungs) == 8
 
 
 def test_chi6_table_is_pinned(table6):

@@ -242,8 +242,8 @@ def _cut_one_short(patch, name):
 
 def test_one_short_window_raises(ws5, monkeypatch):
     # the generator kernels take their windows from _product_through and,
-    # for kernel_II alone, _composed_through; either cut one coefficient
-    # short makes them raise
+    # for kernel_II alone, the cut of the ladder rung it reads; either cut
+    # one coefficient short makes them raise
     with monkeypatch.context() as patch:
         _cut_one_short(patch, "_product_through")
         for a, b in [(0, 0), (1, 2), (0, 5)]:
@@ -253,7 +253,7 @@ def test_one_short_window_raises(ws5, monkeypatch):
             with pytest.raises(InsufficientTruncation):
                 kernel_II(b, ws5.curve, ws5.tower)
     with monkeypatch.context() as patch:
-        _cut_one_short(patch, "_composed_through")
+        _cut_one_short(patch, "_phi_on_ladder")
         for b in (0, 3, 5):
             with pytest.raises(InsufficientTruncation):
                 kernel_II(b, ws5.curve, ws5.tower)
@@ -269,18 +269,21 @@ def test_one_short_cut_raises_in_cross_check_forms(ws5, monkeypatch):
             kernel_II_symmetrized(b, ws5.curve, ws5.tower)
 
 
-def test_build_kernels_equal_cross_check_forms(ws5):
-    # the chi <= 5 build reads exactly these kernels, and each equals its
-    # cross-check form
-    run_to_budget(5, workspace=ws5)
-    assert set(ws5._pair_dec) == set(CHI5_PAIRS)
-    assert set(ws5._point_dec) == set(range(6))
-    for a, b in CHI5_PAIRS:
-        assert (ws5.kernel_I(a, b)
-                == kernel_I_via_involution(a, b, ws5.curve, ws5.tower)), (a, b)
-    for b in range(6):
-        assert (ws5.kernel_II(b)
-                == kernel_II_symmetrized(b, ws5.curve, ws5.tower)), b
+def test_build_kernels_equal_cross_check_forms():
+    # the chi <= 7 build reads exactly these kernels, the pairs with
+    # a + b <= 8 and the point kernels b <= 8, where the ladder climbs to
+    # phi_9(t(v)), and each equals its cross-check form
+    ws = make_workspace(budget_cells(7))
+    run_to_budget(7, workspace=ws)
+    pairs = [(a, b) for a in range(9) for b in range(a, 9 - a)]
+    assert set(ws._pair_dec) == set(pairs)
+    assert set(ws._point_dec) == set(range(9))
+    for a, b in pairs:
+        assert (ws.kernel_I(a, b)
+                == kernel_I_via_involution(a, b, ws.curve, ws.tower)), (a, b)
+    for b in range(9):
+        assert (ws.kernel_II(b)
+                == kernel_II_symmetrized(b, ws.curve, ws.tower)), b
 
 
 def test_plus_part_equals_peeling_on_kernel_inputs(ws5, monkeypatch):
@@ -409,10 +412,56 @@ def test_cross_check_compositions_made_once_per_curve(monkeypatch):
 
     made = Counter((c, inner) for _, c, inner in calls)
     assert set(made.values()) == {1}
-    # phi_1..phi_4 through t(v), phi_1..phi_3 through s(t(v)), and the
-    # three cut compositions of the generator kernel_II
-    assert len(calls) == 10
+    # phi_1..phi_4 through t(v), phi_1..phi_3 through s(t(v)), and phi_0
+    # through t(v), the base of the generator kernel_II's ladder
+    assert len(calls) == 8
     by_form = Counter((f, inner is curve.s_t_of_v) for f, _, inner in calls)
     assert by_form == {("kernel_I_via_involution", False): 4,
                        ("kernel_II_symmetrized", True): 3,
-                       (None, False): 3}
+                       (None, False): 1}
+
+
+# -- the generator's phi ladder -----------------------------------------------
+
+def test_ladder_rungs_equal_compositions(ws5):
+    # phi_b(t(v)) climbed by D from phi_0(t(v)) equals phi_b composed at
+    # t(v), with the same lead and the same known range
+    for b in range(10):
+        rung = kernels._phi_on_ladder(b, ws5.curve, ws5.tower, ws5.trunc)
+        composed = compose_polynomial(ws5.tower.phi_coeffs(b),
+                                      ws5.curve.t_of_v)
+        assert (rung.lead, rung.trunc) == (composed.lead, composed.trunc), b
+        assert rung == composed, b
+
+
+def test_ladder_holds_exactly_the_rungs_read(monkeypatch):
+    monkeypatch.setattr(curve_module, "_CACHE", {})
+    ws = make_workspace(budget_cells(5))
+
+    def rungs():
+        return len(ws.curve.derived("phi ladder", None)._rungs)
+
+    kernel_II(3, ws.curve, ws.tower)
+    assert rungs() == 5
+    kernel_II(1, ws.curve, ws.tower)
+    assert rungs() == 5
+    # the chi <= 5 build reads the point kernels b <= 5, so phi_0 .. phi_6
+    run_to_budget(5, workspace=ws)
+    assert rungs() == 7
+
+
+# -- phi' decompositions: one reduction per coefficient -----------------------
+
+def test_decompositions_equal_subtraction_on_chi5_kernels(ws5):
+    from conftest import (subtracting_phi_prime_decompose,
+                          subtracting_phi_prime_decompose_pair)
+    for a, b in CHI5_PAIRS:
+        p = ws5.kernel_I(a, b)
+        got = phi_prime_decompose(p, ws5.tower)
+        want = subtracting_phi_prime_decompose(p, ws5.tower)
+        assert list(got.items()) == list(want.items()), (a, b)
+    for b in range(6):
+        p = ws5.kernel_II(b)
+        got = phi_prime_decompose_pair(p, ws5.tower)
+        want = subtracting_phi_prime_decompose_pair(p, ws5.tower)
+        assert list(got.items()) == list(want.items()), b
