@@ -27,8 +27,7 @@ from .cutjoin import CutJoinVerifier, psi_oracle
 from .engine import (BracketTable, budget_cells, canonical_json, entry_key,
                      is_stable, kernel_requirements, run_to_budget,
                      seed_initial_data, support_bound)
-from .errors import (ConfigError, FramedVertexError, InternalInvariantError,
-                     MissingDependency, PoleAtFraming)
+from .errors import ConfigError, FramedVertexError, PoleAtFraming
 from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
                       kernel_II_symmetrized)
 from .ratfunc import FR_ZERO, FRational
@@ -379,14 +378,12 @@ def main(argv=None):
     except (ConfigError, PoleAtFraming, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (InternalInvariantError, MissingDependency) as exc:
-        # the CLI computes every cell a request reads and sizes each
-        # workspace from the request, so a missing cell, like a cut-short
-        # series or a kernel over its degree cap, is a fault of the program
-        print("internal invariant violation: %s" % exc, file=sys.stderr)
-        return EXIT_INTERNAL
     except FramedVertexError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # the CLI validates every input, computes every cell a request
+        # reads and sizes each workspace from the request, so any other
+        # package error, like a missing cell, a cut-short series or a
+        # division by zero, is a fault of the program
+        print("internal invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -24,6 +24,13 @@ polynomial once into c f^j (f+1)^k and raises ``ValueError`` when a
 factor prime to f (f+1) is left, so a cache value such as
 ``1/(f^2+1)`` is refused.
 
+``from_text`` reads only the text ``as_text`` writes, so each value has
+one spelling.  It splits the text at its first ``/``, takes one pair of
+outer parentheses off each side, reads the terms with one pattern and
+then refuses, in this order, an exponent above ``MAX_TEXT_DEGREE``, a
+zero denominator, a denominator factor prime to f (f+1), and any text
+that is not the ``as_text`` of the value it reads as.
+
 ``sum_of_products`` puts a list of products, each with an integer
 weight, over one common denominator N f^J (f+1)^K, sums the integer
 numerators and reduces once (delayed reduction), so series products,
@@ -46,6 +53,7 @@ Everything here is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -218,62 +226,25 @@ def _is_atom(c):
 MAX_TEXT_DEGREE = 4096
 
 
+# One term as ``_render_int_poly`` writes it: a sign, digits, then f or
+# *f, either with ^k.  Text the pattern skips or reads another way fails
+# the round trip in ``FRational.from_text``.
+_TERM = re.compile(r"([+-]?)(\d*)(\*?f(?:\^(\d+))?)?")
+
+
 def _parse_int_poly(text):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    break
-        else:
-            text = text[1:-1].strip()
-    if text == "0":
-        return ()
-    coeffs = {}
-    i, n = 0, len(text)
-    while i < n:
-        sign = 1
-        while i < n and text[i] in "+-":
-            if text[i] == "-":
-                sign = -sign
-            i += 1
-        j = i
-        while j < n and text[j].isdigit():
-            j += 1
-        mag = int(text[i:j]) if j > i else None
-        i = j
-        if i < n and text[i] == "*":
-            i += 1
-        if i < n and text[i] == "f":
-            i += 1
-            if i < n and text[i] == "^":
-                i += 1
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ValueError("bad exponent in %r" % text)
-                k = int(text[i:j])
-                if k > MAX_TEXT_DEGREE:
-                    raise ValueError("exponent %d above %d in %r"
-                                     % (k, MAX_TEXT_DEGREE, text))
-                i = j
-            else:
-                k = 1
-        else:
-            k = 0
-            if mag is None:
-                raise ValueError("bad term in %r" % text)
-        coeffs[k] = coeffs.get(k, 0) + sign * (1 if mag is None else mag)
-    if not coeffs:
-        return ()
-    out = [0] * (max(coeffs) + 1)
-    for k, v in coeffs.items():
-        out[k] = v
+    """Int coefficients of a polynomial, one outer pair of parens off."""
+    if text[:1] == "(" and text[-1:] == ")":
+        text = text[1:-1]
+    terms = [(int(sign + (mag or "1")), int(exp or 1) if var else 0)
+             for sign, mag, var, exp in _TERM.findall(text) if mag or var]
+    top = max((k for _, k in terms), default=-1)
+    if top > MAX_TEXT_DEGREE:
+        raise ValueError("exponent %d above %d in %r"
+                         % (top, MAX_TEXT_DEGREE, text))
+    out = [0] * (top + 1)
+    for c, k in terms:
+        out[k] += c
     return _ptrim(out)
 
 
@@ -390,25 +361,27 @@ class FRational:
 
     @classmethod
     def from_text(cls, text):
-        """Parse the canonical text form, e.g. ``"(f^2+f+1)/24"``."""
-        text = text.strip()
-        depth = 0
-        split = -1
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "/" and depth == 0:
-                split = i
-                break
-        if split < 0:
-            return _reduce(_parse_int_poly(text), 1, 0, 0)
-        den = _parse_int_poly(text[split + 1:])
+        """The value ``as_text`` writes as ``text``, e.g. ``"(f^2+f+1)/24"``.
+
+        Only that spelling is read.  The refusals come in this order: an
+        exponent above ``MAX_TEXT_DEGREE`` (``ValueError``, before any
+        coefficient list is built), a zero denominator
+        (``DivisionByZero``), a denominator factor prime to f (f+1)
+        (``ValueError`` from ``_split``), and last any text that is not
+        the ``as_text`` of the value it reads as (``ValueError``).
+        """
+        num, slash, den = text.partition("/")
+        num = _parse_int_poly(num)
+        den = _parse_int_poly(den) if slash else _ONE
         if not den:
             raise DivisionByZero("zero denominator in Q(f)")
         j, k, c = _split(den)
-        return _reduce(_parse_int_poly(text[:split]), c, j, k)
+        value = _reduce(num, c, j, k)
+        canonical = value.as_text()
+        if text != canonical:
+            raise ValueError("%r is not the canonical spelling %r"
+                             % (text, canonical))
+        return value
 
     # -- views ---------------------------------------------------------------
 

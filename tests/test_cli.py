@@ -8,8 +8,9 @@ import pytest
 from framedvertex.cli import build_parser, main
 from framedvertex.curvefun import PhiTower
 from framedvertex.engine import budget_cells, make_workspace, run_to_budget
-from framedvertex.errors import (DegreeCapExceeded, InsufficientTruncation,
-                                 MissingDependency)
+from framedvertex.errors import (ArityMismatch, DegreeCapExceeded,
+                                 DivisionByZero, InsufficientTruncation,
+                                 MissingDependency, UnstableDependency)
 from framedvertex.kernels import (KernelWorkspace, kernel_I_via_involution,
                                   kernel_II_symmetrized)
 
@@ -318,6 +319,17 @@ SEEDS = {"0|0,0,0": "1", "1|0": "(f^2+f+1)/24", "1|1": "(-f^2-f)/24"}
     (table_text(["0,3", "1,1"], {"1|0,": "1"}), "bad entry key '1|0,'"),
     (table_text(["0,3", "1"], {}), "bad cell '1'"),
     (table_text(["0,3", "0,x"], {}), "bad cell '0,x'"),
+    # a value has one spelling, the one compute writes: a lenient reader
+    # takes f*f and ff for 2*f and 01 for 1, and the same values written
+    # back make a table that a later compute blames on the program
+    (table_text(["0,3", "1,1", "0,4"], {**SEEDS, "0|0,0,0,1": "f*f"}),
+     "not the canonical"),
+    (table_text(["0,3", "1,1", "0,4"], {**SEEDS, "0|0,0,0,1": "ff"}),
+     "not the canonical"),
+    (table_text(["0,3", "1,1", "0,4"], {**SEEDS, "0|0,0,0,1": "01"}),
+     "not the canonical"),
+    (table_text(["0,3", "1,1"], {**SEEDS, "1|0": "(f^2+f+1)/(24)"}),
+     "not the canonical"),
 ], ids=["list", "zero-denominator", "degree-bound", "foreign-denominator",
         "unlisted-cell", "unsorted-index", "negative-index", "past-support",
         "unstable-cell", "seed-cell-empty", "seed-cell-wrong-value",
@@ -325,7 +337,8 @@ SEEDS = {"0|0,0,0": "1", "1|0": "(f^2+f+1)/24", "1|1": "(-f^2-f)/24"}
         "zero-entry", "cut-mid-file", "deep-nesting",
         "second-spelling", "repeated-key", "key-without-bar",
         "key-index-not-int", "key-trailing-comma", "cell-without-comma",
-        "cell-not-int"])
+        "cell-not-int", "value-f-times-f", "value-ff", "value-leading-zero",
+        "seed-value-parenthesized-scalar"])
 def test_malformed_cache_file_is_config_error(tmp_path, capsys, cache_text,
                                               reason):
     (tmp_path / "brackets.json").write_text(cache_text)
@@ -500,7 +513,8 @@ def test_each_subcommand_accepts_only_the_options_it_reads():
 
 
 @pytest.mark.parametrize("error", [MissingDependency, DegreeCapExceeded,
-                                   InsufficientTruncation])
+                                   InsufficientTruncation, DivisionByZero,
+                                   ArityMismatch, UnstableDependency])
 def test_program_faults_exit_3(tmp_path, capsys, monkeypatch, error):
     import framedvertex.cli as cli
 

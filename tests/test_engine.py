@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +323,17 @@ def test_serialization_round_trip(table3):
     loaded = BracketTable.from_json(text)
     assert loaded == table3
     assert loaded.to_json() == text
+
+
+REFERENCE_CHI4 = (Path(__file__).resolve().parents[1]
+                  / "perfbench" / "reference" / "brackets_chi4.json")
+
+
+def test_loaded_file_is_the_written_file():
+    # keys and values each have one spelling, so a table file loads and
+    # writes back byte for byte
+    for text in (REFERENCE_CHI4.read_text(), run_to_budget(5).to_json()):
+        assert BracketTable.from_json(text).to_json() == text
 
 
 def test_serialization_deterministic():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,6 +6,7 @@ from math import gcd
 import pytest
 
 from framedvertex import ratfunc
+from framedvertex.engine import run_to_budget
 from framedvertex.errors import DivisionByZero, PoleAtFraming
 from framedvertex.ratfunc import (FPolynomial, FRational, FR_ONE, FR_ZERO,
                                   _pmul, _pscale, _reduce, sum_of_products)
@@ -417,6 +419,54 @@ def test_text_canonical_examples():
     assert ONE.as_text() == "1"
     assert F.as_text() == "f"
     assert FR_ZERO.as_text() == "0"
+
+
+def normalization_values():
+    """The 300 random quotients of
+    ``test_normalization_is_reduced_and_keeps_the_value``: the same seed
+    and the same draws, in the same order."""
+    rng = random.Random(5)
+
+    def unit():
+        return expand(*[FP] * rng.randint(0, 3) + [FP1] * rng.randint(0, 3),
+                      [rng.choice([-3, -1, 1, 2])])
+
+    def factor():
+        cof = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        cof[-1] = cof[-1] or 1
+        return expand(unit(), cof)
+
+    for _ in range(300):
+        num, den = factor(), unit()
+        if rng.random() < 0.5:
+            common = unit()
+            num, den = expand(num, common), expand(den, common)
+        yield fr(num, den)
+
+
+def one_character_edits(text):
+    """Every text one deleted, repeated or inserted character from ``text``."""
+    edits = set()
+    for i in range(len(text)):
+        edits.add(text[:i] + text[i + 1:])
+        edits.add(text[:i] + text[i] + text[i:])
+    for i in range(len(text) + 1):
+        edits.update(text[:i] + ch + text[i:] for ch in "+-*^()/ 0f")
+    return edits
+
+
+def test_text_has_one_spelling_per_value():
+    # from_text reads only what as_text writes: each one-character edit of
+    # a canonical text is refused, or is the canonical text of its value
+    texts = set(json.loads(run_to_budget(5).to_json())["entries"].values())
+    texts.update(r.as_text() for r in normalization_values())
+    for text in texts:
+        for edit in one_character_edits(text):
+            try:
+                value = FRational.from_text(edit)
+            except (ValueError, DivisionByZero):
+                continue
+            assert value.as_text() == edit, (text, edit)
 
 
 def test_power_and_negative_power():
