@@ -25,9 +25,10 @@ from pathlib import Path
 from .curvefun import PhiTower
 from .cutjoin import CutJoinVerifier, psi_oracle
 from .engine import (BracketTable, budget_cells, canonical_json, entry_key,
-                     is_stable, kernel_requirements, run_to_budget,
-                     seed_initial_data, support_bound)
-from .errors import ConfigError, FramedVertexError, PoleAtFraming
+                     is_stable, kernel_requirements, make_workspace,
+                     recursion_step, run_to_budget, seed_initial_data)
+from .errors import (ConfigError, FramedVertexError, PoleAtFraming,
+                     SymmetryViolation)
 from .kernels import (KernelWorkspace, kernel_I, kernel_I_via_involution,
                       kernel_II_symmetrized)
 from .ratfunc import FR_ZERO, FRational
@@ -257,17 +258,23 @@ def _suite_kernels(args, table):
 
 
 def _suite_symmetry(args, table):
-    # the support bound of every cell, which ``BracketTable.from_json``
-    # enforces and ``recursion_step`` checks, so these rows restate it for
-    # the table as loaded; the permutation symmetry of the assembled
-    # polynomials holds by construction (``assemble_H`` sums every ordering
-    # of a sorted key at each orbit representative, the only keys it
-    # returns), so no row can test it on a table
+    # every cell above the seeds is derived again from the stored cells
+    # below it, with the workspace compute would use, and compared with
+    # the stored cell; the step's own symmetry check failing is that
+    # cell's failure.  The seeds need no row: the loader refuses a listed
+    # seed cell that does not hold the seed values.
+    cells = budget_cells(args.chi_max)
+    workspace = make_workspace(cells)
     results = []
-    for g, n in budget_cells(args.chi_max):
-        ok = all(sum(key) <= support_bound(g, n)
-                 for key in table.cell_entries(g, n))
-        results.append({"check": "support", "g": g, "n": n, "passed": ok})
+    for g, n in cells:
+        if 2 * g - 2 + n < 2:
+            continue
+        try:
+            ok = (recursion_step(g, n, table, workspace)
+                  == table.cell_entries(g, n))
+        except SymmetryViolation:
+            ok = False
+        results.append({"check": "rederived", "g": g, "n": n, "passed": ok})
     return results
 
 

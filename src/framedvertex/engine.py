@@ -37,7 +37,7 @@ import json
 from math import comb
 
 from .errors import (DivisionByZero, MissingDependency,
-                     SupportBoundViolation, SymmetryViolation)
+                     SupportBoundViolation, SymmetryViolation, clip)
 from .kernels import KernelWorkspace
 from .ratfunc import FR_ONE, FR_ZERO, FRational
 from .tpoly import TPolynomial, gather, sum_gathered
@@ -135,6 +135,7 @@ class BracketTable:
         must hold an entry: every stable cell has a nonzero entry of top
         degree, since the psi integrals are positive, so an empty one is
         a cell cut from the file, which the recursion would read as zero.
+        A message quotes a key or value through ``errors.clip``.
         """
         obj = json.loads(text, object_pairs_hook=_unique_keys)
         if (not isinstance(obj, dict) or obj.get("format") != FORMAT_NAME
@@ -147,11 +148,11 @@ class BracketTable:
         table = cls()
         for cell in cells:
             if not isinstance(cell, str):
-                raise ValueError("bad cell %r" % (cell,))
+                raise ValueError("bad cell %s" % clip(repr(cell)))
             try:
                 g, n = map(int, cell.split(","))
             except ValueError:
-                raise ValueError("bad cell %r" % cell) from None
+                raise ValueError("bad cell %s" % clip(cell, "%r")) from None
             if not is_stable(g, n):
                 raise ValueError("cell (%d, %d) is not stable" % (g, n))
             table._cells[(g, n)] = {}
@@ -161,32 +162,34 @@ class BracketTable:
                 indices = tuple(int(x) for x in idx.split(",")) if idx else ()
                 g, n = int(g_s), len(indices)
             except ValueError:
-                raise ValueError("bad entry key %r" % key) from None
+                raise ValueError("bad entry key %s"
+                                 % clip(key, "%r")) from None
             canonical = entry_key(g, indices)
             if key != canonical:
-                raise ValueError("entry key %r is not the canonical %r"
-                                 % (key, canonical))
+                raise ValueError("entry key %s is not the canonical %s"
+                                 % (clip(key, "%r"), clip(canonical, "%r")))
             cell = table._cells.get((g, n))
             if cell is None:
                 raise ValueError("entry %s is outside the listed cells"
-                                 % key)
+                                 % clip(key))
             if list(indices) != sorted(indices) or any(b < 0 for b in indices):
                 raise ValueError("entry %s needs non-decreasing, non-negative "
-                                 "indices" % key)
+                                 "indices" % clip(key))
             if sum(indices) > support_bound(g, n):
                 raise ValueError("entry %s sums past the support bound %d of "
                                  "cell (%d, %d)"
-                                 % (key, support_bound(g, n), g, n))
+                                 % (clip(key), support_bound(g, n), g, n))
             if not isinstance(text_value, str):
-                raise ValueError("bad value %r for %s" % (text_value, key))
+                raise ValueError("bad value %s for %s"
+                                 % (clip(repr(text_value)), clip(key)))
             try:
                 value = FRational.from_text(text_value)
             except DivisionByZero:
-                raise ValueError("zero denominator in %s" % key)
+                raise ValueError("zero denominator in %s" % clip(key))
             except ValueError as exc:
-                raise ValueError("bad value for %s: %s" % (key, exc))
+                raise ValueError("bad value for %s: %s" % (clip(key), exc))
             if not value:
-                raise ValueError("entry %s is zero" % key)
+                raise ValueError("entry %s is zero" % clip(key))
             cell[indices] = value
         seeds = seed_initial_data()
         for cell, want in seeds._cells.items():
@@ -216,7 +219,7 @@ def _unique_keys(pairs):
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError("key %r appears twice" % key)
+            raise ValueError("key %s appears twice" % clip(key, "%r"))
         obj[key] = value
     return obj
 

@@ -4,7 +4,22 @@ Errors fall into three groups: user/configuration problems, ordinary
 domain errors (poles, unstable cells, missing data), and internal
 invariant violations.  The last group means a structural property the
 whole computation relies on has failed, so results must not be trusted.
+
+A message quotes an input text through ``clip``, so one long bad value in
+a cache file cannot flood stderr.
 """
+
+# The most characters of one input text that an error message quotes.
+QUOTE_MAX = 48
+
+
+def clip(text, form="%s"):
+    """``form % text``, or for a text longer than ``QUOTE_MAX`` characters
+    ``form`` of its first ``QUOTE_MAX``, "..." and the length of the
+    whole."""
+    if len(text) <= QUOTE_MAX:
+        return form % (text,)
+    return form % (text[:QUOTE_MAX],) + "... (%d characters)" % len(text)
 
 
 class FramedVertexError(Exception):

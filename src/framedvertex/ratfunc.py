@@ -9,10 +9,8 @@ localised ring Q[f, 1/f, 1/(f+1)] and are stored as
     np / (nd * f^j * (f+1)^k)
 
 with the exponents j and k beside the integer numerator ``np`` and the
-positive integer ``nd``.  A product adds the exponents; a sum aligns its
-operands to the larger exponents, by a shift and a cached power
-(f+1)^m, and its scalars to their lcm.  The form is canonical (see
-``FRational``), so equality of values is structural equality.
+positive integer ``nd``.  The form is canonical (see ``FRational``), so
+equality of values is structural equality.
 
 Cancellation has one route, ``_reduce``, and it tests only the
 numerator: it strips at most j factors f (leading zeros), divides by
@@ -31,17 +29,20 @@ then refuses, in this order, an exponent above ``MAX_TEXT_DEGREE``, a
 zero denominator, a denominator factor prime to f (f+1), and any text
 that is not the ``as_text`` of the value it reads as.
 
-``sum_of_products`` puts a list of products, each with an integer
-weight, over one common denominator N f^J (f+1)^K, sums the integer
-numerators and reduces once (delayed reduction), so series products,
-multivariate products and counted sums of slot images cost one reduction
-per output coefficient; a weight only scales its product's integer
-scalar.  A sum of at least
+Every sum and product goes through ``sum_of_products``: ``a + b``,
+``a - b`` and ``a * b`` are its two- and one-product cases, and the
+tests check it against a reference fold with a route of its own.  It
+puts a list of products, each with an integer weight, over one common
+denominator N f^J (f+1)^K, sums the integer numerators and reduces once
+(delayed reduction), so series products, multivariate products and
+counted sums of slot images cost one reduction per output coefficient;
+a weight only scales its product's integer scalar.  A sum of at least
 ``_PACK_MIN`` products forms each numerator product as one integer
 product of the images at f = 2^B (Kronecker substitution), with B chosen
 per call from a proved bound on the total's coefficients so that the
 total reads back exactly; shorter sums, where packing costs more than it
-saves, keep the schoolbook loop.
+saves, keep the schoolbook loop.  ``power`` is the one
+square-and-multiply loop of all three value types.
 
 A value is built only by ``FRational.from_int``, ``from_fraction``,
 ``poly``, ``from_text`` and arithmetic, so every value is canonical.
@@ -60,7 +61,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import index
 
-from .errors import DivisionByZero, PoleAtFraming
+from .errors import DivisionByZero, PoleAtFraming, clip
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def _split(p):
     q, j, k = _strip(p, len(p), len(p))
     if len(q) > 1:
         raise ValueError("denominator %s has a factor prime to f(f+1)"
-                         % _render_int_poly(p))
+                         % clip(_render_int_poly(p)))
     return j, k, q[0]
 
 
@@ -240,8 +241,8 @@ def _parse_int_poly(text):
              for sign, mag, var, exp in _TERM.findall(text) if mag or var]
     top = max((k for _, k in terms), default=-1)
     if top > MAX_TEXT_DEGREE:
-        raise ValueError("exponent %d above %d in %r"
-                         % (top, MAX_TEXT_DEGREE, text))
+        raise ValueError("exponent above %d in %s"
+                         % (MAX_TEXT_DEGREE, clip(text, "%r")))
     out = [0] * (top + 1)
     for c, k in terms:
         out[k] += c
@@ -379,8 +380,8 @@ class FRational:
         value = _reduce(num, c, j, k)
         canonical = value.as_text()
         if text != canonical:
-            raise ValueError("%r is not the canonical spelling %r"
-                             % (text, canonical))
+            raise ValueError("%s is not the canonical spelling %s"
+                             % (clip(text, "%r"), clip(canonical, "%r")))
         return value
 
     # -- views ---------------------------------------------------------------
@@ -409,21 +410,7 @@ class FRational:
         other = _as_frational(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._np:
-            return other
-        if not other._np:
-            return self
-        na, nb = self._np, other._np
-        da, db = self._nd, other._nd
-        if da == db:
-            d = da
-        else:
-            d = lcm(da, db)
-            na, nb = _pscale(na, d // da), _pscale(nb, d // db)
-        j, k = max(self._j, other._j), max(self._k, other._k)
-        na = _align(na, j - self._j, k - self._k)
-        nb = _align(nb, j - other._j, k - other._k)
-        return _reduce(_padd(na, nb), d, j, k)
+        return sum_of_products((self, other), (FR_ONE, FR_ONE))
 
     __radd__ = __add__
 
@@ -431,7 +418,7 @@ class FRational:
         other = _as_frational(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return sum_of_products((self, other), (FR_ONE, FR_ONE), (1, -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -445,10 +432,7 @@ class FRational:
         other = _as_frational(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._np or not other._np:
-            return FR_ZERO
-        return _reduce(_pmul(self._np, other._np), self._nd * other._nd,
-                       self._j + other._j, self._k + other._k)
+        return sum_of_products((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -476,15 +460,7 @@ class FRational:
     def __pow__(self, k):
         if k < 0:
             return (FR_ONE / self) ** (-k)
-        out = FR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, FR_ONE)
 
     def derivative(self):
         """d/df, in closed form over the stored denominator.
@@ -621,14 +597,15 @@ def sum_of_products(xs, ys, ws=None):
     """The sum of ``w * x * y`` over ``zip(xs, ys, ws)``, reduced once.
 
     ``ws`` holds integer weights, all 1 when it is not given; a zero
-    weight drops its product.  Equal to the left fold of ``+`` and ``*``.
-    The products are put over one common denominator L f^J (f+1)^K, with
-    L the lcm of their scalar denominators and J, K the largest
-    exponents, and their integer numerators are summed: first per class
-    of equal exponents (j, k), then each class aligned once, by a shift
-    and (f+1)^(K-k).  Each product's numerator is scaled by the one
-    integer s = w L / (nd_a nd_b), so a weight costs no Q(f) product and
-    no reduction of its own.
+    weight drops its product, and a lone product a * ``FR_ONE`` of
+    weight 1 is a itself.  ``+``, ``-`` and ``*`` of ``FRational`` are
+    its two- and one-product cases.  The products are put over one
+    common denominator L f^J (f+1)^K, with L the lcm of their scalar
+    denominators and J, K the largest exponents, and their integer
+    numerators are summed: first per class of equal exponents (j, k),
+    then each class aligned once, by a shift and (f+1)^(K-k).  Each
+    product's numerator is scaled by the one integer s = w L / (nd_a nd_b),
+    so a weight costs no Q(f) product and no reduction of its own.
 
     A sum of at least ``_PACK_MIN`` live products sums its numerators by
     Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
@@ -663,6 +640,8 @@ def sum_of_products(xs, ys, ws=None):
         return FR_ZERO
     if len(live) == 1:
         a, b, w = live[0]
+        if b is FR_ONE and w == 1:
+            return a
         an = a._np if w == 1 else _pscale(a._np, w)
         return _reduce(_pmul(an, b._np), a._nd * b._nd, a._j + b._j,
                        a._k + b._k)
@@ -719,6 +698,20 @@ def _packed_sum(live, L):
             acc *= _pack(_f1_power(K - k), B)
         total += acc << B * (J - j)
     return _reduce(_unpack(total, B), L, J, K)
+
+
+def power(x, k, one):
+    """``x ** k`` for an integer k >= 0 by square-and-multiply, ``one``
+    at k = 0.  The loop starts from the first factor, not from ``one``,
+    so ``x ** 2`` costs one product."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return one if out is None else out
 
 
 def _as_frational(x):

@@ -17,7 +17,7 @@ all take this route.
 from __future__ import annotations
 
 from .errors import ArityMismatch, IndexOutOfRange, NotDivisible
-from .ratfunc import FR_ONE, FR_ZERO, _as_frational, sum_of_products
+from .ratfunc import FR_ONE, FR_ZERO, _as_frational, power, sum_of_products
 
 
 def add_term(terms, key, coeff):
@@ -43,12 +43,11 @@ def gather(groups, key, x, y, w=1):
 def sum_gathered(groups):
     """{key: sum of the products gathered at key}, zero sums dropped.
 
-    One ``sum_of_products`` per key; a lone (c, 1, 1) is kept as ``c``.
+    One ``sum_of_products`` per key, which keeps a lone (c, 1, 1) as ``c``.
     """
     out = {}
     for key, g in groups.items():
-        c = (g[0] if len(g) == 3 and g[1] is FR_ONE and g[2] == 1
-             else sum_of_products(g[::3], g[1::3], g[2::3]))
+        c = sum_of_products(g[::3], g[1::3], g[2::3])
         if c:
             out[key] = c
     return out
@@ -187,15 +186,7 @@ class TPolynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = TPolynomial.constant(self._arity, FR_ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, TPolynomial.constant(self._arity, FR_ONE))
 
     def __eq__(self, other):
         if not isinstance(other, TPolynomial):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, InsufficientTruncation, InvalidComposition
-from .ratfunc import FR_ONE, FR_ZERO, _as_frational, sum_of_products
+from .ratfunc import FR_ONE, FR_ZERO, _as_frational, power, sum_of_products
 
 
 class VSeries:
@@ -147,8 +147,8 @@ class VSeries:
 
     def __add__(self, other):
         if not isinstance(other, VSeries):
-            c = _coerce_opt(other)
-            if c is None:
+            c = _as_frational(other)
+            if c is NotImplemented:
                 return NotImplemented
             other = VSeries.monomial(0, c, self._trunc)
         trunc = min(self._trunc, other._trunc)
@@ -186,8 +186,8 @@ class VSeries:
 
     def __mul__(self, other):
         if not isinstance(other, VSeries):
-            c = _coerce_opt(other)
-            if c is None:
+            c = _as_frational(other)
+            if c is NotImplemented:
                 return NotImplemented
             if c.is_zero:
                 return VSeries.zero(self._trunc)
@@ -231,8 +231,8 @@ class VSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, VSeries):
-            c = _coerce_opt(other)
-            if c is None:
+            c = _as_frational(other)
+            if c is NotImplemented:
                 return NotImplemented
             if c.is_zero:
                 raise DivisionByZero("series division by zero scalar")
@@ -240,8 +240,8 @@ class VSeries:
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        c = _coerce_opt(other)
-        if c is None:
+        c = _as_frational(other)
+        if c is NotImplemented:
             return NotImplemented
         return self.reciprocal() * c
 
@@ -265,18 +265,8 @@ class VSeries:
     def __pow__(self, k):
         if k < 0:
             return self.reciprocal() ** (-k)
-        # square-and-multiply; truncation bookkeeping rides on __mul__
-        base = self
-        acc = None
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        if acc is None:
-            return VSeries.one(self._trunc)
-        return acc
+        # truncation bookkeeping rides on __mul__
+        return power(self, k, VSeries.one(self._trunc))
 
     # -- comparisons ---------------------------------------------------------------
 
@@ -302,11 +292,6 @@ def _coerce(c):
     if r is NotImplemented:
         raise TypeError("series coefficients must be FRational-like")
     return r
-
-
-def _coerce_opt(c):
-    r = _as_frational(c)
-    return None if r is NotImplemented else r
 
 
 def compose_polynomial(coeffs, inner):

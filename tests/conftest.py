@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
 from framedvertex import ratfunc
 from framedvertex.engine import run_to_budget
 from framedvertex.errors import NotInSpan
-from framedvertex.ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
+from framedvertex.ratfunc import (FR_ONE, FR_ZERO, FRational, _align,
+                                  _padd, _pmul, _pscale, _reduce,
+                                  sum_of_products)
 from framedvertex.tpoly import TPolynomial, sum_gathered
 from framedvertex.vseries import VSeries
 
@@ -27,11 +30,40 @@ def localised(rng, scalars=(1, 2, 3, 6, 35), max_deg=5, bits=None):
     return FRational.poly(num) / den
 
 
+# The package's + and * are the two- and one-product cases of
+# ``sum_of_products``.  These references form a sum and a product on the
+# stored form (np, nd, j, k) by a route of their own, so a test that
+# compares the package with them does not compare it with itself.
+
+def reference_add(a, b):
+    """a + b: the scalars brought to their lcm, each numerator aligned to
+    the larger exponents by a shift and (f+1)^m, one reduction."""
+    if not a._np:
+        return b
+    if not b._np:
+        return a
+    d = lcm(a._nd, b._nd)
+    na, nb = _pscale(a._np, d // a._nd), _pscale(b._np, d // b._nd)
+    j, k = max(a._j, b._j), max(a._k, b._k)
+    na = _align(na, j - a._j, k - a._k)
+    nb = _align(nb, j - b._j, k - b._k)
+    return _reduce(_padd(na, nb), d, j, k)
+
+
+def reference_mul(a, b):
+    """a * b: the numerators and scalars multiplied, the exponents added,
+    one reduction."""
+    if not a._np or not b._np:
+        return FR_ZERO
+    return _reduce(_pmul(a._np, b._np), a._nd * b._nd, a._j + b._j,
+                   a._k + b._k)
+
+
 def fold(pairs):
-    """The sum of a * b over ``pairs`` by the left fold of + and *."""
+    """The sum of a * b over ``pairs`` by the left fold of the references."""
     total = FR_ZERO
     for a, b in pairs:
-        total = total + a * b
+        total = reference_add(total, reference_mul(a, b))
     return total
 
 

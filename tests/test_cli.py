@@ -90,16 +90,15 @@ def test_verify_symmetry(tmp_path, capsys):
                         "--cache", str(tmp_path)], capsys)
     assert code == 0
     assert "FAIL" not in out
-    # one support row per cell; assembled polynomials are symmetric by
-    # construction, so the suite has no row for that
+    # one row per cell above the seeds, (0, 4) and (1, 2), each derived
+    # again from the cells below it
     rows = [json.loads(line.split(" ", 2)[2]) for line in out.splitlines()]
-    assert [row["check"] for row in rows] == ["support"] * 4
+    assert [row["check"] for row in rows] == ["rederived"] * 2
 
 
 @pytest.mark.parametrize("suite, want", [
     ("cutjoin", [(0, 4), (1, 2)]),
-    ("symmetry", [("support", 0, 3), ("support", 1, 1), ("support", 0, 4),
-                  ("support", 1, 2)]),
+    ("symmetry", [("rederived", 0, 4), ("rederived", 1, 2)]),
     ("oracle", [(0, 3), (0, 4), ("one-point anchor",)]),
 ])
 def test_verify_suites_honour_chi_max(tmp_path, capsys, suite, want):
@@ -372,6 +371,21 @@ def test_bad_cache_value_names_its_entry(tmp_path, capsys):
     assert "prime to f(f+1)" in err
 
 
+def test_long_bad_cache_value_is_quoted_short(tmp_path, capsys):
+    # 4685 characters, not in the spelling compute writes: the message
+    # names the entry and quotes a bounded prefix of the value
+    value = "+".join("f^%d" % k for k in range(1, 800))
+    assert len(value) == 4685
+    (tmp_path / "brackets.json").write_text(
+        table_text(["0,3", "1,1"], {**SEEDS, "1|1": value}))
+    code, _, err = run(["compute", "--chi-max", "1",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 2
+    assert len(err.encode()) < 400
+    assert "bad value for 1|1: " in err
+    assert "not the canonical" in err
+
+
 def test_kernels_suite_checks_the_swapped_pair_order(tmp_path, capsys,
                                                      monkeypatch):
     import framedvertex.cli as cli
@@ -414,6 +428,30 @@ def test_tampered_entry_fails_cutjoin(tmp_path, capsys):
               for line in out.splitlines() if line.startswith("FAIL")]
     assert [(row["g"], row["n"]) for row in failed] == [(2, 1)]
     assert "first failure in suite 'cutjoin'" in err
+
+
+def test_tampered_entry_fails_symmetry(tmp_path, capsys):
+    assert run(["compute", "--chi-max", "5",
+                "--cache", str(tmp_path)], capsys)[0] == 0
+    path = tmp_path / "brackets.json"
+    obj = json.loads(path.read_text())
+    # doubled: canonical and in bound, so the loader takes it
+    assert obj["entries"]["1|0,2"] == "(-f^2-f)/24"
+    obj["entries"]["1|0,2"] = "(-f^2-f)/12"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["verify", "--suite", "symmetry", "--chi-max", "5",
+                          "--cache", str(tmp_path)], capsys)
+    assert code == 1
+    rows = [(line.split(" ", 1)[0], json.loads(line.split(" ", 2)[2]))
+            for line in out.splitlines()]
+    assert len(rows) == 12
+    # (1, 2) and (2, 1), which reads it, differ from the stored cells; the
+    # steps of (1, 3), (1, 4), (2, 2), (1, 5) and (2, 3) read it on
+    # different slots and fail their own symmetry check
+    assert [(row["g"], row["n"]) for status, row in rows
+            if status == "FAIL"] == [(1, 2), (1, 3), (2, 1), (1, 4), (2, 2),
+                                     (1, 5), (2, 3)]
+    assert "first failure in suite 'symmetry'" in err
 
 
 @pytest.mark.parametrize("a, b, chi_max", [(1, 1, 1), (4, 4, 4), (5, 5, 5)])

@@ -2,7 +2,8 @@
 
 A function, method or class that no module of the package reads is code
 only the tests run: it belongs under ``tests/``, or nowhere.  Re-exports
-in ``__init__.py`` are not reads.  A read is matched by name anywhere in
+in ``__init__.py`` are not reads, nor is a store: ``self.x = ...`` does
+not read ``x``.  A read is matched by name anywhere in
 a package module outside the definition's own body, so a recursive call
 does not count and two definitions sharing a name share their reads.  A
 function or class is read as a bare name or an attribute; a method only
@@ -20,19 +21,30 @@ PACKAGE = Path(framedvertex.__file__).parent
 
 # read from outside the package: perfbench/tracer.py reports the largest
 # degree and coefficient size of a table's values through FRational.num
-# (and .den, which the package reads too) and FPolynomial.degree
-EXEMPT = {"ratfunc.FPolynomial.degree", "ratfunc.FRational.num"}
+# (and .den, which the package reads too), FPolynomial.degree and
+# FPolynomial.coefficients (in table_size)
+EXEMPT = {"ratfunc.FPolynomial.coefficients", "ratfunc.FPolynomial.degree",
+          "ratfunc.FRational.num"}
 
 
 def _reads(node):
-    """Counters of the bare names and of the attribute names read."""
+    """Counters of the bare names and of the attribute names loaded."""
     names, attrs = Counter(), Counter()
     for sub in ast.walk(node):
+        if not isinstance(getattr(sub, "ctx", None), ast.Load):
+            continue
         if isinstance(sub, ast.Name):
             names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             attrs[sub.attr] += 1
     return names, attrs
+
+
+def test_a_store_is_not_a_read():
+    # obj is loaded to store into it; the attribute and the name stored
+    # count nothing
+    assert _reads(ast.parse("obj.attr = 1\nname = 2")) == (
+        Counter({"obj": 1}), Counter())
 
 
 def _definitions(node, prefix, in_class=False):

@@ -11,7 +11,7 @@ from framedvertex.errors import DivisionByZero, PoleAtFraming
 from framedvertex.ratfunc import (FPolynomial, FRational, FR_ONE, FR_ZERO,
                                   _pmul, _pscale, _reduce, sum_of_products)
 
-from conftest import fold, localised
+from conftest import fold, localised, reference_add, reference_mul
 
 F = FRational.variable()
 ONE = FR_ONE
@@ -210,10 +210,56 @@ def test_sum_of_products_is_the_fold(packed_sums):
             triples[1] = triples[0][:2] + (-2,)
         got = sum_of_products(*zip(*triples))
         assert stored(got) == stored(fold(
-            [(FRational.from_int(w) * a, b) for a, b, w in triples])), ws
+            [(reference_mul(FRational.from_int(w), a), b)
+             for a, b, w in triples])), ws
         assert_canonical(got)
     # only the 11 products with 9 live ones are packed
     assert packed_sums[before:] == [9]
+
+
+def test_add_sub_mul_are_the_references():
+    # + - * are the two- and one-product cases of sum_of_products; each
+    # gives the stored form of the reference route, on random draws, on
+    # one value in each (j, k) class, on wide scalars, on zero and on
+    # int and Fraction operands
+    rng = random.Random(33)
+    values = [localised(rng) for _ in range(12)]
+    values += [FRational.poly([2, -3, 0, 4]) / (6 * F ** j * (F + 1) ** k)
+               for j in range(3) for k in range(3)]
+    values += [localised(rng, WIDE_SCALARS, 12, bits=300) for _ in range(6)]
+    values.append(FR_ZERO)
+    for a in values:
+        for b in values:
+            for got, want in ((a + b, reference_add(a, b)),
+                              (a - b, reference_add(a, -b)),
+                              (a * b, reference_mul(a, b))):
+                assert stored(got) == stored(want), (a, b)
+                assert_canonical(got)
+        for c in (0, 1, -2, Fraction(3, 7)):
+            q = FRational.from_fraction(c)
+            for got, want in ((a + c, reference_add(a, q)),
+                              (c + a, reference_add(q, a)),
+                              (a - c, reference_add(a, -q)),
+                              (c - a, reference_add(q, -a)),
+                              (a * c, reference_mul(a, q)),
+                              (c * a, reference_mul(q, a))):
+                assert stored(got) == stored(want), (a, c)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_power_is_the_repeated_product(k):
+    # x ** k against k reference products of x; for a unit c f^i (f+1)^m
+    # of the ring, x ** -k against k reference products of 1 / x
+    rng = random.Random(k)
+    units = [F + 1, -F / 7, 5 * F ** 2 / (3 * (F + 1) ** 3)]
+    powers = [(x, x, k) for x in [localised(rng) for _ in range(6)] + units]
+    powers += [(x, FR_ONE / x, -k) for x in units]
+    for x, base, e in powers:
+        want = FR_ONE
+        for _ in range(k):
+            want = reference_mul(want, base)
+        assert stored(x ** e) == stored(want), (x, e)
+    assert FR_ZERO ** k == (FR_ONE if k == 0 else FR_ZERO)
 
 
 @pytest.mark.parametrize("h, K", [(103, 5), (104, 3), (121, 1), (151, 6)])

@@ -127,6 +127,31 @@ def test_mul_commutative_associative(rng):
         assert (p * q) * r == p * (q * r)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_power_is_the_repeated_product(rng, k):
+    p = rand_tpoly(rng, 2, max_deg=2, n_terms=3)
+    want = TPolynomial.constant(2, FR_ONE)
+    for _ in range(k):
+        want = want * p
+    assert p ** k == want
+    with pytest.raises(ValueError):
+        p ** -(k + 1)
+
+
+def test_square_is_one_product(monkeypatch):
+    p = var(2, 0) + var(2, 1) * F
+    calls = []
+    mul = TPolynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TPolynomial, "__mul__", counted)
+    assert p ** 2 == mul(p, p)
+    assert len(calls) == 1
+
+
 def test_embed():
     p = var(2, 0) * var(2, 1) ** 2
     q = p.embed(4, [3, 1])

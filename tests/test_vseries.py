@@ -152,6 +152,41 @@ def test_power():
     assert agrees(inv2 * s * s, VSeries.one(inv2.trunc))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_power_is_the_repeated_product(k):
+    # x ** k against the left fold of k products of x, x ** -k against
+    # that of the reciprocal; a unit and a Laurent series
+    f = FRational.variable()
+    for x in (VSeries(0, [f + 1, 2 * f, -3, f / (f + 1)], 7),
+              VSeries(-1, [f, 1, f - 2], 6)):
+        for base, e in ((x, k), (x.reciprocal(), -k)):
+            want = VSeries.one(x.trunc)
+            if k:
+                want = base
+                for _ in range(k - 1):
+                    want = want * base
+            assert x ** e == want, (x, e)
+
+
+def test_power_costs_the_square_and_multiply_products(monkeypatch):
+    # the loop starts from the first factor, not from one: x ** 2 is one
+    # product, x ** 3 two and x ** 5 three
+    calls = []
+    mul = VSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(VSeries, "__mul__", counted)
+    s = series({0: 1, 1: 2, 3: -1}, 8)
+    for k, products in ((2, 1), (3, 2), (5, 3)):
+        del calls[:]
+        got = s ** k
+        assert len(calls) == products, k
+    assert got == mul(mul(mul(s, s), mul(s, s)), s)
+
+
 def test_truncate_below_the_lead_is_zero():
     s = series({2: 1, 3: 3}, 10)
     for trunc in (1, 0, -3):
