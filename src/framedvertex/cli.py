@@ -19,6 +19,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -148,9 +149,16 @@ def _parse_rational(text, what):
         raise ConfigError("bad %s value %r (expected p/q)" % (what, text))
 
 
-def _load_or_compute(args, cell=None):
+def _load_or_compute(args, cell=None, workspace=None):
     """The table through ``--chi-max``; with ``cell``, also that cell and
-    every cell of lower complexity, which its recursion step reads."""
+    every cell of lower complexity, which its recursion step reads.
+
+    Missing cells are computed with ``workspace`` when one is given.  A
+    ``SymmetryViolation`` while extending a table that holds cells from
+    the cache file beyond the seeds (which the loader checks) is a fault
+    of that file, not of the program: it raises ``ConfigError`` naming
+    the file and the cell.
+    """
     if args.chi_max < 1:
         raise ConfigError("--chi-max must be >= 1")
     extra_cells = []
@@ -166,7 +174,16 @@ def _load_or_compute(args, cell=None):
             table = BracketTable.from_json(path.read_text())
         except (ValueError, RecursionError) as exc:
             raise ConfigError("unreadable cache file %s: %s" % (path, exc))
-    table = run_to_budget(args.chi_max, extra_cells=extra_cells, table=table)
+    stored = (table is not None
+              and not set(table.cells()) <= set(seed_initial_data().cells()))
+    try:
+        table = run_to_budget(args.chi_max, extra_cells=extra_cells,
+                              table=table, workspace=workspace)
+    except SymmetryViolation as exc:
+        if not stored:
+            raise
+        raise ConfigError("cache file %s holds cells that do not extend: %s"
+                          % (path, exc))
     _write_atomic(path, table.to_json())
     return table, path
 
@@ -257,14 +274,13 @@ def _suite_kernels(args, table):
     return results
 
 
-def _suite_symmetry(args, table):
+def _suite_symmetry(args, table, workspace):
     # every cell above the seeds is derived again from the stored cells
     # below it, with the workspace compute would use, and compared with
     # the stored cell; the step's own symmetry check failing is that
     # cell's failure.  The seeds need no row: the loader refuses a listed
     # seed cell that does not hold the seed values.
     cells = budget_cells(args.chi_max)
-    workspace = make_workspace(cells)
     results = []
     for g, n in cells:
         if 2 * g - 2 + n < 2:
@@ -279,9 +295,17 @@ def _suite_symmetry(args, table):
 
 
 def cmd_verify(args):
-    table, _ = _load_or_compute(args)
+    # the symmetry suite re-derives every cell with the workspace that
+    # compute uses; made first, it also computes the cells the cache
+    # lacks, so each kernel is built once.  No other suite reads it, and
+    # a budget below 1 is refused by _load_or_compute.
+    workspace = None
+    if args.suite in ("symmetry", "all") and args.chi_max >= 1:
+        workspace = make_workspace(budget_cells(args.chi_max))
+    table, _ = _load_or_compute(args, workspace=workspace)
     suites = (("cutjoin", _suite_cutjoin), ("kernels", _suite_kernels),
-              ("symmetry", _suite_symmetry), ("oracle", _suite_oracle))
+              ("symmetry", partial(_suite_symmetry, workspace=workspace)),
+              ("oracle", _suite_oracle))
     selected = [s for s in suites if args.suite in ("all", s[0])]
     report = {}
     failed = []

@@ -32,20 +32,29 @@ at -v gives d/dv log(1 + 1/(f s)) = v (s - 1)/f, so
 
 integrated with zero constant term (eta_{-1} is odd).
 
+The powers of t(v) and of s(t(v)) come from one Miller power table per
+series (``PowerTable``, ``CurveSeries.powers``), grown on demand: plus
+part reads t(v)^k through v^0 from the first (``t_power``), and the
+cross-check forms compose phi_b from both, each only through the
+exponent its products read.  The s(t(v)) table is built from that
+series' own coefficients, not from the t(v) table at -v, since the
+point form checks the generator's v -> -v shortcut.
+
 Everything is built once per truncation order and cached process-wide.
 The cached object is immutable apart from two caches that only grow:
 the rows [v^-j] t(v)^k that ``curvefun.plus_part`` solves against, and
-``derived``, where other modules keep series they build from this curve
-alone (the generator kernels keep their factors there, the cross-check
-forms their phi compositions and their pair- and step-independent
-factors), so each is built once per curve and dropped with it.
-Nothing is built at import.
+``derived``, where the power tables live and other modules keep series
+they build from this curve alone (the generator kernels keep their
+factors there, the cross-check forms their phi compositions, one per
+cut, and their pair- and step-independent factors), so each is built
+once per curve and dropped with it.  Nothing is built at import.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InsufficientTruncation
 from .ratfunc import FR_ONE, FR_ZERO, FRational, sum_of_products
 from .vseries import VSeries
 
@@ -72,6 +81,49 @@ def z_of_v(trunc):
     return VSeries(0, z, trunc)
 
 
+class PowerTable:
+    """The powers x^k of one series x = v^lead u, u_0 != 0, by J. C. P.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+    x^k = v^(k lead) u^k, and the coefficients w_0, w_1, ... of u^k follow
+    from u alone:
+
+        w_0 = u_0^k,   m w_m = sum_{i=1}^m (k i - (m - i)) (u_i / u_0) w_{m-i}.
+
+    The u_i / u_0 are formed once; each w_m is then one ``sum_of_products``
+    with the integer weights k i - (m - i), and no power is built from
+    another.  Row k holds w_0 .. w_m for the largest m read so far and
+    grows on demand, in k and in m.  u^k is known as far as u, through
+    w_m for m <= trunc - lead; a read past that raises
+    ``InsufficientTruncation``.
+    """
+
+    __slots__ = ("lead", "_u0", "_unit", "_rows")
+
+    def __init__(self, x):
+        self.lead = x.lead
+        self._u0 = x.leading_coefficient()
+        inv = FR_ONE / self._u0
+        self._unit = [x.coeff(e) * inv for e in range(x.lead, x.trunc + 1)]
+        self._rows = {}
+
+    def row(self, k, m):
+        """[w_0, .., w_m] of u^k, k >= 0."""
+        unit = self._unit
+        if m >= len(unit):
+            raise InsufficientTruncation(
+                "power %d of a series known through u_%d needs u_%d"
+                % (k, len(unit) - 1, m))
+        w = self._rows.get(k)
+        if w is None:
+            w = self._rows[k] = [self._u0 ** k]
+        for n in range(len(w), m + 1):
+            weights = [k * i - (n - i) for i in range(1, n + 1)]
+            w.append(sum_of_products(unit[1:n + 1], w[::-1], weights)
+                     * Fraction(1, n))
+        return w[:m + 1]
+
+
 class CurveSeries:
     """Series tower for one truncation order, shared read-only."""
 
@@ -94,27 +146,22 @@ class CurveSeries:
         self._t_rows = []
         self._derived = {}
 
+    def powers(self, inner):
+        """The ``PowerTable`` of the curve series named ``inner``
+        ("t_of_v" or "s_t_of_v"), made on the first call and kept."""
+        return self.derived(("powers", inner),
+                            lambda c: PowerTable(getattr(c, inner)))
+
     def t_power(self, j):
         """t(v)^j through v^0; j >= 0.
 
-        u = v t(v) has constant term 1 and t^j = v^-j u^j, so only the
-        coefficients w_0 .. w_j of u^j are wanted, and they follow from u
-        alone by J. C. P. Miller's recurrence for the powers of a series:
-        w_0 = 1, m w_m = sum_{i=1}^m (j i - (m - i)) u_i w_{m-i}.  Each w_m
-        is one ``sum_of_products``, with the integer weights j i - (m - i);
-        no power is built from another, and none past v^0.  A power the
-        curve does not know through v^0 (j > trunc) raises
-        ``InsufficientTruncation``.
+        t^j = v^-j u^j with u = v t(v), so this is row j of the t-table
+        through w_j (``PowerTable``).  A power the curve does not know
+        through v^0 (j > trunc) raises ``InsufficientTruncation``.
         """
         if j < 0:
             raise ValueError("negative power of t")
-        u = [self.t_of_v.coeff(i - 1) for i in range(j + 1)]
-        w = [FR_ONE]
-        for m in range(1, j + 1):
-            weights = [j * i - (m - i) for i in range(1, m + 1)]
-            w.append(sum_of_products(u[1:m + 1], w[::-1], weights)
-                     * Fraction(1, m))
-        return VSeries(-j, w, 0)
+        return VSeries(-j, self.powers("t_of_v").row(j, j), 0)
 
     def t_rows(self, top):
         """The rows of [v^-j] t(v)^k, row k listed for j = 0 .. k, at least

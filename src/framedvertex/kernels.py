@@ -26,18 +26,21 @@ The curve length is the one size in this layer (``default_trunc`` of
 the largest pair index sum); the eta family, the phi tower and the phi
 ladder grow to whatever index a kernel or a decomposition reads.
 
-Every series a kernel reads that depends on the curve alone is built once
-per curve, at full length, and kept on it (``CurveSeries.derived``): the
-generators' factors -(1/2)((f+1)/f) v/(eta_{-1} dt/dv) and
+Every factor a kernel reads that depends on the curve alone is built
+once per curve, at full length, and kept on it (``CurveSeries.derived``):
+the generators' factors -(1/2)((f+1)/f) v/(eta_{-1} dt/dv) and
 zbar^2/(-2 eta_{-1}), the generator's ladder of phi_b(t(v)), which
 starts from the tower's phi_0 composed at t(v) and climbs by E along the
-curve (``curvefun.Ladder``), and the forms' phi_b(t(v)), which the two
-forms share and compose from the tower, phi_b(s(t(v))), the pair factor
-and the two point factors.  The cut factor equals the one built from cut
-factors, since the first W coefficients of a product or a reciprocal
-depend only on the first W of its factors; so a call pays only for the
-cut products that involve its own pair or step, and a later kernel on
-the same curve inverts no series.
+curve (``curvefun.Ladder``), and the forms' pair factor and two point
+factors.  The cut factor equals the one built from cut factors, since
+the first W coefficients of a product or a reciprocal depend only on the
+first W of its factors; so a call pays only for the cut products that
+involve its own pair or step, and a later kernel on the same curve
+inverts no series.  The forms' compositions phi_b(t(v)) and
+phi_b(s(t(v))) are cut too: each is composed from the curve's Miller
+power tables (``CurveSeries.powers``) only through the exponent its
+product reads, and kept per (phi_b, inner series, top)
+(``_phi_composed``).
 The forms share nothing with the generator kernels but primitive
 arithmetic (the cut rule among it) and ``plus_part``: neither side reads
 the other's keys of ``derived``, and the shortcut each form checks stays
@@ -52,7 +55,7 @@ from .curve import build_curve_series
 from .curvefun import (EtaFamily, Ladder, PhiTower, phi_prime_decompose,
                        phi_prime_decompose_pair, plus_part)
 from .errors import DegreeCapExceeded
-from .ratfunc import FRational
+from .ratfunc import FRational, sum_of_products
 from .tpoly import TPolynomial
 from .vseries import VSeries, compose_polynomial
 
@@ -153,29 +156,26 @@ def kernel_I_via_involution(a, b, curve, tower):
     -1/(4 eta_{-1}) (phi_{a+1}(t) phi_{b+1}(s(t)) + phi_{a+1}(s(t)) phi_{b+1}(t))
     times (f+1)/(t(t-1)(ft+1)), polynomial part.
 
-    s(t) is t(v) at -v, so each phi is composed once and phi(s(t)) is that
-    composition at -v.  The compositions and the factor
-    -(f+1)/(4 eta_{-1} t(t-1)(ft+1)) depend on the curve alone and are
-    built once per curve, so a pair costs the two products of its
-    numerator (one, doubled, when a = b) and one by the factor.  The
-    factor has lead 2 (eta_{-1} has lead 1 and the cubic in t lead -3),
-    so ``plus_part`` reads the numerator only through v^(-lead factor):
-    each product is made exact through that exponent and the final one
-    through v^0 (``_product_through``).  ``kernel_I`` builds P_{a,b} from
-    the eta series without the involution, so this form stays
-    independent of it.
+    s(t) is t(v) at -v, so phi(s(t)) is the composition through t(v) at
+    -v, and the numerator is X + X(-v) with X = phi_{a+1}(t) phi_{b+1}(s):
+    one product.  The factor -(f+1)/(4 eta_{-1} t(t-1)(ft+1)) depends on
+    the curve alone and is built once per curve.  It has lead 2 (eta_{-1}
+    has lead 1 and the cubic in t lead -3), so ``plus_part`` reads the
+    numerator only through v^top, top = -lead factor: X is made exact
+    through v^top and the final product through v^0
+    (``_product_through``).  X reads phi_{b+1}(s), of lead -(2b+3), so
+    phi_{a+1}(t) is composed only through v^(top + 2b + 3), and
+    phi_{b+1}(t) through v^(top + 2a + 3) (``_phi_composed``).
+    ``kernel_I`` builds P_{a,b} from the eta series without the
+    involution, so this form stays independent of it.
     """
     factor = curve.derived("pair factor", _pair_factor)
     top = -factor.lead
-    pa_t = _phi_composed(a + 1, curve, tower, "t_of_v")
-    pa_s = pa_t.negate_variable()
-    if a == b:
-        numer = _product_through(pa_t, pa_s, top) * 2
-    else:
-        pb_t = _phi_composed(b + 1, curve, tower, "t_of_v")
-        numer = (_product_through(pa_t, pb_t.negate_variable(), top)
-                 + _product_through(pa_s, pb_t, top))
-    return plus_part(_product_through(numer, factor, 0), curve)
+    pa_t = _phi_composed(a + 1, curve, tower, "t_of_v", top + 2 * b + 3)
+    pb_t = _phi_composed(b + 1, curve, tower, "t_of_v", top + 2 * a + 3)
+    x = _product_through(pa_t, pb_t.negate_variable(), top)
+    return plus_part(_product_through(x + x.negate_variable(), factor, 0),
+                     curve)
 
 
 def _product_through(x, y, top):
@@ -208,12 +208,36 @@ def _phi_on_ladder(b, curve, tower, top):
     return ladder.rung(b).truncate(top)
 
 
-def _phi_composed(b, curve, tower, inner):
-    """phi_b composed with the curve series named ``inner``, once per curve."""
+def _phi_composed(b, curve, tower, inner, top):
+    """phi_b composed with the curve series named ``inner``, known through
+    v^top, made once per (phi_b, inner, top) and kept on the curve.
+
+    With x = ``inner`` = v^lead u and phi_b = sum_k c_k t^k, the
+    coefficient of v^e is sum_k c_k [v^e] x^k = sum_k c_k w^(k)_(e - k lead),
+    read from the curve's power table of x (``CurveSeries.powers``): one
+    ``sum_of_products`` per coefficient, and row k read only through
+    w_(top - k lead).  A composition asked past what x knows raises
+    ``InsufficientTruncation``.
+    """
     coeffs = tuple(tower.phi_coeffs(b))
-    return curve.derived(
-        ("phi", coeffs, inner),
-        lambda c: compose_polynomial(coeffs, getattr(c, inner)))
+    return curve.derived(("phi", coeffs, inner, top), lambda c: _compose(
+        coeffs, c.powers(inner), top))
+
+
+def _compose(coeffs, powers, top):
+    """sum_k coeffs[k] x^k through v^top, from the power table of x."""
+    lead = powers.lead
+    rows = {k: powers.row(k, top - k * lead)
+            for k, c in enumerate(coeffs) if c and top >= k * lead}
+    if not rows:
+        return VSeries.zero(top)
+    lo = min(k * lead for k in rows)
+    out = []
+    for e in range(lo, top + 1):
+        ks = [k for k in rows if e >= k * lead]
+        out.append(sum_of_products([coeffs[k] for k in ks],
+                                   [rows[k][e - k * lead] for k in ks]))
+    return VSeries(lo, out, top)
 
 
 def _pair_factor(curve):
@@ -292,8 +316,10 @@ def kernel_II_symmetrized(b, curve, tower):
     is (k+1) times the polynomial part of A_k + B_k, where
     A_k = phi_{b+1}(t) z^{k+2} / (2 eta_{-1}) and
     B_k = phi_{b+1}(s(t)) s' zbar^{k+2} / (2 eta_{-1}).  The factors
-    z^2 / (2 eta_{-1}) and s' zbar^2 / (2 eta_{-1}) and both compositions
-    are built once per curve; each step then advances A_k by z and B_k by
+    z^2 / (2 eta_{-1}) and s' zbar^2 / (2 eta_{-1}) are built once per
+    curve, and A_0 and B_0, cut to v^0, read each composition only through
+    v^(-lead of its factor), as far as it is composed
+    (``_phi_composed``); each step then advances A_k by z and B_k by
     zbar, two products, each cut back to v^0 (``_product_through``), which
     is all that ``plus_part`` reads and all that the next step's
     coefficients through v^0 depend on.  z and zbar have lead 1, so once
@@ -303,16 +329,16 @@ def kernel_II_symmetrized(b, curve, tower):
     raises.
 
     phi_{b+1} is composed from the tower through t(v) and through s(t(v))
-    separately, not climbed and not taken by v -> -v: the ladder and that
-    substitution are the shortcuts of ``kernel_II`` which this form
-    checks.
+    separately, from the power table of each, not climbed and not taken
+    by v -> -v: the ladder and that substitution are the shortcuts of
+    ``kernel_II`` which this form checks.
     """
     cap = 2 * b + 6
     on_t, on_s = curve.derived("point factors", _point_factors)
-    a_k = _product_through(_phi_composed(b + 1, curve, tower, "t_of_v"),
-                           on_t, 0)
-    b_k = _product_through(_phi_composed(b + 1, curve, tower, "s_t_of_v"),
-                           on_s, 0)
+    a_k = _product_through(
+        _phi_composed(b + 1, curve, tower, "t_of_v", -on_t.lead), on_t, 0)
+    b_k = _product_through(
+        _phi_composed(b + 1, curve, tower, "s_t_of_v", -on_s.lead), on_s, 0)
     terms = {}
     for k in range(cap + 1):
         if a_k.is_zero and b_k.is_zero:

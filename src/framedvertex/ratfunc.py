@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd, lcm
 from operator import index
@@ -176,10 +176,10 @@ def _f1_power(m):
 
 
 def _align(n, dj, dk):
-    """n f^dj (f+1)^dk."""
+    """n f^dj (f+1)^dk; ``n`` is returned as it is when dj = dk = 0."""
     if dk:
         n = _pmul(n, _f1_power(dk))
-    return (0,) * dj + n if dj else n
+    return (0,) * dj + tuple(n) if dj else n
 
 
 def _pderiv(a):
@@ -603,7 +603,8 @@ def sum_of_products(xs, ys, ws=None):
     common denominator L f^J (f+1)^K, with L the lcm of their scalar
     denominators and J, K the largest exponents, and their integer
     numerators are summed: first per class of equal exponents (j, k),
-    then each class aligned once, by a shift and (f+1)^(K-k).  Each
+    then each class aligned once, by a shift and (f+1)^(K-k), and the
+    classes added; a lone class is the total as it stands.  Each
     product's numerator is scaled by the one integer s = w L / (nd_a nd_b),
     so a weight costs no Q(f) product and no reduction of its own.
 
@@ -654,8 +655,6 @@ def sum_of_products(xs, ys, ws=None):
         if len(an) > len(bn):
             an, bn = bn, an
         s = L // (a._nd * b._nd) * w
-        if s != 1:
-            an = [x * s for x in an]
         key = (a._j + b._j, a._k + b._k)
         acc = buckets.get(key)
         size = len(an) + len(bn) - 1
@@ -665,14 +664,13 @@ def sum_of_products(xs, ys, ws=None):
             acc.extend([0] * (size - len(acc)))
         for i, x in enumerate(an):
             if x:
+                x *= s
                 for m, y in enumerate(bn, i):
                     acc[m] += x * y
-    J = max(j for j, _ in buckets)
-    K = max(k for _, k in buckets)
-    total = ()
-    for (j, k), acc in buckets.items():
-        total = _padd(total, _align(tuple(acc), J - j, K - k))
-    return _reduce(total, L, J, K)
+    J, K = map(max, zip(*buckets))
+    total = reduce(_padd, [_align(acc, J - j, K - k)
+                           for (j, k), acc in buckets.items()])
+    return _reduce(_ptrim(total), L, J, K)
 
 
 def _packed_sum(live, L):

@@ -2,15 +2,17 @@ import argparse
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from framedvertex.cli import build_parser, main
 from framedvertex.curvefun import PhiTower
-from framedvertex.engine import budget_cells, make_workspace, run_to_budget
+from framedvertex.engine import run_to_budget
 from framedvertex.errors import (ArityMismatch, DegreeCapExceeded,
                                  DivisionByZero, InsufficientTruncation,
-                                 MissingDependency, UnstableDependency)
+                                 MissingDependency, SymmetryViolation,
+                                 UnstableDependency)
 from framedvertex.kernels import (KernelWorkspace, kernel_I_via_involution,
                                   kernel_II_symmetrized)
 
@@ -569,18 +571,25 @@ def test_program_faults_exit_3(tmp_path, capsys, monkeypatch, error):
 def test_kernels_suite_fails_on_corrupted_compositions_through_s(
         tmp_path, capsys, monkeypatch):
     # a fresh curve, so its memo of compositions starts empty and the
-    # corrupted ones leave with it
+    # corrupted ones leave with it; every power of s(t(v)) doubled
+    # doubles phi(s(t(v))), which only the point form reads
     import framedvertex.curve as curve_module
-    import framedvertex.kernels as kernels
     monkeypatch.setattr(curve_module, "_CACHE", {})
-    s_t = make_workspace(budget_cells(3)).curve.s_t_of_v
-    real = kernels.compose_polynomial
+    real = curve_module.CurveSeries.powers
 
-    def corrupted(coeffs, inner):
-        got = real(coeffs, inner)
-        return got * 2 if inner is s_t else got
+    class Doubled:
+        def __init__(self, table):
+            self.lead = table.lead
+            self.table = table
 
-    monkeypatch.setattr(kernels, "compose_polynomial", corrupted)
+        def row(self, k, m):
+            return [w * 2 for w in self.table.row(k, m)]
+
+    def corrupted(curve, inner):
+        table = real(curve, inner)
+        return Doubled(table) if inner == "s_t_of_v" else table
+
+    monkeypatch.setattr(curve_module.CurveSeries, "powers", corrupted)
     code, out, _ = run(["verify", "--suite", "kernels", "--chi-max", "3",
                         "--seed", "3", "--cache", str(tmp_path)], capsys)
     assert code == 1
@@ -590,3 +599,76 @@ def test_kernels_suite_fails_on_corrupted_compositions_through_s(
     assert points and set(points) == {"FAIL"}
     assert {status for status, row in rows if row["kernel"] != "point"} \
         == {"PASS"}
+
+
+def test_symmetry_violation_from_cache_file_is_config_error(tmp_path,
+                                                            capsys):
+    # a chi <= 4 cache with 1|0,2 doubled: canonical and in bound, so the
+    # loader takes it, but the step of (1, 5) reads it on different slots
+    assert run(["compute", "--chi-max", "4",
+                "--cache", str(tmp_path)], capsys)[0] == 0
+    path = tmp_path / "brackets.json"
+    obj = json.loads(path.read_text())
+    obj["entries"]["1|0,2"] = "(-f^2-f)/12"
+    text = json.dumps(obj)
+    path.write_text(text)
+    for command in ("compute", "verify"):
+        code, out, err = run([command, "--chi-max", "5",
+                              "--cache", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cache file %s " % path)
+        assert "cell (1,5): asymmetric extraction" in err
+        assert path.read_text() == text
+
+
+@pytest.mark.parametrize("stored", ["none", "seeds"])
+def test_symmetry_violation_on_a_fresh_cache_exits_3(tmp_path, capsys,
+                                                     monkeypatch, stored):
+    # a cache file of the seed cells alone holds nothing the loader did
+    # not check, so a step that fails its symmetry check is the program's
+    import framedvertex.engine as engine
+    if stored == "seeds":
+        assert run(["compute", "--chi-max", "1",
+                    "--cache", str(tmp_path)], capsys)[0] == 0
+    real = engine.recursion_step
+
+    def step(g, n, table, workspace):
+        if (g, n) == (1, 2):
+            raise SymmetryViolation("cell (1,2): injected")
+        return real(g, n, table, workspace)
+
+    monkeypatch.setattr(engine, "recursion_step", step)
+    code, _, err = run(["compute", "--chi-max", "3",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 3
+    assert err == "internal invariant violation: cell (1,2): injected\n"
+
+
+def test_cold_symmetry_suite_builds_each_kernel_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # the cells computed on the cold cache and the suite's re-derivation
+    # share one workspace
+    import framedvertex.kernels as kernels
+    built = Counter()
+    for name in ("kernel_I", "kernel_II"):
+        def spy(*args, real=getattr(kernels, name), name=name):
+            built[name, args[:-2]] += 1
+            return real(*args)
+        monkeypatch.setattr(kernels, name, spy)
+    code, out, _ = run(["verify", "--suite", "symmetry", "--chi-max", "5",
+                        "--cache", str(tmp_path)], capsys)
+    assert code == 0 and len(out.splitlines()) == 12
+    assert {name for name, _ in built} == {"kernel_I", "kernel_II"}
+    assert set(built.values()) == {1}
+
+
+def test_verify_on_a_full_table_builds_no_curve(tmp_path, capsys,
+                                                monkeypatch):
+    import framedvertex.curve as curve_module
+    assert run(["compute", "--chi-max", "3",
+                "--cache", str(tmp_path)], capsys)[0] == 0
+    monkeypatch.setattr(curve_module, "_CACHE", {})
+    for suite in ("cutjoin", "oracle"):
+        assert run(["verify", "--suite", suite, "--chi-max", "3",
+                    "--cache", str(tmp_path)], capsys)[0] == 0
+    assert curve_module._CACHE == {}

@@ -110,6 +110,35 @@ def test_t_power_is_the_power_through_v0():
         curve.t_power(13)
 
 
+@pytest.mark.parametrize("inner", ["t_of_v", "s_t_of_v"])
+def test_power_table_rows_are_the_repeated_products(inner):
+    # each row read at several tops, out of order, so rows grow on demand
+    # in k and in m; u^k = v^(-k lead) x^k against repeated products,
+    # through w_12, as far as x = v^-1 u is known on the curve at 12
+    curve = build_curve_series(12)
+    x = getattr(curve, inner)
+    table = curve.powers(inner)
+    assert table is curve.powers(inner) and table.lead == x.lead == -1
+    known = x.trunc - x.lead
+    power = VSeries.one(known)
+    for k in range(11):
+        for m in (3, 0, known, 7):
+            want = power.truncate(k * x.lead + m)
+            got = VSeries(k * x.lead, table.row(k, m), k * x.lead + m)
+            assert got == want, (k, m)
+        power = power * x
+
+
+@pytest.mark.parametrize("inner", ["t_of_v", "s_t_of_v"])
+def test_power_table_past_the_series_raises(inner):
+    curve = build_curve_series(12)
+    table = curve.powers(inner)
+    for k in (0, 1, 5):
+        table.row(k, 12)
+        with pytest.raises(InsufficientTruncation):
+            table.row(k, 13)
+
+
 def test_cache_returns_same_object():
     assert build_curve_series(9) is build_curve_series(9)
 

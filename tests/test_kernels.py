@@ -386,11 +386,39 @@ def test_cross_check_compositions_made_once_per_curve(monkeypatch):
     # the kernels suite on a fresh curve, so no earlier test's memo counts
     monkeypatch.setattr(curve_module, "_CACHE", {})
     form = [None]
-    calls = []
+    composed = []
+    horner = []
+    tables = []
+    w_made = []
+    in_row = [False]
+    real_compose = kernels._compose
+    real_init = curve_module.PowerTable.__init__
+    real_row = curve_module.PowerTable.row
+    real_sop = curve_module.sum_of_products
 
-    def spy(coeffs, inner):
-        calls.append((form[0], tuple(coeffs), inner))
+    def compose_spy(coeffs, powers, top):
+        composed.append((form[0], coeffs, powers, top))
+        return real_compose(coeffs, powers, top)
+
+    def horner_spy(coeffs, inner):
+        horner.append(form[0])
         return compose_polynomial(coeffs, inner)
+
+    def init_spy(self, x):
+        tables.append(self)
+        real_init(self, x)
+
+    def row_spy(self, k, m):
+        in_row[0] = True
+        try:
+            return real_row(self, k, m)
+        finally:
+            in_row[0] = False
+
+    def sop_spy(*args):
+        if in_row[0]:
+            w_made.append(args)
+        return real_sop(*args)
 
     def tagged(name):
         real = getattr(cli, name)
@@ -403,22 +431,60 @@ def test_cross_check_compositions_made_once_per_curve(monkeypatch):
                 form[0] = None
         return run
 
-    monkeypatch.setattr(kernels, "compose_polynomial", spy)
+    monkeypatch.setattr(kernels, "_compose", compose_spy)
+    monkeypatch.setattr(kernels, "compose_polynomial", horner_spy)
+    monkeypatch.setattr(curve_module.PowerTable, "__init__", init_spy)
+    monkeypatch.setattr(curve_module.PowerTable, "row", row_spy)
+    monkeypatch.setattr(curve_module, "sum_of_products", sop_spy)
     for name in ("kernel_I_via_involution", "kernel_II_symmetrized"):
         monkeypatch.setattr(cli, name, tagged(name))
     rows = cli._suite_kernels(argparse.Namespace(chi_max=4, seed=1), None)
     assert all(row["passed"] for row in rows)
     (curve,) = curve_module._CACHE.values()
+    names = {id(curve.powers(inner)): inner
+             for inner in ("t_of_v", "s_t_of_v")}
 
-    made = Counter((c, inner) for _, c, inner in calls)
+    # one table per inner series, each w_m of each row formed once: one
+    # sum_of_products per coefficient past w_0 that the tables now hold
+    assert sorted(names[id(t)] for t in tables) == ["s_t_of_v", "t_of_v"]
+    assert len(w_made) == sum(len(w) - 1 for t in tables
+                              for w in t._rows.values())
+    # each (phi, inner, top) composed once; the pair form reads phi_1 ..
+    # phi_4 through t(v) at tops 1, 3, 5, 7 (top + 2b + 3 with top = -2),
+    # the point form phi_1 .. phi_3 through t(v) and s(t(v)) at v^-1
+    made = Counter((c, names[id(p)], top) for _, c, p, top in composed)
     assert set(made.values()) == {1}
-    # phi_1..phi_4 through t(v), phi_1..phi_3 through s(t(v)), and phi_0
-    # through t(v), the base of the generator kernel_II's ladder
-    assert len(calls) == 8
-    by_form = Counter((f, inner is curve.s_t_of_v) for f, _, inner in calls)
-    assert by_form == {("kernel_I_via_involution", False): 4,
-                       ("kernel_II_symmetrized", True): 3,
-                       (None, False): 1}
+    by_form = Counter((f, names[id(p)], top) for f, _, p, top in composed)
+    assert by_form == {
+        **{("kernel_I_via_involution", "t_of_v", top): 4
+           for top in (1, 3, 5, 7)},
+        ("kernel_II_symmetrized", "t_of_v", -1): 3,
+        ("kernel_II_symmetrized", "s_t_of_v", -1): 3}
+    # Horner composes only phi_0 at t(v), the base of the generator
+    # kernel_II's ladder
+    assert horner == [None]
+
+
+@pytest.mark.parametrize("inner", ["t_of_v", "s_t_of_v"])
+def test_phi_composed_is_the_horner_composition_cut(ws5, inner):
+    # from below the lead to the last exponent the curve knows, with
+    # Horner's rule as the reference
+    x = getattr(ws5.curve, inner)
+    for b in range(6):
+        want = compose_polynomial(ws5.tower.phi_coeffs(b), x)
+        for top in [*range(want.lead - 1, want.trunc, 3), want.trunc]:
+            got = kernels._phi_composed(b, ws5.curve, ws5.tower, inner, top)
+            assert got == want.truncate(top), (b, top)
+
+
+@pytest.mark.parametrize("inner", ["t_of_v", "s_t_of_v"])
+def test_phi_composed_past_the_inner_series_raises(ws5, inner):
+    x = getattr(ws5.curve, inner)
+    for b in (0, 3):
+        top = compose_polynomial(ws5.tower.phi_coeffs(b), x).trunc
+        kernels._phi_composed(b, ws5.curve, ws5.tower, inner, top)
+        with pytest.raises(InsufficientTruncation):
+            kernels._phi_composed(b, ws5.curve, ws5.tower, inner, top + 1)
 
 
 # -- the generator's phi ladder -----------------------------------------------
